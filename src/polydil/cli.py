@@ -9,7 +9,8 @@ are serialized with 17 significant digits so save/load round trips are
 bit-identical.
 
 Exit codes: 0 success, 2 parse failure, 3 certification failure, 4 dilation
-failure, 5 verification failure, 6 von Neumann margin violation.
+failure, 5 verification failure, 6 von Neumann margin violation, 7 variety
+fiber residual check failure.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ EXIT_CERTIFY = 3
 EXIT_DILATE = 4
 EXIT_VERIFY = 5
 EXIT_VN = 6
+EXIT_VARIETY = 7
 
 ENV_PREFIX = "POLYDIL_"
 
@@ -51,7 +53,6 @@ class RunConfig:
     grid: int = 32
     variety_grid: int = 17
     radius: float = 0.95
-    eig_tol: float = 1e-10
     cert_tol: float = 1e-8
     vn_tol: float = 1e-7
     root_tol: float = 1e-7
@@ -67,7 +68,7 @@ class RunConfig:
             raise ParseError("variety grid must be at least 2")
         if not 0.0 < self.radius <= 1.0:
             raise ParseError("radius must lie in (0, 1]")
-        for name in ("eig_tol", "cert_tol", "vn_tol", "root_tol"):
+        for name in ("cert_tol", "vn_tol", "root_tol"):
             if getattr(self, name) <= 0:
                 raise ParseError(f"{name} must be positive")
 
@@ -330,7 +331,8 @@ def cmd_vn(input_path: str, poly_path: str, config: RunConfig) -> int:
     t, g = tuple_from_doc(load_document(input_path), config)
     poly, text = _load_polynomial(poly_path, t.n)
     cert = _certificate_for(t, g, config)
-    report = vn.vn_check(poly, t, cert, grid=config.grid)
+    r = rz.build_generating_unitary(t, cert, config.cert_tol)
+    report = vn.vn_check(poly, t, cert, grid=config.grid, realization=r)
     doc = {
         "polynomial": text,
         "lhs": report.lhs,
@@ -371,7 +373,7 @@ def cmd_variety(input_path: str, config: RunConfig) -> int:
         ],
     }
     write_document(doc, config.out)
-    return EXIT_OK
+    return EXIT_OK if sample.residual_ok else EXIT_VARIETY
 
 
 def cmd_generate(kind: str, args: argparse.Namespace, config: RunConfig) -> int:

@@ -24,7 +24,6 @@ from .errors import (
     NotHermitian,
     NotIsometric,
     NotPsd,
-    SingularResolvent,
 )
 
 EIG_TOL = 1e-10
@@ -43,13 +42,16 @@ def as_matrix(a) -> np.ndarray:
 
 
 def adj(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return a.conj().T
+    """Conjugate transpose; of each matrix for a stack (..., p, q)."""
+    return np.swapaxes(a.conj(), -1, -2)
 
 
-def operator_norm(a) -> float:
-    """Largest singular value (sqrt of the top eigenvalue of A*A)."""
+def operator_norm(a):
+    """Largest singular value (sqrt of the top eigenvalue of A*A); for a
+    stack (..., p, q), the array of them."""
     m = np.asarray(a, dtype=complex)
+    if m.ndim > 2:
+        return np.linalg.norm(m, 2, axis=(-2, -1))
     if m.size == 0:
         return 0.0
     return float(np.linalg.norm(m, 2))
@@ -246,8 +248,7 @@ def unitary_completion(
 def poly_roots(coeffs, tol: float = ROOT_TOL) -> np.ndarray:
     """All roots (with multiplicity) of a polynomial.
 
-    Coefficients are ordered from the highest degree down, matching the
-    characteristic polynomials produced by :func:`char_poly`.  Roots are
+    Coefficients are ordered from the highest degree down.  Roots are
     returned sorted by (real, imag) so the multiset has a canonical order.
     """
     c = np.atleast_1d(np.asarray(coeffs, dtype=complex))
@@ -265,62 +266,51 @@ def poly_roots(coeffs, tol: float = ROOT_TOL) -> np.ndarray:
     return roots[order]
 
 
-def det(a) -> complex:
-    """Determinant via pivoted LU elimination."""
-    m = as_matrix(a)
-    if m.shape[0] != m.shape[1]:
-        raise DimensionMismatch("determinant needs a square matrix")
-    if m.shape[0] == 0:
-        return 1.0 + 0.0j
-    return complex(np.linalg.det(m))
+def eigvals(a) -> np.ndarray:
+    """Eigenvalues of a square matrix, or of each matrix of a stack
+    (..., n, n), from LAPACK; sorted per matrix by (real, imag) like the
+    roots of :func:`poly_roots`."""
+    w = np.linalg.eigvals(np.asarray(a, dtype=complex))
+    return np.take_along_axis(w, np.lexsort((w.imag, w.real), axis=-1), axis=-1)
 
 
-def char_poly(a) -> np.ndarray:
-    """Monic characteristic polynomial coefficients (highest degree first).
-
-    Faddeev-LeVerrier recursion; intended for the small matrices (variety
-    fibers, unitary parts) this package encounters.
-    """
-    m = as_matrix(a)
-    n = m.shape[0]
-    if m.shape[0] != m.shape[1]:
-        raise DimensionMismatch("char_poly needs a square matrix")
-    coeffs = np.zeros(n + 1, dtype=complex)
-    coeffs[0] = 1.0
-    aux = np.eye(n, dtype=complex)
-    for k in range(1, n + 1):
-        am = m @ aux
-        ck = -np.trace(am) / k
-        coeffs[k] = ck
-        aux = am + ck * np.eye(n, dtype=complex)
-    return coeffs
+def det(a):
+    """Determinant via pivoted LU elimination; for a stack (..., n, n), the
+    array of them."""
+    m = np.asarray(a, dtype=complex)
+    if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
+        raise DimensionMismatch("determinant needs a square matrix or a stack of them")
+    if not np.all(np.isfinite(m)):
+        raise ValueError("matrix has non-finite entries")
+    d = np.linalg.det(m)
+    return complex(d) if m.ndim == 2 else d
 
 
-def eigvals_small(a) -> np.ndarray:
-    """Eigenvalues of a small general matrix via characteristic-poly roots."""
-    m = as_matrix(a)
-    if m.shape[0] == 0:
-        return np.zeros(0, dtype=complex)
-    return poly_roots(char_poly(m))
+def inv_resolvent(d, zeta, tol: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:
+    """Solve (I - D diag(zeta_g)) X_g = I for every row zeta_g of a (G, n) array.
 
-
-def inv_resolvent(d, ez, tol: float = 1e-8) -> np.ndarray:
-    """Solve (I - D Ez) X = I.
-
-    Raises SingularResolvent when the system is singular at ``tol`` (which can
-    only happen for boundary evaluation points).
+    Returns the (G, n, n) stack X and the (G,) mask of regular points: those
+    whose system is not exactly singular and whose residual
+    ||(I - D diag(zeta_g)) X_g - I|| is finite and at most ``tol``.  A
+    singular system can only arise at boundary evaluation points; X is zero
+    there.
     """
     dm = as_matrix(d)
-    em = as_matrix(ez)
+    z = np.asarray(zeta, dtype=complex)
     n = dm.shape[0]
-    if n == 0:
-        return np.zeros((0, 0), dtype=complex)
-    m = np.eye(n, dtype=complex) - dm @ em
+    if z.ndim != 2 or z.shape[1] != n:
+        raise DimensionMismatch(f"expected a (G, {n}) array of diagonals, got {z.shape}")
+    eye = np.eye(n, dtype=complex)
+    m = eye - dm * z[:, None, :]
+    rhs = np.broadcast_to(eye, m.shape)
     try:
-        x = np.linalg.solve(m, np.eye(n, dtype=complex))
-    except np.linalg.LinAlgError as exc:
-        raise SingularResolvent(str(exc)) from exc
-    res = operator_norm(m @ x - np.eye(n))
-    if not np.isfinite(res) or res > tol:
-        raise SingularResolvent(f"residual {res:.3e} at tolerance {tol:.1e}")
-    return x
+        x, solved = np.linalg.solve(m, rhs), True
+    except np.linalg.LinAlgError:
+        # LAPACK rejects the whole stack for one exactly singular matrix; the
+        # LU of slogdet finds the same zero pivots, so solve around those
+        solved = np.linalg.slogdet(m).sign != 0
+        x = np.linalg.solve(np.where(solved[:, None, None], m, eye), rhs)
+    res = operator_norm(m @ x - eye)
+    regular = solved & np.isfinite(res) & (res <= tol)
+    x[~regular] = 0.0
+    return x, regular

@@ -15,12 +15,12 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
 from . import matcore, realization as rz
-from .errors import ArityMismatch, ParseError, SingularResolvent
+from .errors import ArityMismatch, ParseError
 from .matcore import adj, operator_norm
 from .tuples import OperatorTuple, DilationCertificate, spectral_radius
 
@@ -173,19 +173,6 @@ def parse_poly(text: str, nvars: int | None = None) -> MultiPoly:
     return multipoly(nvars, term_map)
 
 
-def eval_poly_scalar(p: MultiPoly, z: Sequence[complex]) -> complex:
-    if len(z) != p.nvars:
-        raise ArityMismatch(f"expected {p.nvars} coordinates, got {len(z)}")
-    out = 0.0 + 0.0j
-    for k, a in p.terms.items():
-        w = a
-        for zi, ki in zip(z, k):
-            if ki:
-                w *= complex(zi) ** ki
-        out += w
-    return out
-
-
 def eval_poly_tuple(p: MultiPoly, t: OperatorTuple) -> np.ndarray:
     """P(T) = sum_k a_k T_1^{k_1} ... T_n^{k_n}."""
     if p.nvars != t.n:
@@ -252,14 +239,18 @@ def split_transfer(r: rz.TransferRealization, tol: float = 1e-9) -> TransferSpli
     offdiag = 0.0
     if h0.shape[1] and h1.shape[1]:
         m_vars = len(r.partition)
-        for j, base in enumerate(_SPLIT_SAMPLES):
-            z = tuple(base * np.exp(2j * np.pi * (j + axis) / 7.0) for axis in range(m_vars))
-            phi = rz.transfer_eval(r, z)
-            offdiag = max(
-                offdiag,
-                operator_norm(adj(h0) @ phi @ h1),
-                operator_norm(adj(h1) @ phi @ h0),
+        samples = [
+            [base * np.exp(2j * np.pi * (j + axis) / 7.0) for axis in range(m_vars)]
+            for j, base in enumerate(_SPLIT_SAMPLES)
+        ]
+        _, phi, regular = next(rz.transfer_eval_many(r, samples))
+        phi = phi[regular]  # interior samples are always regular
+        offdiag = float(
+            max(
+                np.max(operator_norm(adj(h0) @ phi @ h1), initial=0.0),
+                np.max(operator_norm(adj(h1) @ phi @ h0), initial=0.0),
             )
+        )
     return TransferSplit(
         unitary_block=cnu.unitary_block,
         cnu_part=cnu_part,
@@ -276,8 +267,9 @@ def split_transfer(r: rz.TransferRealization, tol: float = 1e-9) -> TransferSpli
 @dataclass(frozen=True)
 class TorusCache:
     """Transfer-function data over the boundary grid of the first n-1
-    variables: evaluation points, Phi values, their eigenvalues, and the
-    points skipped for a singular resolvent."""
+    variables: the points with a regular resolvent, Phi there, its
+    eigenvalues (LAPACK, sorted per point by (real, imag)), and the number of
+    grid points skipped for a singular resolvent."""
 
     points: np.ndarray  # (G, m) complex
     phi: np.ndarray  # (G, e, e)
@@ -287,29 +279,15 @@ class TorusCache:
 
 
 def precompute_torus(r: rz.TransferRealization, grid: int) -> TorusCache:
-    pts = []
-    phis = []
-    eigs = []
-    singular = 0
-    for zeta in rz.torus_grid(len(r.partition), grid):
-        try:
-            phi = rz.transfer_eval(r, zeta)
-        except SingularResolvent:
-            singular += 1
-            continue
-        pts.append(zeta)
-        phis.append(phi)
-        eigs.append(matcore.eigvals_small(phi))
-    e = r.dim_e
-    if pts:
-        points = np.asarray(pts, dtype=complex)
-        phi_arr = np.stack(phis)
-        eig_arr = np.stack(eigs)
-    else:  # pragma: no cover - an entirely singular grid
-        points = np.zeros((0, len(r.partition)), dtype=complex)
-        phi_arr = np.zeros((0, e, e), dtype=complex)
-        eig_arr = np.zeros((0, e), dtype=complex)
-    return TorusCache(points, phi_arr, eig_arr, singular, grid)
+    points = rz.torus_points(len(r.partition), grid)
+    phi = np.empty((len(points), r.dim_e, r.dim_e), dtype=complex)
+    regular = np.empty(len(points), dtype=bool)
+    for rows, phi_rows, regular_rows in rz.transfer_eval_many(r, points):
+        phi[rows] = phi_rows
+        regular[rows] = regular_rows
+    phi = phi[regular]
+    singular = len(points) - int(np.count_nonzero(regular))
+    return TorusCache(points[regular], phi, matcore.eigvals(phi), singular, grid)
 
 
 def _base_coefficients(p: MultiPoly, points: np.ndarray) -> np.ndarray:
@@ -326,35 +304,32 @@ def _base_coefficients(p: MultiPoly, points: np.ndarray) -> np.ndarray:
     return out
 
 
-class _ScanResult:
-    def __init__(self, sup_norm: float, sup_fiber: float):
-        self.sup_norm = sup_norm
-        self.sup_fiber = sup_fiber
-
-
-def _scan(p: MultiPoly, cache: TorusCache, e: int) -> _ScanResult:
-    g = cache.points.shape[0]
-    if g == 0:
-        return _ScanResult(0.0, 0.0)
+def _matrix_sup(p: MultiPoly, cache: TorusCache) -> float:
+    """max over the cached points of ||P(zeta_1 I, ..., zeta_{n-1} I, Phi(zeta))||."""
     coeffs = _base_coefficients(p, cache.points)
     deg_n = coeffs.shape[1] - 1
+    g, e = cache.phi.shape[:2]
     acc = np.zeros((g, e, e), dtype=complex)
     power = np.broadcast_to(np.eye(e, dtype=complex), (g, e, e)).copy()
-    fiber_vals = np.zeros((g, cache.eigs.shape[1]), dtype=complex)
-    eig_pow = np.ones_like(cache.eigs)
     for j in range(deg_n + 1):
         acc += coeffs[:, j, None, None] * power
-        fiber_vals += coeffs[:, j, None] * eig_pow
         if j < deg_n:
             power = np.matmul(power, cache.phi)
-            eig_pow = eig_pow * cache.eigs
-    if e:
-        svals = np.linalg.svd(acc, compute_uv=False)
-        sup_norm = float(np.max(svals[:, 0])) if g else 0.0
-    else:  # pragma: no cover - empty coefficient space
-        sup_norm = 0.0
-    sup_fiber = float(np.max(np.abs(fiber_vals))) if fiber_vals.size else 0.0
-    return _ScanResult(sup_norm, sup_fiber)
+    return float(np.max(operator_norm(acc), initial=0.0))
+
+
+def _fiber_sup(p: MultiPoly, points: np.ndarray, fibers: np.ndarray) -> float:
+    """max of |P(zeta, lambda)| over the rows zeta of a (G, n-1) point array
+    and the last coordinates lambda in the same row of a (G, k) fiber array."""
+    coeffs = _base_coefficients(p, points)
+    deg_n = coeffs.shape[1] - 1
+    vals = np.zeros(fibers.shape, dtype=complex)
+    fiber_pow = np.ones(fibers.shape, dtype=complex)
+    for j in range(deg_n + 1):
+        vals += coeffs[:, j, None] * fiber_pow
+        if j < deg_n:
+            fiber_pow = fiber_pow * fibers
+    return float(np.max(np.abs(vals), initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -376,9 +351,7 @@ def torus_sup(
         raise ArityMismatch(f"polynomial has {p.nvars} variables, expected {m_vars + 1}")
     if cache is None or cache.grid != grid:
         cache = precompute_torus(r, grid)
-    scan = _scan(p, cache, r.dim_e)
-    total = grid**m_vars
-    return TorusScan(scan.sup_norm, cache.singular_points, total)
+    return TorusScan(_matrix_sup(p, cache), cache.singular_points, grid**m_vars)
 
 
 def polydisc_grid_sup(p: MultiPoly, grid: int, cache: TorusCache | None = None) -> float:
@@ -388,18 +361,10 @@ def polydisc_grid_sup(p: MultiPoly, grid: int, cache: TorusCache | None = None) 
     The fibers lie in the closed polydisc, so the enriched maximum is still a
     lower bound for the true polydisc supremum while dominating the variety
     scan pointwise."""
-    angles = np.exp(2j * np.pi * np.arange(grid) / grid)
-    grids = np.meshgrid(*([angles] * p.nvars), indexing="ij")
-    acc = np.zeros(grids[0].shape, dtype=complex)
-    for k, a in p.terms.items():
-        term = np.full(grids[0].shape, a, dtype=complex)
-        for axis, e in enumerate(k):
-            if e:
-                term = term * grids[axis] ** e
-        acc += term
-    sup = float(np.max(np.abs(acc)))
-    if cache is not None and cache.points.shape[0]:
-        sup = max(sup, _scan(p, cache, cache.phi.shape[1]).sup_fiber)
+    points = rz.torus_points(p.nvars, grid).reshape(-1, grid, p.nvars)
+    sup = _fiber_sup(p, points[:, 0, :-1], points[:, :, -1])
+    if cache is not None:
+        sup = max(sup, _fiber_sup(p, cache.points, cache.eigs))
     return sup
 
 
@@ -446,10 +411,11 @@ def variety_sample(
     """Sample the variety components over an interior grid of the polydisc.
 
     For every grid point z the fibers are the eigenvalues of Phi_1(z)
-    (component V1) together with the constant spectrum of the unitary part
-    (component V0); each emitted point carries its characteristic-polynomial
-    residual |det(lambda I - Phi_j(z))|, checked against
-    root_tol * (1 + ||Phi_j(z)||)^e.
+    (component V1, from one batched LAPACK call per chunk of grid points,
+    sorted by (real, imag)) together with the constant spectrum of the
+    unitary part (component V0); each emitted point carries its
+    characteristic-polynomial residual |det(lambda I - Phi_j(z))|, checked
+    against root_tol * (1 + ||Phi_j(z)||)^e.
     """
     if split is None:
         split = split_transfer(r)
@@ -461,34 +427,42 @@ def variety_sample(
     w_fibers: list[tuple[complex, float]] = []
     if split.h0_dim:
         w = split.unitary_block
-        for lam in matcore.eigvals_small(w):
-            res = abs(matcore.det(lam * np.eye(w.shape[0]) - w))
-            w_fibers.append((complex(lam), float(res)))
+        w_lam = matcore.eigvals(w)
+        w_res = np.abs(matcore.det(w_lam[:, None, None] * np.eye(split.h0_dim) - w))
+        w_fibers = list(zip(w_lam.tolist(), w_res.tolist()))
+    w_bound = root_tol * (1.0 + operator_norm(split.unitary_block)) ** max(split.h0_dim, 1)
 
     axis_points = _disc_grid(grid_per_axis, radius)
     m_vars = len(r.partition)
-    for base in itertools.product(axis_points, repeat=m_vars):
-        if split.cnu_part is not None:
-            try:
-                cnu_part = rz.transfer_eval(split.cnu_part, base)
-            except SingularResolvent:  # pragma: no cover - interior points are regular
-                singular += 1
-                continue
-            e1 = cnu_part.shape[0]
-            scale = root_tol * (1.0 + operator_norm(cnu_part)) ** max(e1, 1)
-            for lam in matcore.eigvals_small(cnu_part):
-                res = abs(matcore.det(lam * np.eye(e1) - cnu_part))
-                max_res = max(max_res, res)
-                if res > scale:
-                    ok = False
-                points.append(
-                    VarietyPoint(base, complex(lam), "V1", float(res), bool(abs(lam) < 1.0))
-                )
-        for lam, res in w_fibers:
-            max_res = max(max_res, res)
-            if res > root_tol * (1.0 + operator_norm(split.unitary_block)) ** max(split.h0_dim, 1):
+    bases = list(itertools.product(axis_points, repeat=m_vars))
+    e1 = split.cnu_part.dim_e if split.cnu_part is not None else 0
+    lam = np.zeros((len(bases), e1), dtype=complex)
+    res = np.zeros((len(bases), e1))
+    bound = np.zeros(len(bases))
+    regular = np.ones(len(bases), dtype=bool)
+    if split.cnu_part is not None:
+        base_arr = np.array(bases, dtype=complex).reshape(len(bases), m_vars)
+        for rows, phi, regular_rows in rz.transfer_eval_many(split.cnu_part, base_arr):
+            lam[rows] = matcore.eigvals(phi)
+            shifted = lam[rows, :, None, None] * np.eye(e1) - phi[:, None]
+            res[rows] = np.abs(matcore.det(shifted))
+            bound[rows] = root_tol * (1.0 + operator_norm(phi)) ** max(e1, 1)
+            regular[rows] = regular_rows
+
+    for i, base in enumerate(bases):
+        if not regular[i]:  # pragma: no cover - interior points are regular
+            singular += 1
+            continue
+        for fiber, fiber_res in zip(lam[i].tolist(), res[i].tolist()):
+            max_res = max(max_res, fiber_res)
+            if fiber_res > bound[i]:
+                ok = False
+            points.append(VarietyPoint(base, fiber, "V1", fiber_res, abs(fiber) < 1.0))
+        for fiber, fiber_res in w_fibers:
+            max_res = max(max_res, fiber_res)
+            if fiber_res > w_bound:
                 ok = False  # pragma: no cover - unitary fibers are exact to rounding
-            points.append(VarietyPoint(base, lam, "V0", res, bool(abs(lam) < 1.0)))
+            points.append(VarietyPoint(base, fiber, "V0", fiber_res, abs(fiber) < 1.0))
     return VarietySample(
         points=tuple(points),
         h0_dim=split.h0_dim,

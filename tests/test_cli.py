@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from polydil import cli, realization as rz
+from polydil import cli, realization as rz, vonneumann as vn
 from polydil.errors import IsometryDefect
 
 
@@ -223,6 +223,22 @@ def test_vn_trivial_constant(triple_doc, tmp_path):
     assert doc["margin"] == pytest.approx(0.0, abs=1e-12)
 
 
+def test_vn_builds_realization_at_tol_cert(triple_doc, monkeypatch, tmp_path):
+    build = rz.build_generating_unitary
+    seen = []
+
+    def recording(t, cert, tol=1e-8, *args, **kwargs):
+        seen.append(tol)
+        return build(t, cert, tol, *args, **kwargs)
+
+    monkeypatch.setattr(rz, "build_generating_unitary", recording)
+    poly = tmp_path / "poly.txt"
+    poly.write_text("z3")
+    argv = ["vn", str(triple_doc), str(poly), "--grid", "8", "--tol-cert", "1e-9", "--out", "-"]
+    assert run(argv) == 0
+    assert seen == [1e-9]
+
+
 def test_vn_bad_polynomial_exit2(triple_doc, tmp_path):
     poly = tmp_path / "poly.txt"
     poly.write_text("z1 ** 2")
@@ -249,6 +265,18 @@ def test_variety_command(triple_doc, tmp_path):
     assert doc["h0_dim"] == 0
     assert doc["count"] == len(doc["points"]) > 0
     assert all(pt["interior"] for pt in doc["points"])
+
+
+def test_variety_residual_failure_exit7(triple_doc, monkeypatch, tmp_path):
+    def failing(*args, **kwargs):
+        point = vn.VarietyPoint((0.0, 0.0), 0.5, "V1", 1.0, True)
+        return vn.VarietySample((point,), 0, 0, 1.0, False)
+
+    monkeypatch.setattr(vn, "variety_sample", failing)
+    out = tmp_path / "variety.json"
+    assert run(["variety", str(triple_doc), "--out", str(out)]) == cli.EXIT_VARIETY == 7
+    doc = json.loads(out.read_text())
+    assert doc["residual_ok"] is False and doc["count"] == 1
 
 
 # ---------------------------------------------------------------------------

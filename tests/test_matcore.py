@@ -9,7 +9,6 @@ from polydil.errors import (
     NotHermitian,
     NotIsometric,
     NotPsd,
-    SingularResolvent,
 )
 from polydil.matcore import adj
 
@@ -278,7 +277,7 @@ def test_unitary_completion_rejects_bad_dims():
 
 
 # ---------------------------------------------------------------------------
-# poly_roots / det / char_poly
+# poly_roots / det / eigvals
 
 
 def test_poly_roots_factorable():
@@ -326,36 +325,61 @@ def test_det_against_cofactors(rng):
     assert abs(matcore.det(a) - cofactor_det(a)) < 1e-10 * max(1, abs(cofactor_det(a)))
 
 
+def test_det_stack_matches_single(rng):
+    stack = random_complex(rng, 5, 3, 3)
+    dets = matcore.det(stack)
+    assert dets.shape == (5,)
+    assert all(dets[g] == matcore.det(stack[g]) for g in range(5))
+    assert matcore.det(np.zeros((0, 0))) == 1.0
+
+
 def test_char_poly_roots_match_diag():
     a = np.diag([0.5, -0.25 + 0.1j, 0.3j])
-    roots = matcore.eigvals_small(a)
+    roots = matcore.eigvals(a)
     expected = sorted([0.5, -0.25 + 0.1j, 0.3j], key=lambda z: (z.real, z.imag))
     assert np.max(np.abs(roots - np.array(expected))) < 1e-10
+    # a stack is sorted per matrix, like the roots of its characteristic polynomials
+    stack = np.stack([a, np.diag([0.1 + 0.2j, -0.2, 0.05 - 0.3j])])
+    roots = matcore.eigvals(stack)
+    assert np.max(np.abs(roots[0] - np.array(expected))) < 1e-10
+    assert np.max(np.abs(roots[1] - np.array([-0.2, 0.05 - 0.3j, 0.1 + 0.2j]))) < 1e-10
+    for m in stack:
+        char = np.poly(np.diag(m))  # built from the known roots, not from eigenvalues
+        assert np.max(np.abs(matcore.eigvals(m) - matcore.poly_roots(char))) < 1e-8
 
 
 # ---------------------------------------------------------------------------
-# inv_resolvent
+# inv_resolvent: one row of diagonals per point
 
 
 def test_inv_resolvent_zero():
-    assert np.allclose(matcore.inv_resolvent(np.zeros((2, 2)), np.eye(2)), np.eye(2))
+    x, regular = matcore.inv_resolvent(np.zeros((2, 2)), np.ones((3, 2)))
+    assert x.shape == (3, 2, 2) and regular.all()
+    assert np.allclose(x, np.eye(2))
 
 
 def test_inv_resolvent_scalar_geometric():
-    x = matcore.inv_resolvent(np.array([[0.5]]), np.array([[0.5]]))
-    assert np.allclose(x, [[4.0 / 3.0]])
+    x, regular = matcore.inv_resolvent(np.array([[0.5]]), np.array([[0.5], [-1.0]]))
+    assert regular.all()
+    assert np.allclose(x[:, 0, 0], [4.0 / 3.0, 2.0 / 3.0])
 
 
 def test_inv_resolvent_random_contractions(rng):
     d = random_complex(rng, 4, 4)
     d *= 0.6 / matcore.operator_norm(d)
-    e = random_complex(rng, 4, 4)
-    e *= 0.9 / matcore.operator_norm(e)
-    x = matcore.inv_resolvent(d, e)
-    res = matcore.operator_norm((np.eye(4) - d @ e) @ x - np.eye(4))
-    assert res < 1e-12
+    zeta = 0.9 * np.exp(2j * np.pi * rng.uniform(size=(5, 4)))
+    x, regular = matcore.inv_resolvent(d, zeta)
+    assert regular.all()
+    for g in range(5):
+        res = matcore.operator_norm((np.eye(4) - d @ np.diag(zeta[g])) @ x[g] - np.eye(4))
+        assert res < 1e-12
 
 
 def test_inv_resolvent_singular():
-    with pytest.raises(SingularResolvent):
-        matcore.inv_resolvent(np.eye(2), np.eye(2))
+    # the exactly singular point does not stop the others from being solved
+    zeta = np.array([[0.5, 0.5], [1.0, 1.0], [0.0, 0.0]])
+    x, regular = matcore.inv_resolvent(np.eye(2), zeta)
+    assert regular.tolist() == [True, False, True]
+    assert np.allclose(x[0], 2.0 * np.eye(2))
+    assert np.allclose(x[2], np.eye(2))
+    assert not x[1].any()

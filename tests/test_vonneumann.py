@@ -220,6 +220,53 @@ def test_split_block_diagonality_random_points(rng):
 
 
 # ---------------------------------------------------------------------------
+# the batched evaluation of Phi
+
+
+def one_point_phi(r, z):
+    """Phi(z) from a dense E(z) and a direct inverse, one point at a time."""
+    e_z = np.diag(np.repeat(np.asarray(z, dtype=complex), r.partition))
+    x = np.linalg.inv(np.eye(r.dim_f) - adj(r.d) @ e_z)
+    return adj(r.a) + adj(r.c) @ e_z @ x @ adj(r.b)
+
+
+@pytest.mark.parametrize("which", ["triple22", "mixed"])
+def test_transfer_eval_many_matches_one_point(which, triple22, rng):
+    if which == "mixed":
+        r = mixed_block_realization(rng)  # partition (1, 0): a zero-size block
+    else:
+        r = rz.build_generating_unitary(*triple22)
+    count = 2 * rz.CHUNK + 17
+    radii = 0.95 * np.sqrt(rng.uniform(size=(count, 2)))
+    points = radii * np.exp(2j * np.pi * rng.uniform(size=(count, 2)))
+    covered = 0
+    for rows, phi, regular in rz.transfer_eval_many(r, points):
+        assert rows.start == covered and regular.all()
+        for z, value in zip(points[rows], phi):
+            assert matcore.operator_norm(value - one_point_phi(r, z)) < 1e-14
+            assert matcore.operator_norm(value - rz.transfer_eval(r, tuple(z))) < 1e-14
+        covered += len(phi)
+    assert covered == count
+
+
+@pytest.mark.parametrize("grid", [8, rz.CHUNK + 8])
+def test_exactly_singular_point_is_skipped_alone(grid):
+    # Phi is constantly 1 and I - D* E(z) = 1 - z vanishes exactly at z = 1,
+    # the first grid point, which shares its chunk with regular points
+    one = np.ones((1, 1), dtype=complex)
+    zero = np.zeros((1, 1), dtype=complex)
+    r = rz.TransferRealization(a=one, b=zero, c=zero, d=one, partition=(1,))
+    inner = rz.inner_check(r, grid)
+    assert (inner.singular_points, inner.grid_points) == (1, grid)
+    assert inner.max_deviation < 1e-15
+    cache = vn.precompute_torus(r, grid)
+    assert cache.singular_points == 1
+    assert cache.points.shape == (grid - 1, 1)
+    assert np.all(cache.points[:, 0] != 1.0)
+    assert np.allclose(cache.phi, 1.0) and np.allclose(cache.eigs, 1.0)
+
+
+# ---------------------------------------------------------------------------
 # variety sampling
 
 
