@@ -137,15 +137,7 @@ class NotContraction(PolydilError):
 
 
 # ---------------------------------------------------------------------------
-# Hardy space operators
-
-
-class OutsideDisc(PolydilError):
-    pass
-
-
-class PartitionMismatch(PolydilError):
-    pass
+# polynomial calculus
 
 
 class ArityMismatch(PolydilError):

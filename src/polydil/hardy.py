@@ -1,193 +1,30 @@
-"""Truncated vector-valued Hardy space over the polydisc.
+"""Truncated vector-valued Hardy space over the polydisc, as dense tensors.
 
-Elements are finite coefficient families indexed by multi-indices in the box
-[0, N]^m; multiplication operators drop anything pushed past the cap while
-adjoints are exact on stored coefficients.  With that convention the
-adjoint-side intertwining identities hold exactly for nilpotent tuples and
-with explicit geometric tails otherwise, which is what the verification
-suite reports.
+An element of H^2_{C^e}(D^m) truncated to the box [0, N]^m is an array of
+shape (N+1,)*m + (e,) whose entry at the multi-index k is its k-th Taylor
+coefficient.  A map h -> sum_k z^k (M T*^k h) into that space is held as its
+coefficient tensor of shape (N+1,)*m + (out, d), so every basis vector is
+handled at once: M_{z_i}* and the block shift E(z) are slices along axis i,
+and the adjoint sends z^k c to T^k M* c, the conjugate transpose of the k-th
+coefficient applied to c.  Multiplication operators drop anything pushed
+past the cap while adjoints are exact on the box.  With that convention the
+adjoint-side intertwining identities below hold exactly for nilpotent
+tuples and up to explicit geometric tails otherwise, which is what the
+verification suite reports; each is one array expression over the tensors.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import matcore
-from .errors import DimensionMismatch, NotPure, OutsideDisc, PartitionMismatch
+from .errors import DimensionMismatch, NotPure
 from .matcore import adj, operator_norm
 from .tuples import OperatorTuple, DilationCertificate, is_pure, spectral_radius
 
 DEFAULT_CAP = 12
-
-MultiIndex = tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class HardyElement:
-    """Truncated element of H^2_{C^e}(D^m); absent indices are zero."""
-
-    var_count: int
-    degree_cap: int
-    coeff_dim: int
-    coeffs: Mapping[MultiIndex, np.ndarray] = field(default_factory=dict)
-
-    def coefficient(self, k: MultiIndex) -> np.ndarray:
-        c = self.coeffs.get(tuple(k))
-        if c is None:
-            return np.zeros(self.coeff_dim, dtype=complex)
-        return c
-
-    def norm_sq(self) -> float:
-        return float(sum(np.vdot(c, c).real for c in self.coeffs.values()))
-
-    def norm(self) -> float:
-        return self.norm_sq() ** 0.5
-
-
-def _clean(coeffs: dict[MultiIndex, np.ndarray]) -> dict[MultiIndex, np.ndarray]:
-    return {k: v for k, v in coeffs.items() if np.any(v)}
-
-
-def element(var_count: int, cap: int, coeff_dim: int, coeffs=None) -> HardyElement:
-    out: dict[MultiIndex, np.ndarray] = {}
-    for k, v in (coeffs or {}).items():
-        k = tuple(int(x) for x in k)
-        if len(k) != var_count or any(x < 0 for x in k):
-            raise DimensionMismatch(f"bad multi-index {k}")
-        if any(x > cap for x in k):
-            raise DimensionMismatch(f"multi-index {k} beyond cap {cap}")
-        v = np.asarray(v, dtype=complex).reshape(-1)
-        if v.size != coeff_dim:
-            raise DimensionMismatch("coefficient dimension mismatch")
-        out[k] = v
-    return HardyElement(var_count, cap, coeff_dim, _clean(out))
-
-
-def monomial(k: Sequence[int], vec, var_count: int, cap: int) -> HardyElement:
-    vec = np.asarray(vec, dtype=complex).reshape(-1)
-    return element(var_count, cap, vec.size, {tuple(k): vec})
-
-
-def add(f: HardyElement, g: HardyElement) -> HardyElement:
-    if (f.var_count, f.degree_cap, f.coeff_dim) != (g.var_count, g.degree_cap, g.coeff_dim):
-        raise DimensionMismatch("cannot add elements with different shapes")
-    out = dict(f.coeffs)
-    for k, v in g.coeffs.items():
-        out[k] = out.get(k, 0) + v
-    return HardyElement(f.var_count, f.degree_cap, f.coeff_dim, _clean(out))
-
-
-def scale(f: HardyElement, a: complex) -> HardyElement:
-    return HardyElement(
-        f.var_count, f.degree_cap, f.coeff_dim, _clean({k: a * v for k, v in f.coeffs.items()})
-    )
-
-
-def subtract(f: HardyElement, g: HardyElement) -> HardyElement:
-    return add(f, scale(g, -1.0))
-
-
-def inner(f: HardyElement, g: HardyElement) -> complex:
-    """<f, g>, linear in f and conjugate-linear in g."""
-    if (f.var_count, f.degree_cap, f.coeff_dim) != (g.var_count, g.degree_cap, g.coeff_dim):
-        raise DimensionMismatch("cannot pair elements with different shapes")
-    total = 0.0 + 0.0j
-    for k, v in f.coeffs.items():
-        w = g.coeffs.get(k)
-        if w is not None:
-            total += complex(np.vdot(w, v))
-    return total
-
-
-def apply_coefficientwise(m, f: HardyElement) -> HardyElement:
-    """Apply the matrix m to every coefficient (the operator I (x) m)."""
-    m = matcore.as_matrix(m)
-    if m.shape[1] != f.coeff_dim:
-        raise DimensionMismatch("matrix does not act on the coefficient space")
-    coeffs = {k: m @ v for k, v in f.coeffs.items()}
-    return HardyElement(f.var_count, f.degree_cap, m.shape[0], _clean(coeffs))
-
-
-def evaluate(f: HardyElement, z: Sequence[complex]) -> np.ndarray:
-    """Pointwise value sum_k c_k z^k."""
-    z = [complex(x) for x in z]
-    if len(z) != f.var_count:
-        raise DimensionMismatch("evaluation point has the wrong arity")
-    out = np.zeros(f.coeff_dim, dtype=complex)
-    for k, v in f.coeffs.items():
-        w = 1.0 + 0.0j
-        for zi, ki in zip(z, k):
-            w *= zi**ki
-        out += w * v
-    return out
-
-
-# ---------------------------------------------------------------------------
-# kernels and coordinate multipliers
-
-
-def szego_kernel_eval(z: Sequence[complex], w: Sequence[complex]) -> complex:
-    """prod_i 1 / (1 - z_i conj(w_i)) for interior points."""
-    z = [complex(x) for x in z]
-    w = [complex(x) for x in w]
-    if len(z) != len(w):
-        raise DimensionMismatch("kernel arguments must have equal arity")
-    if any(abs(x) >= 1.0 for x in z) or any(abs(x) >= 1.0 for x in w):
-        raise OutsideDisc("Szego kernel is evaluated at interior points only")
-    out = 1.0 + 0.0j
-    for zi, wi in zip(z, w):
-        out /= 1.0 - zi * wi.conjugate()
-    return out
-
-
-def kernel_element(w: Sequence[complex], vec, var_count: int, cap: int) -> HardyElement:
-    """Truncation of the kernel function k_w (x) vec."""
-    w = [complex(x) for x in w]
-    if any(abs(x) >= 1.0 for x in w):
-        raise OutsideDisc("kernel functions live at interior points")
-    vec = np.asarray(vec, dtype=complex).reshape(-1)
-    coeffs = {}
-    for k in itertools.product(range(cap + 1), repeat=var_count):
-        c = 1.0 + 0.0j
-        for wi, ki in zip(w, k):
-            c *= wi.conjugate() ** ki
-        coeffs[k] = c * vec
-    return element(var_count, cap, vec.size, coeffs)
-
-
-def mult_z(i: int, f: HardyElement) -> HardyElement:
-    """Multiplication by the i-th coordinate (1-based); overflow is dropped."""
-    if not 1 <= i <= f.var_count:
-        raise DimensionMismatch(f"variable index {i} outside 1..{f.var_count}")
-    a = i - 1
-    out: dict[MultiIndex, np.ndarray] = {}
-    for k, v in f.coeffs.items():
-        if k[a] + 1 > f.degree_cap:
-            continue
-        kk = k[:a] + (k[a] + 1,) + k[a + 1 :]
-        out[kk] = out.get(kk, 0) + v
-    return HardyElement(f.var_count, f.degree_cap, f.coeff_dim, _clean(out))
-
-
-def mult_z_adjoint(i: int, f: HardyElement) -> HardyElement:
-    if not 1 <= i <= f.var_count:
-        raise DimensionMismatch(f"variable index {i} outside 1..{f.var_count}")
-    a = i - 1
-    out: dict[MultiIndex, np.ndarray] = {}
-    for k, v in f.coeffs.items():
-        if k[a] == 0:
-            continue
-        kk = k[:a] + (k[a] - 1,) + k[a + 1 :]
-        out[kk] = out.get(kk, 0) + v
-    return HardyElement(f.var_count, f.degree_cap, f.coeff_dim, _clean(out))
-
-
-# ---------------------------------------------------------------------------
-# coefficient embeddings: the dilation isometry and the companion map J
 
 
 def nilpotency_order(m, tol: float = 1e-14) -> int | None:
@@ -223,83 +60,55 @@ def tail_tolerance(rho: float, cap: int, scale: float, atol: float = 1e-10) -> f
     return atol + geom_tail(rho, cap, scale)
 
 
-class CoefficientEmbedding:
-    """Map h -> { M T*^k h } over the truncated multi-index box.
+# ---------------------------------------------------------------------------
+# coefficient embeddings: the dilation isometry and the companion map J
 
-    With M = frame* D this is the canonical dilation isometry; with M = I it
-    is the plain embedding J.  ``adjoint_apply`` sums T^k M* c_k over the
-    stored coefficients, which is exact for elements supported in the box.
+
+class CoefficientEmbedding:
+    """Map h -> sum_k z^k (M T*^k h) over the truncated multi-index box.
+
+    ``coeffs`` has shape (cap+1,)*m + (out, d) and holds M T*^k at k, built
+    by one cumulative product per axis.  With M = frame* D this is the
+    canonical dilation isometry; with M = I it is the plain embedding J,
+    whose coefficients are the powers T*^k.  The forward powers T^k M* that
+    the adjoint needs are the conjugate transposes of the coefficients.
     """
 
     def __init__(self, t: OperatorTuple, out_map, cap: int):
         self.tuple = t
         self.cap = int(cap)
-        m = matcore.as_matrix(out_map)
-        if m.shape[1] != t.dim:
+        coeffs = matcore.as_matrix(out_map)
+        if coeffs.shape[1] != t.dim:
             raise DimensionMismatch("output map must act on the tuple's space")
-        self.out_map = m
-        self.out_dim = m.shape[0]
-        self._adj_ops = [adj(op) for op in t.ops]
-        # eager per-axis power tables keep the object immutable after
-        # construction, so concurrent applications stay safe
-        self._fwd_pows: list[list[np.ndarray]] = []
-        for op in t.ops:
-            pows = [np.eye(t.dim, dtype=complex)]
+        for axis, op in enumerate(t.ops):
+            op_adj = adj(op)
+            pows = [coeffs]
             for _ in range(self.cap):
-                pows.append(pows[-1] @ op)
-            self._fwd_pows.append(pows)
+                pows.append(pows[-1] @ op_adj)
+            coeffs = np.stack(pows, axis=axis)
+        self.coeffs = coeffs
 
-    @property
-    def var_count(self) -> int:
-        return self.tuple.n
-
-    def _vector_grid(self, h: np.ndarray) -> dict[MultiIndex, np.ndarray]:
-        grid: dict[MultiIndex, np.ndarray] = {}
-        m = self.var_count
-        for k in itertools.product(range(self.cap + 1), repeat=m):
-            if all(x == 0 for x in k):
-                grid[k] = h
-                continue
-            a = max(i for i in range(m) if k[i] > 0)
-            prev = k[:a] + (k[a] - 1,) + k[a + 1 :]
-            grid[k] = self._adj_ops[a] @ grid[prev]
-        return grid
-
-    def apply(self, h) -> HardyElement:
+    def apply(self, h) -> np.ndarray:
+        """The coefficients of the image of h, shape (cap+1,)*m + (out,)."""
         h = np.asarray(h, dtype=complex).reshape(-1)
         if h.size != self.tuple.dim:
             raise DimensionMismatch("vector dimension mismatch")
-        grid = self._vector_grid(h)
-        coeffs = {k: self.out_map @ v for k, v in grid.items()}
-        return HardyElement(self.var_count, self.cap, self.out_dim, _clean(coeffs))
+        return self.coeffs @ h
 
-    def coefficient_operators(self) -> dict[MultiIndex, np.ndarray]:
-        """The matrices M T*^k for every k in the box."""
-        grid = self._vector_grid(np.eye(self.tuple.dim, dtype=complex))
-        return {k: self.out_map @ v for k, v in grid.items()}
-
-    def forward_power(self, k: Sequence[int], v: np.ndarray) -> np.ndarray:
-        """T^k v, applying the highest axis first (innermost)."""
-        out = v
-        for axis in range(self.var_count - 1, -1, -1):
-            if k[axis]:
-                out = self._fwd_pows[axis][k[axis]] @ out
-        return out
-
-    def adjoint_apply(self, f: HardyElement) -> np.ndarray:
-        if f.coeff_dim != self.out_dim or f.var_count != self.var_count:
+    def adjoint_apply(self, f) -> np.ndarray:
+        """sum_k T^k M* f_k for a coefficient array f of shape
+        (cap+1,)*m + (out,); exact on the box."""
+        f = np.asarray(f, dtype=complex)
+        if f.shape != self.coeffs.shape[:-1]:
             raise DimensionMismatch("element does not match the embedding")
-        out = np.zeros(self.tuple.dim, dtype=complex)
-        m_adj = adj(self.out_map)
-        for k, c in f.coeffs.items():
-            out += self.forward_power(k, m_adj @ c)
-        return out
+        return np.tensordot(f, self.coeffs.conj(), axes=f.ndim)
 
     def isometry_defect(self, h) -> float:
         """||Pi h||^2 - ||h||^2; nonpositive, and zero once the cap swallows
         every nonzero coefficient."""
         h = np.asarray(h, dtype=complex).reshape(-1)
-        return self.apply(h).norm_sq() - float(np.vdot(h, h).real)
+        image = self.apply(h)
+        return float(np.vdot(image, image).real - np.vdot(h, h).real)
 
 
 def canonical_isometry(t: OperatorTuple, defect, frame, cap: int) -> CoefficientEmbedding:
@@ -342,144 +151,42 @@ def defect_block_maps(cert: DilationCertificate, t: OperatorTuple) -> tuple[np.n
     return np.vstack(blocks_i), np.vstack(blocks_y)
 
 
-def _block_slices(partition: Sequence[int]) -> list[slice]:
-    out = []
-    start = 0
-    for size in partition:
-        out.append(slice(start, start + size))
-        start += size
-    return out
-
-
-def block_shift(f: HardyElement, partition: Sequence[int]) -> HardyElement:
-    """Multiplication by E(z): block i of each coefficient moves up along
-    variable i (the trailing block shares the last variable)."""
-    partition = [int(p) for p in partition]
-    if sum(partition) != f.coeff_dim:
-        raise PartitionMismatch(
-            f"partition {partition} does not sum to coefficient dimension {f.coeff_dim}"
-        )
-    if len(partition) != f.var_count:
-        raise PartitionMismatch("one block per variable is required")
-    slices = _block_slices(partition)
-    out: dict[MultiIndex, np.ndarray] = {}
-    for k, v in f.coeffs.items():
-        for a, sl in enumerate(slices):
-            if partition[a] == 0 or not np.any(v[sl]):
-                continue
-            if k[a] + 1 > f.degree_cap:
-                continue
-            kk = k[:a] + (k[a] + 1,) + k[a + 1 :]
-            acc = out.get(kk)
-            if acc is None:
-                acc = np.zeros(f.coeff_dim, dtype=complex)
-                out[kk] = acc
-            acc[sl] += v[sl]
-    return HardyElement(f.var_count, f.degree_cap, f.coeff_dim, _clean(out))
-
-
-def block_shift_adjoint(f: HardyElement, partition: Sequence[int]) -> HardyElement:
-    partition = [int(p) for p in partition]
-    if sum(partition) != f.coeff_dim:
-        raise PartitionMismatch(
-            f"partition {partition} does not sum to coefficient dimension {f.coeff_dim}"
-        )
-    if len(partition) != f.var_count:
-        raise PartitionMismatch("one block per variable is required")
-    slices = _block_slices(partition)
-    out: dict[MultiIndex, np.ndarray] = {}
-    for k, v in f.coeffs.items():
-        for a, sl in enumerate(slices):
-            if partition[a] == 0 or k[a] == 0 or not np.any(v[sl]):
-                continue
-            kk = k[:a] + (k[a] - 1,) + k[a + 1 :]
-            acc = out.get(kk)
-            if acc is None:
-                acc = np.zeros(f.coeff_dim, dtype=complex)
-                out[kk] = acc
-            acc[sl] += v[sl]
-    return HardyElement(f.var_count, f.degree_cap, f.coeff_dim, _clean(out))
-
-
-# ---------------------------------------------------------------------------
-# matrix-symbol multipliers
-
-
-@dataclass(frozen=True)
-class SymbolSeries:
-    """Taylor coefficients of an operator-valued symbol, by multi-index."""
-
-    var_count: int
-    degree_cap: int
-    coeffs: Mapping[MultiIndex, np.ndarray]
-
-    @property
-    def out_dim(self) -> int:
-        return next(iter(self.coeffs.values())).shape[0]
-
-    @property
-    def in_dim(self) -> int:
-        return next(iter(self.coeffs.values())).shape[1]
-
-
-def symbol_series(var_count: int, cap: int, coeffs: Mapping) -> SymbolSeries:
-    clean: dict[MultiIndex, np.ndarray] = {}
-    shape = None
-    for k, v in coeffs.items():
-        k = tuple(int(x) for x in k)
-        v = matcore.as_matrix(v)
-        if shape is None:
-            shape = v.shape
-        elif v.shape != shape:
-            raise DimensionMismatch("all symbol coefficients must share dimensions")
-        clean[k] = v
-    if shape is None:
-        raise DimensionMismatch("a symbol needs at least the constant coefficient")
-    zero = (0,) * var_count
-    if zero not in clean:
-        clean[zero] = np.zeros(shape, dtype=complex)
-    return SymbolSeries(var_count, cap, clean)
-
-
-def mult_symbol(s: SymbolSeries, f: HardyElement) -> HardyElement:
-    """Truncated convolution (S f)_k = sum_{j <= k} S_j c_{k-j}."""
-    if s.in_dim != f.coeff_dim:
-        raise PartitionMismatch("symbol input dimension does not match the element")
-    if s.var_count != f.var_count:
-        raise PartitionMismatch("symbol arity does not match the element")
-    out: dict[MultiIndex, np.ndarray] = {}
-    for kf, v in f.coeffs.items():
-        for js, sj in s.coeffs.items():
-            kk = tuple(a + b for a, b in zip(kf, js))
-            if any(x > f.degree_cap for x in kk):
-                continue
-            out[kk] = out.get(kk, 0) + sj @ v
-    return HardyElement(f.var_count, f.degree_cap, s.out_dim, _clean(out))
-
-
-def mult_symbol_adjoint(s: SymbolSeries, f: HardyElement) -> HardyElement:
-    """(S* f)_k = sum_j S_j* c_{k+j}, exact over stored indices."""
-    if s.out_dim != f.coeff_dim:
-        raise PartitionMismatch("symbol output dimension does not match the element")
-    if s.var_count != f.var_count:
-        raise PartitionMismatch("symbol arity does not match the element")
-    out: dict[MultiIndex, np.ndarray] = {}
-    for kf, v in f.coeffs.items():
-        for js, sj in s.coeffs.items():
-            kk = tuple(a - b for a, b in zip(kf, js))
-            if any(x < 0 for x in kk):
-                continue
-            out[kk] = out.get(kk, 0) + adj(sj) @ v
-    return HardyElement(f.var_count, f.degree_cap, s.in_dim, _clean(out))
+def block_slices(partition: Sequence[int]) -> list[slice]:
+    """The coordinate range of each block; block i is driven by variable i."""
+    ends = np.cumsum(partition, dtype=int)
+    return [slice(int(end) - int(size), int(end)) for size, end in zip(partition, ends)]
 
 
 # ---------------------------------------------------------------------------
 # identity residuals for the block maps (the realization module adds the ones
-# that need transfer-function data)
+# that need transfer-function data).  Each compares two coefficient tensors:
+# in the pullbacks row r at index p is the residual of the monomial
+# z^p (x) e_r, in the embedding identities column r is that of the vector e_r.
 
 
-def _box(cap: int, m: int) -> Iterable[MultiIndex]:
-    return itertools.product(range(cap + 1), repeat=m)
+def _lower(m: int, cap: int, axis: int | None = None) -> tuple[slice, ...]:
+    """The indices p + e_axis (p when axis is None) for p in [0, cap-1]^m."""
+    return tuple(slice(1, cap + 1) if b == axis else slice(0, cap) for b in range(m))
+
+
+def _max_row_norm(diff: np.ndarray) -> float:
+    return float(np.max(np.linalg.norm(diff, axis=-1), initial=0.0))
+
+
+def _shifted_coefficients(
+    j_map: CoefficientEmbedding, left: np.ndarray, partition: Sequence[int], cap: int
+) -> np.ndarray:
+    """For p in [0, cap-1]^m, the conjugate transpose of the map
+    xi -> J* (I (x) left*) E(z) (z^p (x) xi): block a of its rows is
+    left_a T*^(p+e_a), because E(z) moves block a up variable a."""
+    m = j_map.tuple.n
+    return np.concatenate(
+        [
+            left[sl] @ j_map.coeffs[_lower(m, cap, a)]
+            for a, sl in enumerate(block_slices(partition))
+        ],
+        axis=-2,
+    )
 
 
 def block_pullback_residuals(
@@ -497,44 +204,26 @@ def block_pullback_residuals(
     room inside the cap.
     """
     col_plain, col_shift = defect_block_maps(cert, hat_t)
-    partition = cert.ranks
-    f_dim = col_plain.shape[0]
-    m = hat_t.n
-    res_shifted = 0.0
-    res_plain = 0.0
-    col_adj = adj(col_plain)
-    for p in itertools.product(range(cap), repeat=m):
-        for idx in range(f_dim):
-            xi = np.zeros(f_dim, dtype=complex)
-            xi[idx] = 1.0
-            mono = monomial(p, xi, m, cap)
-            lhs_s = j_map.adjoint_apply(
-                apply_coefficientwise(col_adj, block_shift(mono, partition))
-            )
-            rhs_s = j_map.forward_power(p, adj(col_shift) @ xi)
-            res_shifted = max(res_shifted, float(np.linalg.norm(lhs_s - rhs_s)))
-            lhs_p = j_map.adjoint_apply(apply_coefficientwise(col_adj, mono))
-            rhs_p = j_map.forward_power(p, col_adj @ xi)
-            res_plain = max(res_plain, float(np.linalg.norm(lhs_p - rhs_p)))
-    return res_shifted, res_plain
+    powers = j_map.coeffs[_lower(hat_t.n, cap)]
+    shifted = _shifted_coefficients(j_map, col_plain, cert.ranks, cap)
+    res_shifted = _max_row_norm(shifted - col_shift @ powers)
+    plain = CoefficientEmbedding(hat_t, col_plain, cap).coeffs[_lower(hat_t.n, cap)]
+    return res_shifted, _max_row_norm(col_plain @ powers - plain)
 
 
 def adjoint_monomial_residual(
     pi_map: CoefficientEmbedding, cert: DilationCertificate, cap: int
 ) -> float:
-    """Residual of  Pi*(z^p (x) m) = T^p D* m  over the full box."""
-    e = cert.rank_d
+    """Residual of  Pi*(z^p (x) m) = T^p D* m  over the full box.
+
+    Pi*(z^p (x) m) is the conjugate transpose of Pi's p-th coefficient
+    applied to m, so the identity compares Pi with the embedding whose
+    output map is (D* frame)*.
+    """
     target = cert.defect @ cert.d_frame  # D* restricted to the frame coordinates
-    res = 0.0
-    m_vars = pi_map.var_count
-    for p in _box(cap, m_vars):
-        for idx in range(e):
-            vec = np.zeros(e, dtype=complex)
-            vec[idx] = 1.0
-            lhs = pi_map.adjoint_apply(monomial(p, vec, m_vars, cap))
-            rhs = pi_map.forward_power(p, target[:, idx])
-            res = max(res, float(np.linalg.norm(lhs - rhs)))
-    return res
+    box = (slice(0, cap + 1),) * pi_map.tuple.n
+    other = CoefficientEmbedding(pi_map.tuple, adj(target), cap)
+    return _max_row_norm(pi_map.coeffs[box] - other.coeffs)
 
 
 def colligation_pullback_residual(
@@ -553,61 +242,36 @@ def colligation_pullback_residual(
     coefficientwise on monomials.
     """
     col_plain, _ = defect_block_maps(cert, hat_t)
-    partition = cert.ranks
-    f_dim = col_plain.shape[0]
-    m = hat_t.n
-    col_adj = adj(col_plain)
-    c_adj = adj(c_block)
-    d_adj = adj(d_block)
-    res = 0.0
-    for p in itertools.product(range(cap), repeat=m):
-        for idx in range(f_dim):
-            xi = np.zeros(f_dim, dtype=complex)
-            xi[idx] = 1.0
-            mono = monomial(p, xi, m, cap)
-            shifted = block_shift(monomial(p, d_adj @ xi, m, cap), partition)
-            lhs = j_map.adjoint_apply(apply_coefficientwise(col_adj, subtract(mono, shifted)))
-            rhs = pi_map.adjoint_apply(monomial(p, c_adj @ xi, m, cap))
-            res = max(res, float(np.linalg.norm(lhs - rhs)))
-    return res
+    lower = _lower(hat_t.n, cap)
+    lhs = col_plain @ j_map.coeffs[lower] - d_block @ _shifted_coefficients(
+        j_map, col_plain, cert.ranks, cap
+    )
+    return _max_row_norm(lhs - c_block @ pi_map.coeffs[lower])
 
 
 def defect_embedding_residual(
     pi_map: CoefficientEmbedding, j_map: CoefficientEmbedding, cert: DilationCertificate
 ) -> float:
-    """Residual of  (I (x) D) J = Pi, coefficientwise over a full basis."""
-    d = pi_map.tuple.dim
+    """Residual of  (I (x) D) J = Pi, in the norm of the whole image of each
+    basis vector."""
     proj = adj(cert.d_frame) @ cert.defect
-    res = 0.0
-    for idx in range(d):
-        h = np.zeros(d, dtype=complex)
-        h[idx] = 1.0
-        lhs = apply_coefficientwise(proj, j_map.apply(h))
-        rhs = pi_map.apply(h)
-        diff = subtract(lhs, rhs)
-        res = max(res, diff.norm())
-    return res
+    diff = proj @ j_map.coeffs - pi_map.coeffs
+    d = pi_map.tuple.dim
+    return float(np.max(np.linalg.norm(diff.reshape(-1, d), axis=0), initial=0.0))
 
 
 def intertwine_mz_residual(pi_map: CoefficientEmbedding, hat_t: OperatorTuple) -> float:
     """Residual of  Pi T_i* = M_{z_i}* Pi  on comparable coefficients.
 
-    Both sides' k-th coefficient equals frame* D T*^k T_i* h; the comparison
+    Both sides' k-th coefficient equals frame* D T*^k T_i*; the comparison
     runs over k with k + e_i inside the cap, which is everything the
-    truncated right-hand side determines.
+    truncated right-hand side determines.  Columns are basis vectors h.
     """
-    d = hat_t.dim
-    cap = pi_map.cap
+    m, cap = hat_t.n, pi_map.cap
     res = 0.0
-    for i in range(1, hat_t.n + 1):
-        ti_adj = adj(hat_t.ops[i - 1])
-        for idx in range(d):
-            h = np.zeros(d, dtype=complex)
-            h[idx] = 1.0
-            lhs = pi_map.apply(ti_adj @ h)
-            rhs = mult_z_adjoint(i, pi_map.apply(h))
-            for k in _box(cap, hat_t.n):
-                if k[i - 1] + 1 > cap:
-                    continue
-                res = max(res, float(np.linalg.norm(lhs.coefficient(k) - rhs.coefficient(k))))
+    for a, op in enumerate(hat_t.ops):
+        low = tuple(slice(0, cap) if b == a else slice(None) for b in range(m))
+        high = tuple(slice(1, None) if b == a else slice(None) for b in range(m))
+        diff = pi_map.coeffs[low] @ adj(op) - pi_map.coeffs[high]
+        res = max(res, float(np.max(np.linalg.norm(diff, axis=-2), initial=0.0)))
     return res

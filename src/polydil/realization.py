@@ -11,7 +11,6 @@ its constant term, and runs the full intertwining verification suite.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -27,8 +26,6 @@ from .errors import (
 )
 from .matcore import adj, operator_norm
 from .tuples import OperatorTuple, DilationCertificate, hat, spectral_radius
-
-MultiIndex = tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -283,86 +280,37 @@ def cnu_decomposition(a, tol: float = 1e-9) -> CnuDecomposition:
 # Taylor expansion of the transfer function
 
 
-def _series_convolve(
-    s1: dict[MultiIndex, np.ndarray], s2: dict[MultiIndex, np.ndarray], cap: int
-) -> dict[MultiIndex, np.ndarray]:
-    out: dict[MultiIndex, np.ndarray] = {}
-    for k1, m1 in s1.items():
-        for k2, m2 in s2.items():
-            k = tuple(a + b for a, b in zip(k1, k2))
-            if sum(k) > cap:
-                continue
-            prod = m1 @ m2
-            if k in out:
-                out[k] = out[k] + prod
-            else:
-                out[k] = prod
-    return out
+def transfer_taylor(r: TransferRealization, cap: int) -> np.ndarray:
+    """Taylor coefficients Phi_k of Phi for k in the box [0, cap]^m, as an
+    array of shape (cap+1,)*m + (e, e).
 
-
-def _block_selectors(partition: Sequence[int]) -> list[np.ndarray]:
-    total = sum(partition)
-    out = []
-    start = 0
-    for size in partition:
-        p = np.zeros((total, total), dtype=complex)
-        p[start : start + size, start : start + size] = np.eye(size)
-        out.append(p)
-        start += size
-    return out
-
-
-def transfer_taylor(r: TransferRealization, cap: int) -> hardy.SymbolSeries:
-    """Taylor coefficients of Phi up to total degree ``cap``.
-
-    Expands A* + sum_m C* E(z) (D* E(z))^m B* by collecting the block
-    variables, so feeding the result to a truncated multiplier reproduces
-    transfer_eval at interior points up to a geometric tail.
+    The resolvent X(z) = (I - D* E(z))^{-1} = sum_k z^k X_k obeys
+    X_k = delta_{k0} I + sum_a D* P_a X_{k-e_a}, with P_a the selector of
+    block a, and Phi_k = delta_{k0} A* + sum_a C* P_a X_{k-e_a} B*.  The
+    recurrence runs over the total degree, all indices of one degree at once.
     """
-    m_vars = len(r.partition)
-    selectors = _block_selectors(r.partition)
-    f = r.dim_f
-
-    def degree_one(left: np.ndarray) -> dict[MultiIndex, np.ndarray]:
-        out = {}
-        for i, p in enumerate(selectors):
-            if r.partition[i] == 0:
-                continue
-            k = tuple(1 if j == i else 0 for j in range(m_vars))
-            out[k] = left @ p
-        return out
-
-    de = degree_one(adj(r.d))  # D* E(z)
-    ce = degree_one(adj(r.c))  # C* E(z)
-
-    zero: MultiIndex = (0,) * m_vars
-    geom: dict[MultiIndex, np.ndarray] = {zero: np.eye(f, dtype=complex)}
-    power: dict[MultiIndex, np.ndarray] = {zero: np.eye(f, dtype=complex)}
-    for _ in range(cap):
-        power = _series_convolve(power, de, cap)
-        if not power:
-            break
-        for k, v in power.items():
-            if k in geom:
-                geom[k] = geom[k] + v
-            else:
-                geom[k] = v
-
-    middle = _series_convolve(ce, geom, cap)
-    b_adj = adj(r.b)
-    coeffs: dict[MultiIndex, np.ndarray] = {k: v @ b_adj for k, v in middle.items()}
-    a_adj = adj(r.a)
-    coeffs[zero] = coeffs.get(zero, np.zeros_like(a_adj)) + a_adj
-    return hardy.symbol_series(m_vars, cap, coeffs)
-
-
-def transfer_strict_series(r: TransferRealization, cap: int) -> hardy.SymbolSeries:
-    """Taylor series of Phi - A* (the strictly positive-degree part)."""
-    full = transfer_taylor(r, cap)
-    zero = (0,) * full.var_count
-    coeffs = {k: v for k, v in full.coeffs.items() if k != zero}
-    coeffs[zero] = np.zeros((full.out_dim, full.in_dim), dtype=complex)
-    return hardy.symbol_series(full.var_count, cap, coeffs)
+    m = len(r.partition)
+    box = (cap + 1,) * m
+    index = np.indices(box).reshape(m, -1)
+    degree = index.sum(axis=0)
+    strides = [(cap + 1) ** (m - 1 - a) for a in range(m)]
+    blocks = hardy.block_slices(r.partition)
+    d_adj = adj(r.d)
+    x = np.zeros((index.shape[1], r.dim_f, r.dim_f), dtype=complex)
+    x[0] = np.eye(r.dim_f)
+    for total in range(1, m * cap + 1):
+        for a, sl in enumerate(blocks):
+            rows = np.flatnonzero((degree == total) & (index[a] > 0))
+            x[rows] += d_adj[:, sl] @ x[rows - strides[a], sl, :]
+    x = x.reshape(box + x.shape[1:])
+    phi = np.zeros(box + (r.dim_e, r.dim_e), dtype=complex)
+    phi[(0,) * m] = adj(r.a)
+    c_adj, b_adj = adj(r.c), adj(r.b)
+    for a, sl in enumerate(blocks):
+        up = (slice(None),) * a + (slice(1, None),)
+        down = (slice(None),) * a + (slice(None, cap),)
+        phi[up] += c_adj[:, sl] @ x[down][..., sl, :] @ b_adj
+    return phi
 
 
 # ---------------------------------------------------------------------------
@@ -374,33 +322,25 @@ def lifting_residual(
     cert: DilationCertificate,
     r: TransferRealization,
     cap: int,
-    taylor_cap: int | None = None,
 ) -> tuple[float, float]:
     """Residual and tail bound for the commutant lifting  M_Phi* Pi = Pi T_n*.
 
     Verified coefficientwise: for every k in the box the coefficient of
-    Pi T_n* h is compared against sum_j Phi_j* (Pi h)_{k+j}.  The Taylor cap
-    defaults to (number of variables) * cap so every pairing inside the box
-    is present and only the genuine infinite tail is dropped.
+    Pi T_n* is compared against sum_j Phi_j* Pi_{k+j}, a correlation of the
+    Taylor tensor of Phi with the coefficient tensor of Pi over the shifts j
+    in the box.  Every pairing inside the box is present, so only the
+    genuine infinite tail is dropped.
     """
     hat_t = hat(t, t.n)
-    m_vars = hat_t.n
-    if taylor_cap is None:
-        taylor_cap = m_vars * cap
     pi = hardy.canonical_isometry(hat_t, cert.defect, cert.d_frame, cap)
-    grid = pi.coefficient_operators()
-    phi = transfer_taylor(r, taylor_cap)
-    t_n_adj = adj(t.op(t.n))
-    res = 0.0
-    for k in itertools.product(range(cap + 1), repeat=m_vars):
-        lhs = grid[k] @ t_n_adj
-        rhs = np.zeros_like(lhs)
-        for j, phi_j in phi.coeffs.items():
-            kk = tuple(a + b for a, b in zip(k, j))
-            if any(x > cap for x in kk):
-                continue
-            rhs = rhs + adj(phi_j) @ grid[kk]
-        res = max(res, operator_norm(lhs - rhs))
+    phi = transfer_taylor(r, cap)
+    rhs = np.zeros_like(pi.coeffs)
+    for j in np.ndindex(*phi.shape[:-2]):
+        head = tuple(slice(0, cap + 1 - x) for x in j)
+        tail = tuple(slice(x, cap + 1) for x in j)
+        rhs[head] += adj(phi[j]) @ pi.coeffs[tail]
+    lhs = pi.coeffs @ adj(t.op(t.n))
+    res = float(np.max(operator_norm(lhs - rhs)))
     rho = max(spectral_radius(m) for m in hat_t.ops) if hat_t.ops else 0.0
     bound = hardy.tail_tolerance(rho, cap, np.sqrt(t.dim))
     return res, bound
@@ -411,55 +351,30 @@ def strict_multiplier_residual(
     cert: DilationCertificate,
     r: TransferRealization,
     cap: int,
-    taylor_cap: int | None = None,
 ) -> tuple[float, float]:
     """Residual of the strict-part multiplier identity.
 
     Feeding a constant through the B*-block, the block shift and the
     block-column pullback must agree with the dilation-isometry adjoint of
     the multiplier by the strictly-positive-degree part of the transfer
-    function; the gap is the multiplier's Taylor tail beyond the cap.
+    function, sum_{k != 0} Pi_k* Phi_k; the gap is the multiplier's Taylor
+    tail beyond the cap.
     """
     hat_t = hat(t, t.n)
-    m_vars = hat_t.n
-    if taylor_cap is None:
-        taylor_cap = m_vars * cap
     pi = hardy.canonical_isometry(hat_t, cert.defect, cert.d_frame, cap)
-    j_map = hardy.tuple_embedding(hat_t, cap)
     col_plain, _ = hardy.defect_block_maps(cert, hat_t)
-    col_adj = adj(col_plain)
-    tilde = transfer_strict_series(r, taylor_cap)
     b_adj = adj(r.b)
-    e = cert.rank_d
-    zero = (0,) * m_vars
-    res = 0.0
-    for idx in range(e):
-        vec = np.zeros(e, dtype=complex)
-        vec[idx] = 1.0
-        f0 = hardy.monomial(zero, b_adj @ vec, m_vars, cap)
-        lhs = j_map.adjoint_apply(
-            hardy.apply_coefficientwise(col_adj, hardy.block_shift(f0, cert.ranks))
-        )
-        rhs = pi.adjoint_apply(hardy.mult_symbol(tilde, hardy.monomial(zero, vec, m_vars, cap)))
-        res = max(res, float(np.linalg.norm(lhs - rhs)))
+    lhs = sum(
+        op @ adj(col_plain[sl]) @ b_adj[sl]
+        for op, sl in zip(hat_t.ops, hardy.block_slices(cert.ranks))
+    )
+    phi = transfer_taylor(r, cap)
+    phi[(0,) * hat_t.n] = 0.0
+    rhs = adj(pi.coeffs.reshape(-1, t.dim)) @ phi.reshape(-1, r.dim_e)
+    res = float(np.max(np.linalg.norm(lhs - rhs, axis=0), initial=0.0))
     rho = max(spectral_radius(m) for m in hat_t.ops) if hat_t.ops else 0.0
     bound = hardy.tail_tolerance(rho, cap, np.sqrt(t.dim))
     return res, bound
-
-
-def taylor_consistency_residual(
-    r: TransferRealization, z: Sequence[complex], cap: int
-) -> float:
-    """|transfer_eval - truncated Taylor evaluation| at an interior point."""
-    phi = transfer_taylor(r, cap)
-    direct = transfer_eval(r, z)
-    acc = np.zeros_like(direct)
-    for k, coeff in phi.coeffs.items():
-        w = 1.0 + 0.0j
-        for zi, ki in zip(z, k):
-            w *= complex(zi) ** ki
-        acc = acc + w * coeff
-    return operator_norm(direct - acc)
 
 
 # ---------------------------------------------------------------------------
@@ -508,9 +423,12 @@ def run_identity_suite(
 ) -> VerificationReport:
     """Evaluate every intertwining identity the dilation construction asserts.
 
-    Residuals are compared against the geometric tail bound padded with an
-    absolute floor of 1e-10; nilpotent tuples have zero tails, so there the
-    checks are effectively exact.
+    The Hardy-side rows compare coefficient tensors over the box
+    [0, cap]^m, and the Taylor rows use the transfer function's Taylor
+    tensor on the same box; ``taylor_cap`` reports m * cap, the highest
+    total degree in it.  Residuals are compared against the geometric tail
+    bound padded with an absolute floor of 1e-10; nilpotent tuples have zero
+    tails, so there the checks are effectively exact.
     """
     if r is None:
         r = build_generating_unitary(t, cert)
@@ -528,11 +446,7 @@ def run_identity_suite(
     rows.append(CheckRow("generating_identity", generating_residual(t, cert, r), 1e-9))
     rows.append(CheckRow("unitarity", unitarity_residual(r), 1e-10))
 
-    defect_max = 0.0
-    for idx in range(t.dim):
-        h = np.zeros(t.dim, dtype=complex)
-        h[idx] = 1.0
-        defect_max = max(defect_max, abs(pi.isometry_defect(h)))
+    defect_max = max(abs(pi.isometry_defect(h)) for h in np.eye(t.dim))
     rows.append(CheckRow("pi_isometry_defect", defect_max, tail))
 
     rows.append(CheckRow("intertwine_mz", hardy.intertwine_mz_residual(pi, hat_t), 1e-12))
@@ -547,10 +461,10 @@ def run_identity_suite(
     colligation = hardy.colligation_pullback_residual(hat_t, cert, pi, j_map, r.c, r.d, cap)
     rows.append(CheckRow("colligation_pullback", colligation, tail))
 
-    strict_res, strict_bound = strict_multiplier_residual(t, cert, r, cap, taylor_cap)
+    strict_res, strict_bound = strict_multiplier_residual(t, cert, r, cap)
     rows.append(CheckRow("strict_multiplier", strict_res, strict_bound))
 
-    lift, lift_bound = lifting_residual(t, cert, r, cap, taylor_cap)
+    lift, lift_bound = lifting_residual(t, cert, r, cap)
     rows.append(CheckRow("lifting", lift, lift_bound))
 
     # drawn point by point, m radii then m angles, so the seed fixes the points

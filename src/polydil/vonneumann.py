@@ -416,6 +416,15 @@ def variety_sample(
     unitary part (component V0); each emitted point carries its
     characteristic-polynomial residual |det(lambda I - Phi_j(z))|, checked
     against root_tol * (1 + ||Phi_j(z)||)^e.
+
+    ``residual_ok`` is a backward-error certificate: it says each fiber is
+    an exact eigenvalue of a matrix near Phi_j(z), not that it is near an
+    eigenvalue of Phi_j(z).  The determinant is flat near a cluster of
+    eigenvalues, so fiber errors there stay invisible (on the (3,3) product
+    triple, fibers 5.2e-5 apart both passed with residuals near 1.7e-14).
+    The determinant is kept over the smallest singular value of
+    lambda I - Phi_j(z): a computed eigenvalue is exact for Phi_j + E, so
+    that singular value is at most ||E|| and just as blind.
     """
     if split is None:
         split = split_transfer(r)

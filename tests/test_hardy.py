@@ -3,8 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from polydil import generators, hardy, matcore, tuples
-from polydil.errors import NotPure, OutsideDisc, PartitionMismatch
+from polydil import generators, hardy, matcore, realization as rz, tuples
+from polydil.errors import DimensionMismatch, NotPure
 from polydil.matcore import adj
 
 from conftest import random_complex
@@ -15,86 +15,98 @@ def zero_pair(d=2):
     return tuples.make_tuple([z, z])
 
 
+def support(coeffs):
+    """The multi-indices of the nonzero coefficients of a dense element."""
+    return {tuple(k) for k in np.argwhere(np.any(coeffs != 0, axis=-1))}
+
+
+def kernel_tensor(w, cap):
+    """Coefficients conj(w)^k of the truncated Szego kernel k_w on the box."""
+    axes = [np.conj(wi) ** np.arange(cap + 1) for wi in w]
+    return np.einsum("i,j->ij", *axes)
+
+
+def diag_pair(rng):
+    u = np.diag(np.exp(2j * np.pi * rng.uniform(size=3)))
+    return tuples.make_tuple([0.6 * u, 0.5 * np.eye(3)])
+
+
 # ---------------------------------------------------------------------------
-# kernel evaluation
+# kernels and the adjoint pairing
 
 
-def test_kernel_at_origin():
-    assert hardy.szego_kernel_eval((0.0, 0.0), (0.0, 0.0)) == pytest.approx(1.0)
+def test_kernel_at_origin(rng):
+    # k_0 is the constant 1, so Pi* (k_0 (x) eta) = M* eta
+    t = diag_pair(rng)
+    m = random_complex(rng, 2, 3)
+    pi = hardy.CoefficientEmbedding(t, m, 4)
+    eta = random_complex(rng, 2)
+    f = kernel_tensor((0.0, 0.0), 4)[..., None] * eta
+    assert np.allclose(pi.adjoint_apply(f), adj(m) @ eta, atol=1e-14)
 
 
 def test_kernel_single_variable_half():
-    assert hardy.szego_kernel_eval((0.5,), (0.5,)) == pytest.approx(4.0 / 3.0)
+    # for a scalar contraction t the embedding maps 1 to the Szego kernel
+    # k_t, so (J 1)(t) = 1 / (1 - |t|^2), here 4/3 up to the tail 0.25^(N+1)
+    cap = 30
+    j = hardy.tuple_embedding(tuples.make_tuple([[[0.5]]]), cap)
+    coeffs = j.apply([1.0])[:, 0]
+    assert np.sum(coeffs * 0.5 ** np.arange(cap + 1)) == pytest.approx(4.0 / 3.0, abs=1e-15)
 
 
 def test_kernel_outside_disc():
-    with pytest.raises(OutsideDisc):
-        hardy.szego_kernel_eval((1.0, 0.0), (0.0, 0.0))
+    # k_t exists only for |t| < 1: the unimodular scalar is not pure
+    with pytest.raises(NotPure):
+        hardy.tuple_embedding(tuples.make_tuple([[[1.0]], [[0.0]]]), 3)
 
 
-def test_reproducing_property_truncated_monomial(rng):
-    # <f, k_w eta> = <f(w), eta> exactly for monomials inside the cap, since
-    # the pairing is the finite geometric sum of matching coefficients
+def test_reproducing_property_general_element(rng, jordan22):
+    # <Pi h, k_w (x) eta> = <(Pi h)(w), eta>, and (Pi h)(w) is the resolvent
+    # M (I - w_1 T_1*)^{-1} (I - w_2 T_2*)^{-1} h, whose series the box
+    # holds exactly for a nilpotent pair
     cap = 6
-    w = (0.4 + 0.2j, -0.3 + 0.1j)
-    eta = random_complex(rng, 3)
-    vec = random_complex(rng, 3)
-    f = hardy.monomial((2, 3), vec, 2, cap)
-    kw = hardy.kernel_element(w, eta, 2, cap)
-    lhs = hardy.inner(f, kw)
-    rhs = complex(np.vdot(eta, hardy.evaluate(f, w)))
-    assert lhs == pytest.approx(rhs, abs=1e-12)
-
-
-def test_reproducing_property_general_element(rng):
-    cap = 8
     w = (0.3, 0.25j)
+    m = random_complex(rng, 2, 4)
+    pi = hardy.CoefficientEmbedding(jordan22, m, cap)
+    h = random_complex(rng, 4)
     eta = random_complex(rng, 2)
-    coeffs = {
-        (0, 0): random_complex(rng, 2),
-        (1, 2): random_complex(rng, 2),
-        (4, 1): random_complex(rng, 2),
-    }
-    f = hardy.element(2, cap, 2, coeffs)
-    lhs = hardy.inner(f, hardy.kernel_element(w, eta, 2, cap))
-    rhs = complex(np.vdot(eta, hardy.evaluate(f, w)))
-    assert lhs == pytest.approx(rhs, abs=1e-12)
-
-
-# ---------------------------------------------------------------------------
-# coordinate multipliers
-
-
-def test_mult_z_on_constant(rng):
-    eta = random_complex(rng, 2)
-    f = hardy.monomial((0, 0), eta, 2, 4)
-    g = hardy.mult_z(1, f)
-    assert np.allclose(g.coefficient((1, 0)), eta)
-    assert len(g.coeffs) == 1
-
-
-def test_mult_z_adjoint_kills_constants(rng):
-    f = hardy.monomial((0, 0), random_complex(rng, 2), 2, 4)
-    assert not hardy.mult_z_adjoint(1, f).coeffs
-
-
-def test_mult_z_drops_at_cap(rng):
-    f = hardy.monomial((4, 0), random_complex(rng, 2), 2, 4)
-    assert not hardy.mult_z(1, f).coeffs
+    f = kernel_tensor(w, cap)[..., None] * eta
+    value = m @ np.linalg.solve(
+        np.eye(4) - w[1] * adj(jordan22.op(2)),
+        np.linalg.solve(np.eye(4) - w[0] * adj(jordan22.op(1)), h),
+    )
+    assert np.vdot(f, pi.apply(h)) == pytest.approx(np.vdot(eta, value), abs=1e-12)
 
 
 def test_adjoint_pairing_exact_below_cap(rng):
+    # <Pi h, f> = <h, Pi* f> for a dense f on a non-nilpotent pair
     cap = 5
-    f = hardy.element(
-        2, cap, 3, {(1, 2): random_complex(rng, 3), (0, 4): random_complex(rng, 3)}
-    )
-    g = hardy.element(
-        2, cap, 3, {(2, 2): random_complex(rng, 3), (1, 4): random_complex(rng, 3)}
-    )
-    for i in (1, 2):
-        lhs = hardy.inner(hardy.mult_z(i, f), g)
-        rhs = hardy.inner(f, hardy.mult_z_adjoint(i, g))
-        assert lhs == pytest.approx(rhs, abs=1e-13)
+    t = diag_pair(rng)
+    pi = hardy.CoefficientEmbedding(t, random_complex(rng, 2, 3), cap)
+    h = random_complex(rng, 3)
+    f = random_complex(rng, cap + 1, cap + 1, 2)
+    assert np.vdot(f, pi.apply(h)) == pytest.approx(np.vdot(pi.adjoint_apply(f), h), abs=1e-12)
+
+
+def test_adjoint_apply_rejects_wrong_shape(rng):
+    pi = hardy.CoefficientEmbedding(diag_pair(rng), np.eye(3), 2)
+    with pytest.raises(DimensionMismatch):
+        pi.adjoint_apply(np.zeros((3, 3, 2)))
+
+
+def test_coefficients_match_matrix_powers(rng):
+    # coeffs[k] = M T_1*^k1 T_2*^k2 on a commuting non-normal pair
+    t1 = 0.5 * np.eye(3) + 0.5 * generators.lower_shift(3)
+    t = tuples.make_tuple([t1, 0.3 * t1 @ t1])
+    m = random_complex(rng, 2, 3)
+    cap = 3
+    pi = hardy.CoefficientEmbedding(t, m, cap)
+    assert pi.coeffs.shape == (cap + 1, cap + 1, 2, 3)
+    for k in itertools.product(range(cap + 1), repeat=2):
+        expected = m
+        for op, power in zip(t.ops, k):
+            expected = expected @ np.linalg.matrix_power(adj(op), power)
+        assert np.allclose(pi.coeffs[k], expected, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -107,8 +119,7 @@ def test_canonical_isometry_zero_tuple(rng):
     frame = matcore.range_onb(defect)
     pi = hardy.canonical_isometry(t, defect, frame, 4)
     h = random_complex(rng, 3)
-    out = pi.apply(h)
-    assert set(out.coeffs) == {(0, 0)}
+    assert support(pi.apply(h)) == {(0, 0)}
     assert pi.isometry_defect(h) == pytest.approx(0.0, abs=1e-14)
 
 
@@ -160,15 +171,14 @@ def test_tuple_embedding_zero_tuple(rng):
     j = hardy.tuple_embedding(t, 3)
     h = random_complex(rng, 2)
     out = j.apply(h)
-    assert set(out.coeffs) == {(0, 0)}
-    assert np.allclose(out.coefficient((0, 0)), h)
+    assert support(out) == {(0, 0)}
+    assert np.allclose(out[0, 0], h)
 
 
 def test_tuple_embedding_finite_support(jordan22):
     j = hardy.tuple_embedding(jordan22, 6)
     h = np.ones(jordan22.dim)
-    support = set(j.apply(h).coeffs)
-    assert all(k[0] <= 1 and k[1] <= 1 for k in support)
+    assert support(j.apply(h)) == {(0, 0), (0, 1), (1, 0), (1, 1)}
 
 
 def test_id4_identity(triple22):
@@ -213,103 +223,19 @@ def test_block_map_norm_identity(triple22):
 
 
 def test_block_shift_constant_block(rng):
-    partition = [2, 1]
-    xi = np.array([1.0, 2.0, 0.0], dtype=complex)
-    f = hardy.monomial((0, 0), xi, 2, 3)
-    g = hardy.block_shift(f, partition)
-    assert np.allclose(g.coefficient((1, 0)), [1.0, 2.0, 0.0])
-    assert (0, 1) not in g.coeffs
+    # E(z) moves block a of a constant up variable a, so the J-pullback of the
+    # shifted constants is F_a T_a* on the rows of block a
+    t = diag_pair(rng)
+    left = random_complex(rng, 3, 3)
+    j = hardy.tuple_embedding(t, 2)
+    shifted = hardy._shifted_coefficients(j, left, [2, 1], 2)
+    assert shifted.shape == (2, 2, 3, 3)
+    assert np.allclose(shifted[0, 0, :2], left[:2] @ adj(t.op(1)), atol=1e-15)
+    assert np.allclose(shifted[0, 0, 2:], left[2:] @ adj(t.op(2)), atol=1e-15)
 
 
-def test_block_shift_adjoint_on_constants(rng):
-    f = hardy.monomial((0, 0), random_complex(rng, 3), 2, 3)
-    assert not hardy.block_shift_adjoint(f, [2, 1]).coeffs
-
-
-def test_block_shift_isometric_without_drops(rng):
-    partition = [2, 2]
-    cap = 5
-    f = hardy.element(
-        2, cap, 4, {(1, 1): random_complex(rng, 4), (2, 3): random_complex(rng, 4)}
-    )
-    g = hardy.block_shift(f, partition)
-    assert g.norm() == pytest.approx(f.norm(), abs=1e-13)
-
-
-def test_block_shift_partition_mismatch(rng):
-    f = hardy.monomial((0, 0), random_complex(rng, 3), 2, 3)
-    with pytest.raises(PartitionMismatch):
-        hardy.block_shift(f, [2, 2])
-
-
-def test_block_shift_adjoint_pairing(rng):
-    partition = [1, 2]
-    cap = 4
-    f = hardy.element(2, cap, 3, {(0, 1): random_complex(rng, 3), (2, 2): random_complex(rng, 3)})
-    g = hardy.element(2, cap, 3, {(1, 1): random_complex(rng, 3), (2, 3): random_complex(rng, 3)})
-    lhs = hardy.inner(hardy.block_shift(f, partition), g)
-    rhs = hardy.inner(f, hardy.block_shift_adjoint(g, partition))
-    assert lhs == pytest.approx(rhs, abs=1e-13)
-
-
-# ---------------------------------------------------------------------------
-# symbol multipliers
-
-
-def test_mult_symbol_constant_identity(rng):
-    s = hardy.symbol_series(2, 4, {(0, 0): np.eye(3)})
-    f = hardy.element(2, 4, 3, {(1, 2): random_complex(rng, 3)})
-    g = hardy.mult_symbol(s, f)
-    assert np.allclose(g.coefficient((1, 2)), f.coefficient((1, 2)))
-
-
-def test_mult_symbol_z1_shift(rng):
-    eta = random_complex(rng, 2)
-    s = hardy.symbol_series(2, 4, {(1, 0): np.eye(2)})
-    f = hardy.monomial((0, 0), eta, 2, 4)
-    g = hardy.mult_symbol(s, f)
-    assert set(g.coeffs) == {(1, 0)}
-    assert np.allclose(g.coefficient((1, 0)), eta)
-
-
-def test_mult_symbol_convolution_oracle(rng):
-    cap = 6
-    s_coeffs = {(0, 0): random_complex(rng, 2, 2), (1, 1): random_complex(rng, 2, 2)}
-    s = hardy.symbol_series(2, cap, s_coeffs)
-    f = hardy.element(
-        2, cap, 2, {(1, 0): random_complex(rng, 2), (2, 2): random_complex(rng, 2)}
-    )
-    g = hardy.mult_symbol(s, f)
-    for k in itertools.product(range(cap + 1), repeat=2):
-        expected = np.zeros(2, dtype=complex)
-        for js, sj in s_coeffs.items():
-            prev = (k[0] - js[0], k[1] - js[1])
-            if min(prev) >= 0:
-                expected += sj @ f.coefficient(prev)
-        assert np.allclose(g.coefficient(k), expected, atol=1e-13)
-
-
-def test_mult_symbol_matches_monomial_product(rng):
-    # multiplying by a matrix monomial agrees with shifting then mapping
-    cap = 5
-    a = random_complex(rng, 2, 2)
-    s = hardy.symbol_series(2, cap, {(1, 1): a})
-    f = hardy.element(2, cap, 2, {(0, 1): random_complex(rng, 2)})
-    via_symbol = hardy.mult_symbol(s, f)
-    via_ops = hardy.mult_z(1, hardy.mult_z(2, hardy.apply_coefficientwise(a, f)))
-    assert hardy.subtract(via_symbol, via_ops).norm() < 1e-13
-
-
-def test_mult_symbol_adjoint_pairing(rng):
-    cap = 4
-    s = hardy.symbol_series(
-        2, cap, {(0, 0): random_complex(rng, 3, 2), (1, 0): random_complex(rng, 3, 2)}
-    )
-    f = hardy.element(2, cap, 2, {(1, 1): random_complex(rng, 2), (0, 2): random_complex(rng, 2)})
-    g = hardy.element(2, cap, 3, {(1, 1): random_complex(rng, 3), (2, 2): random_complex(rng, 3)})
-    lhs = hardy.inner(hardy.mult_symbol(s, f), g)
-    rhs = hardy.inner(f, hardy.mult_symbol_adjoint(s, g))
-    assert lhs == pytest.approx(rhs, abs=1e-12)
+def test_block_slices_skip_empty_blocks():
+    assert hardy.block_slices([2, 0, 1]) == [slice(0, 2), slice(2, 2), slice(2, 3)]
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +281,14 @@ def test_pullback_residuals_non_nilpotent(rng):
     cert = tuples.last_defect_certificate(t)
     hat_t = tuples.hat(t, 3)
     cap = 10
+    pi = hardy.canonical_isometry(hat_t, cert.defect, cert.d_frame, cap)
     j = hardy.tuple_embedding(hat_t, cap)
     r5, r6 = hardy.block_pullback_residuals(hat_t, cert, j, cap)
-    # identities are exact on stored monomials regardless of purity decay
+    # identities are exact on stored monomials regardless of purity decay,
+    # so a slice off by one index would show here
     assert r5 < 1e-12 and r6 < 1e-12
+    real = rz.build_generating_unitary(t, cert)
+    assert hardy.colligation_pullback_residual(hat_t, cert, pi, j, real.c, real.d, cap) < 1e-12
+    assert hardy.adjoint_monomial_residual(pi, cert, cap) < 1e-12
+    assert hardy.intertwine_mz_residual(pi, hat_t) < 1e-12
+    assert hardy.defect_embedding_residual(pi, j, cert) < 1e-12

@@ -1,9 +1,10 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
 
-from polydil import hardy, matcore, realization as rz, tuples
+from polydil import generators, hardy, matcore, realization as rz, tuples
 from polydil.errors import IsometryDefect, NotContraction
 from polydil.matcore import adj
 
@@ -233,12 +234,56 @@ def test_cnu_rejects_expansion():
 # Taylor expansion
 
 
+def taylor_series_oracle(r, degree):
+    """Taylor coefficients of Phi up to total degree ``degree`` as a dict,
+    expanding A* + sum_n C* E(z) (D* E(z))^n B* monomial by monomial."""
+    m = len(r.partition)
+    starts = np.cumsum((0,) + tuple(r.partition))
+    units = [tuple(int(i == a) for i in range(m)) for a in range(m)]
+
+    def select(left, a):
+        out = np.zeros_like(left)
+        out[:, starts[a] : starts[a + 1]] = left[:, starts[a] : starts[a + 1]]
+        return out
+
+    zero = (0,) * m
+    power = {zero: np.eye(r.dim_f, dtype=complex)}  # (D* E)^n
+    geom = dict(power)
+    for _ in range(degree):
+        nxt = {}
+        for k, v in power.items():
+            for a, unit in enumerate(units):
+                kk = tuple(x + y for x, y in zip(k, unit))
+                if sum(kk) <= degree:
+                    nxt[kk] = nxt.get(kk, 0) + select(adj(r.d), a) @ v
+        power = nxt
+        for k, v in power.items():
+            geom[k] = geom.get(k, 0) + v
+    series = {zero: adj(r.a)}
+    for k, v in geom.items():
+        for a, unit in enumerate(units):
+            kk = tuple(x + y for x, y in zip(k, unit))
+            if sum(kk) <= degree:
+                series[kk] = series.get(kk, 0) + select(adj(r.c), a) @ v @ adj(r.b)
+    return series
+
+
+def taylor_consistency_residual(r, z, cap):
+    """|transfer_eval - sum_k z^k Phi_k| over the box at an interior point."""
+    phi = rz.transfer_taylor(r, cap)
+    acc = np.zeros((r.dim_e, r.dim_e), dtype=complex)
+    for k in itertools.product(range(cap + 1), repeat=len(z)):
+        acc = acc + np.prod(np.power(z, k)) * phi[k]
+    return matcore.operator_norm(rz.transfer_eval(r, z) - acc)
+
+
 def test_transfer_taylor_constant(rng):
     u = random_unitary(rng, 2)
     r = constant_realization(u)
     series = rz.transfer_taylor(r, 5)
-    assert set(series.coeffs) == {(0, 0)}
-    assert np.allclose(series.coeffs[(0, 0)], adj(u))
+    assert series.shape == (6, 6, 2, 2)
+    assert np.argwhere(np.any(series != 0, axis=(-2, -1))).tolist() == [[0, 0]]
+    assert np.allclose(series[0, 0], adj(u))
 
 
 def test_transfer_taylor_scalar_geometric(rng):
@@ -248,16 +293,32 @@ def test_transfer_taylor_scalar_geometric(rng):
         a=u[:1, :1], b=u[:1, 1:], c=u[1:, :1], d=u[1:, 1:], partition=(1,)
     )
     series = rz.transfer_taylor(r, 6)
-    assert series.coeffs[(0,)][0, 0] == pytest.approx(np.conj(a))
+    assert series[0][0, 0] == pytest.approx(np.conj(a))
     for m in range(6):
         expected = np.conj(c) * np.conj(d) ** m * np.conj(b)
-        assert series.coeffs[(m + 1,)][0, 0] == pytest.approx(expected, abs=1e-12)
+        assert series[m + 1][0, 0] == pytest.approx(expected, abs=1e-12)
 
 
 def test_transfer_taylor_eval_consistency(triple22):
     t, cert = triple22
     r = rz.build_generating_unitary(t, cert)
-    assert rz.taylor_consistency_residual(r, (0.2, 0.1), 20) < 1e-8
+    assert taylor_consistency_residual(r, (0.2, 0.1), 20) < 1e-8
+
+
+@pytest.mark.parametrize("partition", [(2, 1), (1, 0, 2)])
+def test_transfer_taylor_matches_series_oracle(rng, partition):
+    # a random unitary colligation with a zero-size block; the box [0, 3]^m
+    # holds every coefficient of total degree <= 3
+    e = 2
+    u = random_unitary(rng, e + sum(partition))
+    r = rz.TransferRealization(
+        a=u[:e, :e], b=u[:e, e:], c=u[e:, :e], d=u[e:, e:], partition=partition
+    )
+    series = rz.transfer_taylor(r, 3)
+    oracle = taylor_series_oracle(r, 3)
+    for k in itertools.product(range(4), repeat=len(partition)):
+        if sum(k) <= 3:
+            assert np.allclose(series[k], oracle.get(k, 0), atol=1e-14), k
 
 
 # ---------------------------------------------------------------------------
@@ -288,6 +349,71 @@ def test_strict_multiplier_nilpotent(triple32):
     res, bound = rz.strict_multiplier_residual(t, cert, r, cap=5)
     assert res < 1e-10
     assert bound >= res
+
+
+def diagonal_triple(rng):
+    u = np.diag(np.exp(2j * np.pi * rng.uniform(size=3)))
+    t = tuples.make_tuple([0.5 * u, 0.4 * u @ u, 0.35 * u])
+    return t, tuples.last_defect_certificate(t)
+
+
+def test_lifting_matches_double_loop_oracle(rng):
+    # max_k || Pi_k T_3* - sum_{j : k+j in box} Phi_j* Pi_{k+j} ||, looping
+    # over k and j, with Pi_k from matrix powers and Phi_j from the series
+    # oracle; the triple is not nilpotent, so every shift contributes
+    t, cert = diagonal_triple(rng)
+    r = rz.build_generating_unitary(t, cert)
+    cap = 4
+    out_map = adj(cert.d_frame) @ cert.defect
+    box = list(itertools.product(range(cap + 1), repeat=2))
+    pi = {
+        k: out_map
+        @ np.linalg.matrix_power(adj(t.op(1)), k[0])
+        @ np.linalg.matrix_power(adj(t.op(2)), k[1])
+        for k in box
+    }
+    phi = taylor_series_oracle(r, 2 * cap)
+    worst = 0.0
+    for k in box:
+        rhs = np.zeros_like(pi[k])
+        for j in box:
+            kj = (k[0] + j[0], k[1] + j[1])
+            if max(kj) <= cap:
+                rhs = rhs + adj(phi[j]) @ pi[kj]
+        worst = max(worst, matcore.operator_norm(pi[k] @ adj(t.op(3)) - rhs))
+    res, _ = rz.lifting_residual(t, cert, r, cap)
+    assert worst > 1e-3
+    assert res == pytest.approx(worst, abs=1e-13)
+
+
+def w3_nonnormal():
+    """(0.5 I + 0.5 J_9, 0, 0.3 T_1) with the last-defect certificate."""
+    t1 = 0.5 * np.eye(9) + 0.5 * generators.lower_shift(9)
+    pair = tuples.make_tuple([t1, np.zeros((9, 9))])
+    return generators.last_defect_tuple(pair, 0.3 * t1)
+
+
+# The tail rows of the non-normal triple; their bounds are not pinned.
+W3_TAIL_ROWS = {
+    8: {
+        "pi_isometry_defect": 0.18546676635742176,
+        "strict_multiplier": 0.1075311191836215,
+        "lifting": 0.1982829474299466,
+    },
+    12: {
+        "pi_isometry_defect": 0.14605112373828877,
+        "strict_multiplier": 0.07478459242909627,
+        "lifting": 0.18026244509350983,
+    },
+}
+
+
+@pytest.mark.parametrize("cap", sorted(W3_TAIL_ROWS))
+def test_non_normal_tail_rows_pinned(cap):
+    t, cert = w3_nonnormal()
+    report = rz.run_identity_suite(t, cert, cap=cap, schur_points=4, inner_grid=8)
+    for name, value in W3_TAIL_ROWS[cap].items():
+        assert report.row(name).residual == pytest.approx(value, abs=1e-12), name
 
 
 # ---------------------------------------------------------------------------
