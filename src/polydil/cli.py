@@ -4,9 +4,10 @@ Subcommands: ``generate``, ``certify``, ``dilate``, ``verify``, ``vn`` and
 ``variety``.  Documents use one wire format throughout: a complex scalar is
 ``[re, im]``, a matrix is a row-major nested array of those pairs, a tuple
 document is ``{dim, n, operators, certificate?: {G: [...]}}`` and a
-realization document carries the blocks ``{A, B, C, D, partition}``.  Reals
-are serialized with 17 significant digits so save/load round trips are
-bit-identical.
+realization document carries the blocks ``{A, B, C, D, partition}``.  Each
+document is written as one line of JSON (``python -m json.tool FILE``
+pretty-prints one).  Reals are written as Python's shortest round-trip repr
+and a zero keeps its sign, so save/load round trips are bit-identical.
 
 Exit codes: 0 success, 2 parse failure, 3 certification failure, 4 dilation
 failure, 5 verification failure, 6 von Neumann margin violation, 7 variety
@@ -24,13 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import generators, realization as rz, tuples, vonneumann as vn
-from .errors import (
-    CertificationError,
-    DilationError,
-    NotIsometric,
-    ParseError,
-    PolydilError,
-)
+from .errors import CertificationError, DilationError, NotIsometric, ParseError, PolydilError
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -39,6 +34,13 @@ EXIT_DILATE = 4
 EXIT_VERIFY = 5
 EXIT_VN = 6
 EXIT_VARIETY = 7
+
+# Exit code per error family; any other PolydilError is a parse failure.
+EXIT_CODES = {
+    DilationError: EXIT_DILATE,
+    NotIsometric: EXIT_DILATE,
+    CertificationError: EXIT_CERTIFY,
+}
 
 ENV_PREFIX = "POLYDIL_"
 
@@ -73,75 +75,77 @@ class RunConfig:
                 raise ParseError(f"{name} must be positive")
 
 
-def _env(name: str, default):
-    raw = os.environ.get(ENV_PREFIX + name)
+# The flags every command takes: (flag, RunConfig field, help).  A flag's
+# default is its field's default, preset by POLYDIL_<FLAG>, e.g.
+# POLYDIL_TOL_CERT for --tol-cert.
+CONFIG_FLAGS = (
+    ("--cap", "cap", "degree cap per variable"),
+    ("--grid", "grid", "torus grid size"),
+    ("--variety-grid", "variety_grid", "interior grid points per real axis"),
+    ("--radius", "radius", "interior grid radius"),
+    ("--tol-cert", "cert_tol", "certification tolerance"),
+    ("--tol-vn", "vn_tol", "von Neumann margin tolerance"),
+    ("--tol-root", "root_tol", "root residual tolerance"),
+    ("--seed", "seed", "pseudo-random seed"),
+    ("--out", "out", "output path ('-' for stdout)"),
+)
+
+
+def _env(flag: str, default):
+    name = ENV_PREFIX + flag[2:].upper().replace("-", "_")
+    raw = os.environ.get(name)
     if raw is None:
         return default
-    kind = type(default)
     try:
-        return kind(raw)
+        return type(default)(raw)
     except ValueError as exc:
-        raise ParseError(f"bad value for {ENV_PREFIX}{name}: {raw!r}") from exc
+        raise ParseError(f"bad value for {name}: {raw!r}") from exc
+
+
+def _config_from(args: argparse.Namespace) -> RunConfig:
+    # argparse stores --tol-cert as args.tol_cert
+    values = {field: getattr(args, flag[2:].replace("-", "_")) for flag, field, _ in CONFIG_FLAGS}
+    config = RunConfig(**values)
+    config.validate()
+    return config
 
 
 # ---------------------------------------------------------------------------
 # wire format
 
 
-def _fmt_float(x: float) -> str:
-    if not np.isfinite(x):
-        raise ParseError("cannot serialize a non-finite number")
-    return format(float(x), ".17g")
-
-
-def _dump(obj, indent: int) -> str:
-    pad = " " * indent
-    inner = " " * (indent + 2)
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _fmt_float(float(obj))
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        parts = [_dump(v, indent + 2) for v in obj]
-        if all(len(p) < 40 and "\n" not in p for p in parts) and len(parts) <= 16:
-            return "[" + ", ".join(parts) + "]"
-        return "[\n" + ",\n".join(inner + p for p in parts) + "\n" + pad + "]"
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        rows = [f"{inner}{json.dumps(str(k))}: {_dump(v, indent + 2)}" for k, v in obj.items()]
-        return "{\n" + ",\n".join(rows) + "\n" + pad + "}"
-    raise ParseError(f"cannot serialize object of type {type(obj).__name__}")
-
-
 def dumps_document(doc: dict) -> str:
-    return _dump(doc, 0) + "\n"
+    try:
+        return json.dumps(doc, allow_nan=False) + "\n"
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"cannot serialize document: {exc}") from exc
 
 
 def write_document(doc: dict, path: str) -> None:
     text = dumps_document(doc)
     if path == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ParseError(f"cannot write {path}: {exc}") from exc
+
+
+def _read_text(path: str) -> str:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
 
 
 def load_document(path: str) -> dict:
+    text = _read_text(path)
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+        doc = json.loads(text)
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"malformed JSON in {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError("top-level document must be an object")
@@ -167,7 +171,7 @@ def complex_from_doc(doc) -> complex:
 
 def matrix_to_doc(m: np.ndarray) -> list:
     m = np.asarray(m, dtype=complex)
-    return [[complex_to_doc(m[i, j]) for j in range(m.shape[1])] for i in range(m.shape[0])]
+    return np.stack([m.real, m.imag], -1).tolist()
 
 
 def matrix_from_doc(doc) -> np.ndarray:
@@ -197,27 +201,26 @@ def tuple_to_doc(t: tuples.OperatorTuple, g=None) -> dict:
     return doc
 
 
-def tuple_from_doc(doc: dict, config: RunConfig) -> tuple[tuples.OperatorTuple, list | None]:
+def tuple_from_doc(doc: dict) -> tuple[tuples.OperatorTuple, list | None]:
     for key in ("dim", "n", "operators"):
         if key not in doc:
             raise ParseError(f"tuple document is missing {key!r}")
     try:
         dim, n = int(doc["dim"]), int(doc["n"])
         ops = [matrix_from_doc(m) for m in list(doc["operators"])]
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"malformed tuple document: {exc}") from exc
-    if len(ops) != n:
-        raise ParseError("operator count does not match n")
-    if any(m.shape != (dim, dim) for m in ops):
-        raise ParseError("operator blocks do not match dim")
-    t = tuples.make_tuple(ops)
-    g = None
-    if "certificate" in doc:
+        if len(ops) != n:
+            raise ParseError("operator count does not match n")
+        if any(m.shape != (dim, dim) for m in ops):
+            raise ParseError("operator blocks do not match dim")
+        t = tuples.make_tuple(ops)
+        if "certificate" not in doc:
+            return t, None
         cert_doc = doc["certificate"]
         if not isinstance(cert_doc, dict) or "G" not in cert_doc:
             raise ParseError("certificate must be an object with a G list")
-        g = [matrix_from_doc(m) for m in cert_doc["G"]]
-    return t, g
+        return t, [matrix_from_doc(m) for m in cert_doc["G"]]
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParseError(f"malformed tuple document: {exc}") from exc
 
 
 def certificate_to_doc(t: tuples.OperatorTuple, cert: tuples.DilationCertificate) -> dict:
@@ -277,8 +280,24 @@ def _certificate_for(t: tuples.OperatorTuple, g, config: RunConfig) -> tuples.Di
     return tuples.last_defect_certificate(t, config.cert_tol)
 
 
-def cmd_certify(input_path: str, config: RunConfig) -> int:
-    t, g = tuple_from_doc(load_document(input_path), config)
+def _load_polynomial(path: str, nvars: int) -> tuple[vn.MultiPoly, str]:
+    text = _read_text(path).strip()
+    return vn.parse_poly(text, nvars), text
+
+
+def _realize(args: argparse.Namespace, config: RunConfig):
+    """The common start of dilate, verify, vn and variety: load the tuple,
+    certify it and build its block unitary U.  vn's polynomial is parsed
+    before certifying, so a bad polynomial is a parse failure even on an
+    uncertifiable tuple.  Returns (tuple, certificate, U, (polynomial, text) or None)."""
+    t, g = tuple_from_doc(load_document(args.input))
+    poly = _load_polynomial(args.polynomial, t.n) if "polynomial" in args else None
+    cert = _certificate_for(t, g, config)
+    return t, cert, rz.build_generating_unitary(t, cert, config.cert_tol), poly
+
+
+def cmd_certify(args: argparse.Namespace, config: RunConfig) -> int:
+    t, g = tuple_from_doc(load_document(args.input))
     try:
         cert = _certificate_for(t, g, config)
     except CertificationError as exc:
@@ -288,18 +307,14 @@ def cmd_certify(input_path: str, config: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_dilate(input_path: str, config: RunConfig) -> int:
-    t, g = tuple_from_doc(load_document(input_path), config)
-    cert = _certificate_for(t, g, config)
-    r = rz.build_generating_unitary(t, cert, config.cert_tol)
+def cmd_dilate(args: argparse.Namespace, config: RunConfig) -> int:
+    t, cert, r, _ = _realize(args, config)
     write_document(realization_to_doc(t, cert, r), config.out)
     return EXIT_OK
 
 
-def cmd_verify(input_path: str, config: RunConfig) -> int:
-    t, g = tuple_from_doc(load_document(input_path), config)
-    cert = _certificate_for(t, g, config)
-    r = rz.build_generating_unitary(t, cert, config.cert_tol)
+def cmd_verify(args: argparse.Namespace, config: RunConfig) -> int:
+    t, cert, r, _ = _realize(args, config)
     report = rz.run_identity_suite(
         t, cert, r, cap=config.cap, inner_grid=config.grid, seed=config.seed
     )
@@ -318,21 +333,10 @@ def cmd_verify(input_path: str, config: RunConfig) -> int:
     return EXIT_OK if report.ok else EXIT_VERIFY
 
 
-def _load_polynomial(path: str, nvars: int) -> tuple[vn.MultiPoly, str]:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read().strip()
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
-    return vn.parse_poly(text, nvars), text
-
-
-def cmd_vn(input_path: str, poly_path: str, config: RunConfig) -> int:
-    t, g = tuple_from_doc(load_document(input_path), config)
-    poly, text = _load_polynomial(poly_path, t.n)
-    cert = _certificate_for(t, g, config)
-    r = rz.build_generating_unitary(t, cert, config.cert_tol)
+def cmd_vn(args: argparse.Namespace, config: RunConfig) -> int:
+    t, cert, r, (poly, text) = _realize(args, config)
     report = vn.vn_check(poly, t, cert, grid=config.grid, realization=r)
+    ok = report.ok_at(config.vn_tol)
     doc = {
         "polynomial": text,
         "lhs": report.lhs,
@@ -342,16 +346,14 @@ def cmd_vn(input_path: str, poly_path: str, config: RunConfig) -> int:
         "singular_points": report.singular_points,
         "h0_dim": report.h0_dim,
         "polydisc_sup": report.polydisc_sup,
-        "ok": report.ok_at(config.vn_tol),
+        "ok": ok,
     }
     write_document(doc, config.out)
-    return EXIT_OK if report.ok_at(config.vn_tol) else EXIT_VN
+    return EXIT_OK if ok else EXIT_VN
 
 
-def cmd_variety(input_path: str, config: RunConfig) -> int:
-    t, g = tuple_from_doc(load_document(input_path), config)
-    cert = _certificate_for(t, g, config)
-    r = rz.build_generating_unitary(t, cert, config.cert_tol)
+def cmd_variety(args: argparse.Namespace, config: RunConfig) -> int:
+    _, _, r, _ = _realize(args, config)
     sample = vn.variety_sample(
         r, grid_per_axis=config.variety_grid, radius=config.radius, root_tol=config.root_tol
     )
@@ -376,69 +378,34 @@ def cmd_variety(input_path: str, config: RunConfig) -> int:
     return EXIT_OK if sample.residual_ok else EXIT_VARIETY
 
 
-def cmd_generate(kind: str, args: argparse.Namespace, config: RunConfig) -> int:
-    if kind == "product-triple":
-        pair = generators.jordan_pair(args.d1, args.d2, args.r1, args.r2)
-        triple, cert = generators.product_triple(pair, args.j, args.k, config.cert_tol)
-        write_document(tuple_to_doc(triple, cert.g), config.out)
-    elif kind == "zero-triple":
-        zero = np.zeros((args.dim, args.dim), dtype=complex)
-        triple = tuples.make_tuple([zero, zero, zero])
-        cert = tuples.last_defect_certificate(triple, config.cert_tol)
-        write_document(tuple_to_doc(triple, cert.g), config.out)
-    elif kind == "random":
-        t = generators.random_candidate(config.seed, args.dim, args.n, args.margin)
-        write_document(tuple_to_doc(t), config.out)
-    else:  # pragma: no cover - argparse restricts choices
-        raise ParseError(f"unknown generator {kind!r}")
+def _product_triple(args: argparse.Namespace, config: RunConfig):
+    pair = generators.jordan_pair(args.d1, args.d2, args.r1, args.r2)
+    t, cert = generators.product_triple(pair, args.j, args.k, config.cert_tol)
+    return t, cert.g
+
+
+def _zero_triple(args: argparse.Namespace, config: RunConfig):
+    zero = np.zeros((args.dim, args.dim), dtype=complex)
+    t = tuples.make_tuple([zero, zero, zero])
+    return t, tuples.last_defect_certificate(t, config.cert_tol).g
+
+
+def _random(args: argparse.Namespace, config: RunConfig):
+    return generators.random_candidate(config.seed, args.dim, args.n, args.margin), None
+
+
+# generate's example families: kind -> (tuple, certificate G list or None)
+EXAMPLES = {"product-triple": _product_triple, "zero-triple": _zero_triple, "random": _random}
+
+
+def cmd_generate(args: argparse.Namespace, config: RunConfig) -> int:
+    t, g = EXAMPLES[args.kind](args, config)
+    write_document(tuple_to_doc(t, g), config.out)
     return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # argument parsing
-
-
-def _add_config_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--cap", type=int, default=_env("CAP", 12), help="degree cap per variable"
-    )
-    parser.add_argument("--grid", type=int, default=_env("GRID", 32), help="torus grid size")
-    parser.add_argument(
-        "--variety-grid",
-        type=int,
-        default=_env("VARIETY_GRID", 17),
-        help="interior grid points per real axis",
-    )
-    parser.add_argument(
-        "--radius", type=float, default=_env("RADIUS", 0.95), help="interior grid radius"
-    )
-    parser.add_argument(
-        "--tol-cert", type=float, default=_env("TOL_CERT", 1e-8), help="certification tolerance"
-    )
-    parser.add_argument(
-        "--tol-vn", type=float, default=_env("TOL_VN", 1e-7), help="von Neumann margin tolerance"
-    )
-    parser.add_argument(
-        "--tol-root", type=float, default=_env("TOL_ROOT", 1e-7), help="root residual tolerance"
-    )
-    parser.add_argument("--seed", type=int, default=_env("SEED", 0), help="pseudo-random seed")
-    parser.add_argument("--out", default=_env("OUT", "-"), help="output path ('-' for stdout)")
-
-
-def _config_from(args: argparse.Namespace) -> RunConfig:
-    config = RunConfig(
-        cap=args.cap,
-        grid=args.grid,
-        variety_grid=args.variety_grid,
-        radius=args.radius,
-        cert_tol=args.tol_cert,
-        vn_tol=args.tol_vn,
-        root_tol=args.tol_root,
-        seed=args.seed,
-        out=args.out,
-    )
-    config.validate()
-    return config
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -448,11 +415,18 @@ def build_parser() -> argparse.ArgumentParser:
         "dilations and check variety von Neumann bounds",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    defaults = RunConfig()
 
-    p = sub.add_parser("generate", help="emit example tuples in the document format")
-    p.add_argument(
-        "kind", choices=["product-triple", "zero-triple", "random"], help="example family"
-    )
+    def command(name: str, run, text: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=text)
+        p.set_defaults(run=run)
+        for flag, field, flag_help in CONFIG_FLAGS:
+            default = getattr(defaults, field)
+            p.add_argument(flag, type=type(default), default=_env(flag, default), help=flag_help)
+        return p
+
+    p = command("generate", cmd_generate, "emit example tuples in the document format")
+    p.add_argument("kind", choices=list(EXAMPLES), help="example family")
     p.add_argument("--d1", type=int, default=2)
     p.add_argument("--d2", type=int, default=2)
     p.add_argument("--r1", type=float, default=1.0)
@@ -462,66 +436,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int, default=2)
     p.add_argument("-n", type=int, default=3)
     p.add_argument("--margin", type=float, default=0.1)
-    _add_config_flags(p)
 
-    p = sub.add_parser("certify", help="validate a membership certificate")
-    p.add_argument("input")
-    _add_config_flags(p)
-
-    p = sub.add_parser("dilate", help="build the generating block unitary")
-    p.add_argument("input")
-    _add_config_flags(p)
-
-    p = sub.add_parser("verify", help="run the full intertwining identity suite")
-    p.add_argument("input")
-    _add_config_flags(p)
-
-    p = sub.add_parser("vn", help="check the von Neumann margin for a polynomial")
+    command("certify", cmd_certify, "validate a membership certificate").add_argument("input")
+    command("dilate", cmd_dilate, "build the generating block unitary").add_argument("input")
+    command("verify", cmd_verify, "run the full intertwining identity suite").add_argument("input")
+    p = command("vn", cmd_vn, "check the von Neumann margin for a polynomial")
     p.add_argument("input")
     p.add_argument("polynomial", help="path to a polynomial expression file")
-    _add_config_flags(p)
-
-    p = sub.add_parser("variety", help="sample the variety components")
-    p.add_argument("input")
-    _add_config_flags(p)
-
+    command("variety", cmd_variety, "sample the variety components").add_argument("input")
     return parser
 
 
 def main(argv=None) -> int:
     try:
-        parser = build_parser()
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    args = parser.parse_args(argv)
-    try:
-        config = _config_from(args)
-        if args.command == "generate":
-            return cmd_generate(args.kind, args, config)
-        if args.command == "certify":
-            return cmd_certify(args.input, config)
-        if args.command == "dilate":
-            return cmd_dilate(args.input, config)
-        if args.command == "verify":
-            return cmd_verify(args.input, config)
-        if args.command == "vn":
-            return cmd_vn(args.input, args.polynomial, config)
-        if args.command == "variety":
-            return cmd_variety(args.input, config)
-        raise ParseError(f"unknown command {args.command!r}")  # pragma: no cover
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (DilationError, NotIsometric) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DILATE
-    except CertificationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CERTIFY
+        args = build_parser().parse_args(argv)
+        return args.run(args, _config_from(args))
     except PolydilError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return next((code for cls, code in EXIT_CODES.items() if isinstance(exc, cls)), EXIT_PARSE)
 
 
 if __name__ == "__main__":  # pragma: no cover

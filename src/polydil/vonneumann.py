@@ -495,10 +495,6 @@ class VNReport:
     h0_dim: int
     polydisc_sup: float
 
-    @property
-    def ok(self) -> bool:
-        return self.margin >= -1e-7
-
     def ok_at(self, vn_tol: float) -> bool:
         return self.margin >= -vn_tol
 

@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ def test_generate_writes_valid_document(triple_doc):
 def test_round_trip_bit_identical(triple_doc):
     original = triple_doc.read_text()
     doc = cli.load_document(str(triple_doc))
-    t, g = cli.tuple_from_doc(doc, cli.RunConfig())
+    t, g = cli.tuple_from_doc(doc)
     assert cli.dumps_document(cli.tuple_to_doc(t, g)) == original
 
 
@@ -43,10 +44,39 @@ def test_matrix_codec_round_trip():
     assert np.array_equal(m, back)
 
 
+def _bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
 def test_seventeen_digit_floats_survive():
-    x = 0.1 + 0.2  # 0.30000000000000004
-    text = cli.dumps_document({"x": x})
-    assert json.loads(text)["x"] == x
+    # 0.1 + 0.2 needs all 17 digits; the others are the signed zero and the
+    # smallest and largest finite doubles
+    for x in (0.1 + 0.2, -0.0, 5e-324, 1.7976931348623157e308):
+        back = json.loads(cli.dumps_document({"x": x}))["x"]
+        assert isinstance(back, float) and _bits(back) == _bits(x), x
+
+
+def test_signed_zeros_round_trip():
+    m = np.array([[complex(-0.0, 0.0), complex(0.0, -0.0)], [-0.0j, 1.5]], dtype=complex)
+    text = cli.dumps_document({"m": cli.matrix_to_doc(m)})
+    back = cli.matrix_from_doc(json.loads(text)["m"])
+    assert np.array_equal(back.view(np.uint64), m.view(np.uint64))
+    assert cli.dumps_document({"m": cli.matrix_to_doc(back)}) == text
+
+
+def test_documents_are_one_line(triple_doc):
+    text = triple_doc.read_text()
+    assert text.endswith("\n") and text.count("\n") == 1
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), object()])
+def test_writer_refuses_unserializable(value, tmp_path):
+    with pytest.raises(cli.ParseError):
+        cli.dumps_document({"x": [1.0, value]})
+    out = tmp_path / "doc.json"
+    with pytest.raises(cli.ParseError):
+        cli.write_document({"x": value}, str(out))
+    assert not out.exists()
 
 
 def test_complex_from_doc_rejects_junk():
@@ -90,6 +120,32 @@ def test_certify_malformed_json_exit2(tmp_path):
 
 def test_certify_missing_file_exit2(tmp_path):
     assert run(["certify", str(tmp_path / "nope.json"), "--out", "-"]) == cli.EXIT_PARSE
+
+
+def test_certify_non_utf8_document_exit2(tmp_path):
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes(b'{"dim": 1, "n": 3, "note": "\xe9"}')
+    assert run(["certify", str(bad), "--out", "-"]) == cli.EXIT_PARSE
+
+
+def test_certify_deeply_nested_document_exit2(tmp_path):
+    bad = tmp_path / "deep.json"
+    bad.write_text('{"operators": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    assert run(["certify", str(bad), "--out", "-"]) == cli.EXIT_PARSE
+
+
+@pytest.mark.parametrize("field", [{"certificate": {"G": 5}}, {"dim": float("inf")}])
+def test_certify_malformed_field_exit2(field, triple_doc, tmp_path):
+    doc = json.loads(triple_doc.read_text())
+    doc.update(field)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert run(["certify", str(bad), "--out", "-"]) == cli.EXIT_PARSE
+
+
+def test_certify_unwritable_out_exit2(triple_doc, tmp_path):
+    out = tmp_path / "missing" / "cert.json"
+    assert run(["certify", str(triple_doc), "--out", str(out)]) == cli.EXIT_PARSE
 
 
 def test_certify_without_certificate_uses_last_defect(tmp_path):
@@ -245,6 +301,12 @@ def test_vn_bad_polynomial_exit2(triple_doc, tmp_path):
     assert run(["vn", str(triple_doc), str(poly), "--out", "-"]) == cli.EXIT_PARSE
 
 
+def test_vn_non_utf8_polynomial_exit2(triple_doc, tmp_path):
+    poly = tmp_path / "poly.txt"
+    poly.write_bytes(b"z1 + \xff")
+    assert run(["vn", str(triple_doc), str(poly), "--out", "-"]) == cli.EXIT_PARSE
+
+
 def test_variety_command(triple_doc, tmp_path):
     out = tmp_path / "variety.json"
     code = run(
@@ -309,5 +371,5 @@ def test_generate_random_has_no_certificate(tmp_path):
     assert run(["generate", "random", "--dim", "3", "-n", "3", "--seed", "5", "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
     assert "certificate" not in doc
-    t, g = cli.tuple_from_doc(doc, cli.RunConfig())
+    t, g = cli.tuple_from_doc(doc)
     assert g is None and t.n == 3
