@@ -8,7 +8,22 @@ package relies on, with explicit tolerance semantics:
   so they behave sensibly for both tiny and O(1) matrices;
 * the unitary completion follows a fixed, deterministic rule (modified
   Gram-Schmidt over the standard basis in index order) so repeated runs
-  produce identical completions.
+  produce identical completions;
+* a stack of operator norms that only feeds a maximum or a ``<= tol`` test
+  is screened before any SVD runs (``max_operator_norm``,
+  ``operator_norms_within``).  Every matrix satisfies L <= ||A|| <= F, with
+  L its largest row or column norm and F its Frobenius norm, both from one
+  pass of squared entries (``norm_bounds``).  A matrix whose F is below the
+  largest L of the stack cannot attain the maximum, and one with
+  F <= tol/2 is within tol; only the others get an SVD.  The sums of
+  squares and the SVD's largest singular value are both accurate to a
+  small multiple of n * 2^-53 relative, so a slack of 1e-8 relative on the
+  first test and the factor 2 on the second can never drop a matrix the
+  full pass would decide differently: the screened answer is the full
+  pass's answer, bit for bit.  The screen is skipped when its threshold
+  (the largest L, or tol/2) is NaN or outside [2^-450, 2^450], where
+  squares could underflow or overflow, and a matrix with an infinite or
+  NaN entry always gets its SVD.
 """
 
 from __future__ import annotations
@@ -55,6 +70,52 @@ def operator_norm(a):
     if m.size == 0:
         return 0.0
     return float(np.linalg.norm(m, 2))
+
+
+# Norms in this range have squares, and sums of squares, that neither
+# underflow nor overflow, so the screening bounds carry only rounding error.
+_SCREEN_RANGE = (2.0**-450, 2.0**450)
+_SCREEN_SLACK = 1e-8
+
+
+def norm_bounds(a) -> tuple[np.ndarray, np.ndarray]:
+    """Bounds L <= ||A|| <= F of each matrix A of a stack (..., p, q), from
+    one pass of squared entries: L is the largest row or column norm (0
+    where those squares overflow), F the Frobenius norm (infinite where they
+    overflow, and short by at most sqrt(p q) 2^-537 where they underflow)."""
+    m = np.asarray(a, dtype=complex)
+    with np.errstate(over="ignore", under="ignore"):
+        sq = m.real**2 + m.imag**2
+    rows, cols = sq.sum(axis=-1), sq.sum(axis=-2)
+    lower = np.maximum(rows.max(axis=-1, initial=0.0), cols.max(axis=-1, initial=0.0))
+    return np.sqrt(np.where(np.isinf(lower), 0.0, lower)), np.sqrt(rows.sum(axis=-1))
+
+
+def max_operator_norm(a) -> float:
+    """``float(np.max(operator_norm(a), initial=0.0))`` for a stack
+    (..., p, q), with an SVD only of the matrices that can attain it: those
+    whose Frobenius norm reaches the largest row or column norm of the stack.
+    """
+    m = np.asarray(a, dtype=complex)
+    lower, upper = norm_bounds(m)
+    floor = float(np.max(lower, initial=0.0)) * (1.0 - _SCREEN_SLACK)
+    if _SCREEN_RANGE[0] <= floor <= _SCREEN_RANGE[1]:  # NaN or inf: no screen
+        m = m[upper >= floor]
+    return float(np.max(operator_norm(m), initial=0.0))
+
+
+def operator_norms_within(a, tol: float) -> np.ndarray:
+    """The mask ``operator_norm(A_g) <= tol`` over a stack (..., p, q), False
+    where the norm is not finite; a matrix whose Frobenius norm is at most
+    tol/2 passes without an SVD."""
+    m = np.asarray(a, dtype=complex)
+    within = np.zeros(m.shape[:-2], dtype=bool)
+    if _SCREEN_RANGE[0] <= 0.5 * tol <= _SCREEN_RANGE[1]:
+        within = norm_bounds(m)[1] <= 0.5 * tol
+    rest = ~within
+    norms = operator_norm(m[rest])
+    within[rest] = np.isfinite(norms) & (norms <= tol)
+    return within
 
 
 class HermEig(NamedTuple):
@@ -310,7 +371,6 @@ def inv_resolvent(d, zeta, tol: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:
         # LU of slogdet finds the same zero pivots, so solve around those
         solved = np.linalg.slogdet(m).sign != 0
         x = np.linalg.solve(np.where(solved[:, None, None], m, eye), rhs)
-    res = operator_norm(m @ x - eye)
-    regular = solved & np.isfinite(res) & (res <= tol)
+    regular = solved & operator_norms_within(m @ x - eye, tol)
     x[~regular] = 0.0
     return x, regular

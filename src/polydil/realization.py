@@ -176,7 +176,7 @@ def schur_identity_residual(r: TransferRealization, points) -> float:
     lhs = np.eye(r.dim_e) - adj(phi) @ phi
     mid = 1.0 - (zeta.conj() * zeta).real
     rhs = (r.b @ adj(x) * mid[:, None, :]) @ x @ adj(r.b)
-    return float(np.max(operator_norm(lhs - rhs), initial=0.0))
+    return matcore.max_operator_norm(lhs - rhs)
 
 
 @dataclass(frozen=True)
@@ -204,8 +204,7 @@ def inner_check(r: TransferRealization, grid: int) -> InnerReport:
     for _, phi, regular in transfer_eval_many(r, points):
         singular += int(np.count_nonzero(~regular))
         phi = phi[regular]
-        dev = operator_norm(adj(phi) @ phi - eye)
-        max_dev = max(max_dev, float(np.max(dev, initial=0.0)))
+        max_dev = max(max_dev, matcore.max_operator_norm(adj(phi) @ phi - eye))
     return InnerReport(max_dev, singular, len(points))
 
 
@@ -317,6 +316,24 @@ def transfer_taylor(r: TransferRealization, cap: int) -> np.ndarray:
 # dilation-level identity checks
 
 
+def _tail(hat_t: OperatorTuple, cap: int, dim: int) -> tuple[float, float]:
+    """The largest spectral radius of the hat-tuple and the tail bound it gives."""
+    rho = max(spectral_radius(m) for m in hat_t.ops) if hat_t.ops else 0.0
+    return rho, hardy.tail_tolerance(rho, cap, np.sqrt(dim))
+
+
+def _lifting(
+    t: OperatorTuple, pi: hardy.CoefficientEmbedding, phi: np.ndarray, cap: int
+) -> float:
+    rhs = np.zeros_like(pi.coeffs)
+    for j in np.ndindex(*phi.shape[:-2]):
+        head = tuple(slice(0, cap + 1 - x) for x in j)
+        tail = tuple(slice(x, cap + 1) for x in j)
+        rhs[head] += adj(phi[j]) @ pi.coeffs[tail]
+    lhs = pi.coeffs @ adj(t.op(t.n))
+    return matcore.max_operator_norm(lhs - rhs)
+
+
 def lifting_residual(
     t: OperatorTuple,
     cert: DilationCertificate,
@@ -333,17 +350,26 @@ def lifting_residual(
     """
     hat_t = hat(t, t.n)
     pi = hardy.canonical_isometry(hat_t, cert.defect, cert.d_frame, cap)
-    phi = transfer_taylor(r, cap)
-    rhs = np.zeros_like(pi.coeffs)
-    for j in np.ndindex(*phi.shape[:-2]):
-        head = tuple(slice(0, cap + 1 - x) for x in j)
-        tail = tuple(slice(x, cap + 1) for x in j)
-        rhs[head] += adj(phi[j]) @ pi.coeffs[tail]
-    lhs = pi.coeffs @ adj(t.op(t.n))
-    res = float(np.max(operator_norm(lhs - rhs)))
-    rho = max(spectral_radius(m) for m in hat_t.ops) if hat_t.ops else 0.0
-    bound = hardy.tail_tolerance(rho, cap, np.sqrt(t.dim))
-    return res, bound
+    return _lifting(t, pi, transfer_taylor(r, cap), cap), _tail(hat_t, cap, t.dim)[1]
+
+
+def _strict_multiplier(
+    hat_t: OperatorTuple,
+    cert: DilationCertificate,
+    r: TransferRealization,
+    pi: hardy.CoefficientEmbedding,
+    phi: np.ndarray,
+) -> float:
+    col_plain, _ = hardy.defect_block_maps(cert, hat_t)
+    b_adj = adj(r.b)
+    lhs = sum(
+        op @ adj(col_plain[sl]) @ b_adj[sl]
+        for op, sl in zip(hat_t.ops, hardy.block_slices(cert.ranks))
+    )
+    strict = phi.copy()
+    strict[(0,) * hat_t.n] = 0.0
+    rhs = adj(pi.coeffs.reshape(-1, hat_t.dim)) @ strict.reshape(-1, r.dim_e)
+    return float(np.max(np.linalg.norm(lhs - rhs, axis=0), initial=0.0))
 
 
 def strict_multiplier_residual(
@@ -362,19 +388,8 @@ def strict_multiplier_residual(
     """
     hat_t = hat(t, t.n)
     pi = hardy.canonical_isometry(hat_t, cert.defect, cert.d_frame, cap)
-    col_plain, _ = hardy.defect_block_maps(cert, hat_t)
-    b_adj = adj(r.b)
-    lhs = sum(
-        op @ adj(col_plain[sl]) @ b_adj[sl]
-        for op, sl in zip(hat_t.ops, hardy.block_slices(cert.ranks))
-    )
-    phi = transfer_taylor(r, cap)
-    phi[(0,) * hat_t.n] = 0.0
-    rhs = adj(pi.coeffs.reshape(-1, t.dim)) @ phi.reshape(-1, r.dim_e)
-    res = float(np.max(np.linalg.norm(lhs - rhs, axis=0), initial=0.0))
-    rho = max(spectral_radius(m) for m in hat_t.ops) if hat_t.ops else 0.0
-    bound = hardy.tail_tolerance(rho, cap, np.sqrt(t.dim))
-    return res, bound
+    res = _strict_multiplier(hat_t, cert, r, pi, transfer_taylor(r, cap))
+    return res, _tail(hat_t, cap, t.dim)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -436,10 +451,10 @@ def run_identity_suite(
     cap = hardy.effective_cap(hat_t, cap)
     m_vars = hat_t.n
     taylor_cap = m_vars * cap
-    rho = max(spectral_radius(m) for m in hat_t.ops)
-    tail = hardy.tail_tolerance(rho, cap, np.sqrt(t.dim))
+    rho, tail = _tail(hat_t, cap, t.dim)
 
     pi = hardy.canonical_isometry(hat_t, cert.defect, cert.d_frame, cap)
+    phi = transfer_taylor(r, cap)
     j_map = hardy.tuple_embedding(hat_t, cap)
 
     rows: list[CheckRow] = []
@@ -461,11 +476,8 @@ def run_identity_suite(
     colligation = hardy.colligation_pullback_residual(hat_t, cert, pi, j_map, r.c, r.d, cap)
     rows.append(CheckRow("colligation_pullback", colligation, tail))
 
-    strict_res, strict_bound = strict_multiplier_residual(t, cert, r, cap)
-    rows.append(CheckRow("strict_multiplier", strict_res, strict_bound))
-
-    lift, lift_bound = lifting_residual(t, cert, r, cap)
-    rows.append(CheckRow("lifting", lift, lift_bound))
+    rows.append(CheckRow("strict_multiplier", _strict_multiplier(hat_t, cert, r, pi, phi), tail))
+    rows.append(CheckRow("lifting", _lifting(t, pi, phi, cap), tail))
 
     # drawn point by point, m radii then m angles, so the seed fixes the points
     draws = np.random.default_rng(seed).uniform(0, 1, size=(schur_points, 2, m_vars))

@@ -245,11 +245,9 @@ def split_transfer(r: rz.TransferRealization, tol: float = 1e-9) -> TransferSpli
         ]
         _, phi, regular = next(rz.transfer_eval_many(r, samples))
         phi = phi[regular]  # interior samples are always regular
-        offdiag = float(
-            max(
-                np.max(operator_norm(adj(h0) @ phi @ h1), initial=0.0),
-                np.max(operator_norm(adj(h1) @ phi @ h0), initial=0.0),
-            )
+        offdiag = max(
+            matcore.max_operator_norm(adj(h0) @ phi @ h1),
+            matcore.max_operator_norm(adj(h1) @ phi @ h0),
         )
     return TransferSplit(
         unitary_block=cnu.unitary_block,
@@ -315,7 +313,7 @@ def _matrix_sup(p: MultiPoly, cache: TorusCache) -> float:
         acc += coeffs[:, j, None, None] * power
         if j < deg_n:
             power = np.matmul(power, cache.phi)
-    return float(np.max(operator_norm(acc), initial=0.0))
+    return matcore.max_operator_norm(acc)
 
 
 def _fiber_sup(p: MultiPoly, points: np.ndarray, fibers: np.ndarray) -> float:
@@ -401,6 +399,24 @@ def _disc_grid(grid_per_axis: int, radius: float) -> list[complex]:
     return out
 
 
+def _fiber_bound_fails(worst: np.ndarray, phi: np.ndarray, root_tol: float) -> np.ndarray:
+    """worst_g > root_tol * (1 + ||Phi_g||)^e for the largest fiber residuals
+    ``worst`` over a (G, e, e) stack ``Phi``.
+
+    L <= ||Phi_g|| <= F (``matcore.norm_bounds``) bounds the right side from
+    both ends, with a 1e-8 relative slack against rounding; only points
+    between the two ends get an SVD and the exact bound.  A NaN residual
+    fails nowhere, as in the exact comparison.
+    """
+    power = max(phi.shape[-1], 1)
+    lower, upper = matcore.norm_bounds(phi)
+    fails = worst > root_tol * (1.0 + upper) ** power * (1.0 + 1e-8)
+    undecided = ~fails & ~(worst <= root_tol * (1.0 + lower) ** power * (1.0 - 1e-8))
+    exact = root_tol * (1.0 + operator_norm(phi[undecided])) ** power
+    fails[undecided] = worst[undecided] > exact
+    return fails
+
+
 def variety_sample(
     r: rz.TransferRealization,
     grid_per_axis: int = 17,
@@ -431,7 +447,6 @@ def variety_sample(
     points: list[VarietyPoint] = []
     singular = 0
     max_res = 0.0
-    ok = True
 
     w_fibers: list[tuple[complex, float]] = []
     if split.h0_dim:
@@ -447,7 +462,7 @@ def variety_sample(
     e1 = split.cnu_part.dim_e if split.cnu_part is not None else 0
     lam = np.zeros((len(bases), e1), dtype=complex)
     res = np.zeros((len(bases), e1))
-    bound = np.zeros(len(bases))
+    fails = np.zeros(len(bases), dtype=bool)
     regular = np.ones(len(bases), dtype=bool)
     if split.cnu_part is not None:
         base_arr = np.array(bases, dtype=complex).reshape(len(bases), m_vars)
@@ -455,8 +470,9 @@ def variety_sample(
             lam[rows] = matcore.eigvals(phi)
             shifted = lam[rows, :, None, None] * np.eye(e1) - phi[:, None]
             res[rows] = np.abs(matcore.det(shifted))
-            bound[rows] = root_tol * (1.0 + operator_norm(phi)) ** max(e1, 1)
+            fails[rows] = _fiber_bound_fails(res[rows].max(axis=1), phi, root_tol)
             regular[rows] = regular_rows
+    ok = not np.any(fails & regular)
 
     for i, base in enumerate(bases):
         if not regular[i]:  # pragma: no cover - interior points are regular
@@ -464,8 +480,6 @@ def variety_sample(
             continue
         for fiber, fiber_res in zip(lam[i].tolist(), res[i].tolist()):
             max_res = max(max_res, fiber_res)
-            if fiber_res > bound[i]:
-                ok = False
             points.append(VarietyPoint(base, fiber, "V1", fiber_res, abs(fiber) < 1.0))
         for fiber, fiber_res in w_fibers:
             max_res = max(max_res, fiber_res)

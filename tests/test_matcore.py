@@ -383,3 +383,129 @@ def test_inv_resolvent_singular():
     assert np.allclose(x[0], 2.0 * np.eye(2))
     assert np.allclose(x[2], np.eye(2))
     assert not x[1].any()
+
+
+# ---------------------------------------------------------------------------
+# screened stack norms against a full SVD pass
+
+
+def full_max_norm(a):
+    return float(np.max(matcore.operator_norm(a), initial=0.0))
+
+
+def full_within(a, tol):
+    norms = matcore.operator_norm(a)
+    return np.isfinite(norms) & (norms <= tol)
+
+
+def same_float(x, y):
+    return np.array(x).tobytes() == np.array(y).tobytes()
+
+
+def rank_one_stack(rng, g, p, q):
+    return random_complex(rng, g, p, 1) @ random_complex(rng, g, 1, q)
+
+
+def screened_stacks(rng):
+    one_big = 1e-3 * random_complex(rng, 50, 6, 6)
+    one_big[17] *= 1e3
+    diag = np.zeros((4, 3, 3), dtype=complex)
+    diag[:, 0, 0] = 1.0
+    diag[:, 1, 1] = [0.5, 1.0, 0.25, 1.0]  # a two-way tie on top, L = ||A|| everywhere
+    row = np.zeros((3, 1, 4), dtype=complex)
+    row[:, 0] = [0.6, 0.8, 0.0, 0.0]  # F = L = ||A|| exactly
+    return {
+        "random": random_complex(rng, 40, 5, 7),
+        "random_nested": random_complex(rng, 3, 4, 7, 2),
+        "rank_one": rank_one_stack(rng, 30, 4, 5),
+        "one_big": one_big,
+        "tied_copies": np.broadcast_to(random_complex(rng, 5, 5), (6, 5, 5)).copy(),
+        "tied_unitary": np.stack([u @ np.diag([2.0, 1.0, 0.5]) for u in
+                                  (random_unitary(rng, 3) for _ in range(5))]),
+        "tied_diagonal": diag,
+        "single_row": row,
+        "zeros": np.zeros((7, 3, 3), dtype=complex),
+        "empty": np.zeros((0, 4, 4), dtype=complex),
+        "empty_matrices": np.zeros((3, 0, 4), dtype=complex),
+        "tiny": 1e-200 * random_complex(rng, 8, 3, 3),
+        "huge": 1e200 * random_complex(rng, 8, 3, 3),
+    }
+
+
+def test_max_operator_norm_matches_full_svd(rng):
+    for name, stack in screened_stacks(rng).items():
+        assert same_float(matcore.max_operator_norm(stack), full_max_norm(stack)), name
+
+
+def test_max_operator_norm_skips_dominated_matrices(rng, monkeypatch):
+    stack = screened_stacks(rng)["one_big"]
+    seen = []
+    full = matcore.operator_norm
+    monkeypatch.setattr(matcore, "operator_norm", lambda a: seen.append(len(a)) or full(a))
+    assert matcore.max_operator_norm(stack) == full(stack[17])
+    assert seen == [1]
+
+
+def test_max_operator_norm_non_finite(rng):
+    stack = random_complex(rng, 6, 3, 3)
+    stack[2, 1, 1] = np.inf
+    assert np.isnan(matcore.max_operator_norm(stack)) and np.isnan(full_max_norm(stack))
+    stack[4, 0, 2] = np.nan
+    for norm in (matcore.max_operator_norm, full_max_norm):
+        with pytest.raises(np.linalg.LinAlgError):
+            norm(stack)
+
+
+def test_operator_norms_within_at_the_threshold(rng):
+    # norms at tol (the SVD decides) and rank one at tol/2 (F = ||A|| sits on
+    # the screen's own threshold), each at (1 - 1e-12, 1, 1 + 1e-12)
+    tol = 1e-8
+    spectra = [[s * tol, 0.3 * tol, 0.1 * tol, 0.0] for s in (1 - 1e-12, 1.0, 1 + 1e-12, 2.0)]
+    spectra += [[s * tol, 0.0, 0.0, 0.0] for s in (0.5 - 1e-12, 0.5, 0.5 + 1e-12, 0.1)]
+    stack = np.stack([random_unitary(rng, 4) @ np.diag(s) @ random_unitary(rng, 4) for s in spectra])
+    stack = np.concatenate([stack, tol * rank_one_stack(rng, 20, 4, 4) / 4.0])
+    for t in (tol, tol * (1 + 1e-12), tol * (1 - 1e-12), 2 * tol, tol / 2):
+        assert np.array_equal(matcore.operator_norms_within(stack, t), full_within(stack, t))
+
+
+def test_operator_norms_within_exact_rank_one():
+    # e1 e1* and the single rows have norm exactly 1 = tol, the last F exactly 1/2
+    stack = np.zeros((4, 2, 2), dtype=complex)
+    stack[0, 0, 0] = 1.0
+    stack[1, 0] = [0.6, 0.8]
+    stack[2, :, 1] = [0.8j, -0.6]
+    stack[3, 0, 0] = 0.5
+    for tol in (1.0, 1.0 - 2**-52, 1.0 + 2**-52):
+        assert np.array_equal(matcore.operator_norms_within(stack, tol), full_within(stack, tol))
+    assert matcore.operator_norms_within(stack, 1.0).all()
+
+
+def test_operator_norms_within_non_finite(rng):
+    stack = 1e-3 * random_complex(rng, 5, 3, 3)
+    stack[1, 2, 0] = np.inf
+    stack[3, 0, 0] = -np.inf * 1j
+    within = matcore.operator_norms_within(stack, 1.0)
+    assert within.tolist() == [True, False, True, False, True]
+    for tol in (0.0, -1.0, 1e-300, np.inf, np.nan):
+        assert np.array_equal(matcore.operator_norms_within(stack, tol), full_within(stack, tol))
+    stack[2, 1, 1] = np.nan
+    for within in (matcore.operator_norms_within, full_within):
+        with pytest.raises(np.linalg.LinAlgError):
+            within(stack, 1.0)
+
+
+def test_inv_resolvent_mask_matches_full_svd(monkeypatch):
+    # I - c D is exactly singular at c = 2; next to it the residual of the
+    # solve crosses tol = 1e-8 back and forth (5e-9 to 3e-4 on this sweep)
+    d = 0.5 * np.array([[1.0, 1e4], [0.0, 1.0]])
+    steps = np.logspace(-1, -8, 57)
+    c = 2.0 + np.concatenate([-steps, [0.0], steps[::-1]])
+    zeta = np.repeat(c[:, None], 2, axis=1)
+    x, regular = matcore.inv_resolvent(d, zeta)
+    monkeypatch.setattr(matcore, "operator_norms_within", full_within)
+    x_full, regular_full = matcore.inv_resolvent(d, zeta)
+    assert np.array_equal(regular, regular_full)
+    assert np.array_equal(x, x_full)
+    assert not regular[57]
+    assert 10 < np.count_nonzero(regular[:57]) < 50
+    assert 10 < np.count_nonzero(regular[58:]) < 50

@@ -170,6 +170,44 @@ def test_inner_product_triple(triple22):
     assert report.singular_points <= report.grid_points // 100
 
 
+def w2_tensor_jordan():
+    """T_i = 0.9 J_2 on factor i of C^2 (x) C^2 (x) C^2, T_4 = T_1 T_2 T_3,
+    with the telescoping certificate G_i = P_i (I - T_i T_i*) P_i*,
+    P_i = T_1 ... T_{i-1}."""
+    shift, eye2 = 0.9 * generators.lower_shift(2), np.eye(2)
+    factors = [np.kron(np.kron(shift, eye2), eye2), np.kron(np.kron(eye2, shift), eye2),
+               np.kron(np.kron(eye2, eye2), shift)]
+    eye = np.eye(8)
+    g, prefix = [], eye
+    for ti in factors:
+        g.append(prefix @ (eye - ti @ adj(ti)) @ adj(prefix))
+        prefix = prefix @ ti
+    t = tuples.make_tuple(factors + [prefix])
+    return t, tuples.verify_certificate(t, g)
+
+
+def test_inner_check_matches_full_svd_oracle(monkeypatch):
+    # 32^3 torus points: the screened maximum and regular mask against an SVD
+    # of every deviation and every resolvent residual
+    t, cert = w2_tensor_jordan()
+    r = rz.build_generating_unitary(t, cert)
+    report = rz.inner_check(r, 32)
+
+    def full_max(a):
+        return float(np.max(matcore.operator_norm(a), initial=0.0))
+
+    def full_within(a, tol):
+        norms = matcore.operator_norm(a)
+        return np.isfinite(norms) & (norms <= tol)
+
+    monkeypatch.setattr(matcore, "max_operator_norm", full_max)
+    monkeypatch.setattr(matcore, "operator_norms_within", full_within)
+    oracle = rz.inner_check(r, 32)
+    assert report.max_deviation.hex() == oracle.max_deviation.hex()
+    assert report == oracle
+    assert report.grid_points == 32**3 and 0.0 < report.max_deviation < 1e-12
+
+
 # ---------------------------------------------------------------------------
 # canonical decomposition
 

@@ -5,7 +5,7 @@ from polydil import matcore, realization as rz, tuples, vonneumann as vn
 from polydil.errors import ArityMismatch, ParseError
 from polydil.matcore import adj
 
-from conftest import random_unitary
+from conftest import random_complex, random_unitary
 
 
 def zero_triple(d=2):
@@ -290,6 +290,22 @@ def test_variety_zero_triple_flip():
     for pt in sample.points:
         assert pt.component == "V1"
         assert pt.fiber == pytest.approx(pt.base[0], abs=1e-10)
+
+
+def test_fiber_bound_matches_exact_rule(rng):
+    # residuals on, just inside and just outside the exact bound and the two
+    # screening bounds; rank-one matrices have L < F = ||Phi||
+    phi = random_complex(rng, 12, 4, 4)
+    phi[6:] = random_complex(rng, 6, 4, 1) @ random_complex(rng, 6, 1, 4)
+    phi /= 1.5 * matcore.operator_norm(phi)[:, None, None]
+    root_tol = 1e-7
+    lower, upper = matcore.norm_bounds(phi)
+    exact = root_tol * (1.0 + matcore.operator_norm(phi)) ** 4
+    edges = [exact, root_tol * (1.0 + lower) ** 4, root_tol * (1.0 + upper) ** 4]
+    for edge in edges:
+        for factor in (0.0, 1 - 1e-7, 1 - 1e-9, 1 - 1e-12, 1.0, 1 + 1e-12, 1 + 1e-9, 1 + 1e-7, np.nan):
+            worst = edge * factor
+            assert np.array_equal(vn._fiber_bound_fails(worst, phi, root_tol), worst > exact)
 
 
 def test_variety_strict_contraction_interior(triple22):
