@@ -85,7 +85,8 @@ def norm_bounds(a) -> tuple[np.ndarray, np.ndarray]:
     overflow, and short by at most sqrt(p q) 2^-537 where they underflow)."""
     m = np.asarray(a, dtype=complex)
     with np.errstate(over="ignore", under="ignore"):
-        sq = m.real**2 + m.imag**2
+        sq = m.real**2
+        sq += m.imag**2
     rows, cols = sq.sum(axis=-1), sq.sum(axis=-2)
     lower = np.maximum(rows.max(axis=-1, initial=0.0), cols.max(axis=-1, initial=0.0))
     return np.sqrt(np.where(np.isinf(lower), 0.0, lower)), np.sqrt(rows.sum(axis=-1))

@@ -454,7 +454,6 @@ def run_identity_suite(
     rho, tail = _tail(hat_t, cap, t.dim)
 
     pi = hardy.canonical_isometry(hat_t, cert.defect, cert.d_frame, cap)
-    phi = transfer_taylor(r, cap)
     j_map = hardy.tuple_embedding(hat_t, cap)
 
     rows: list[CheckRow] = []
@@ -476,6 +475,7 @@ def run_identity_suite(
     colligation = hardy.colligation_pullback_residual(hat_t, cert, pi, j_map, r.c, r.d, cap)
     rows.append(CheckRow("colligation_pullback", colligation, tail))
 
+    phi = transfer_taylor(r, cap)
     rows.append(CheckRow("strict_multiplier", _strict_multiplier(hat_t, cert, r, pi, phi), tail))
     rows.append(CheckRow("lifting", _lifting(t, pi, phi, cap), tail))
 

@@ -405,8 +405,7 @@ def _fiber_bound_fails(worst: np.ndarray, phi: np.ndarray, root_tol: float) -> n
 
     L <= ||Phi_g|| <= F (``matcore.norm_bounds``) bounds the right side from
     both ends, with a 1e-8 relative slack against rounding; only points
-    between the two ends get an SVD and the exact bound.  A NaN residual
-    fails nowhere, as in the exact comparison.
+    between the two ends get an SVD and the exact bound.
     """
     power = max(phi.shape[-1], 1)
     lower, upper = matcore.norm_bounds(phi)
@@ -470,7 +469,8 @@ def variety_sample(
             lam[rows] = matcore.eigvals(phi)
             shifted = lam[rows, :, None, None] * np.eye(e1) - phi[:, None]
             res[rows] = np.abs(matcore.det(shifted))
-            fails[rows] = _fiber_bound_fails(res[rows].max(axis=1), phi, root_tol)
+            worst = np.fmax.reduce(res[rows], axis=1)  # a NaN residual fails nowhere
+            fails[rows] = _fiber_bound_fails(worst, phi, root_tol)
             regular[rows] = regular_rows
     ok = not np.any(fails & regular)
 
