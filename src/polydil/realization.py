@@ -366,7 +366,7 @@ def _strict_multiplier(
         op @ adj(col_plain[sl]) @ b_adj[sl]
         for op, sl in zip(hat_t.ops, hardy.block_slices(cert.ranks))
     )
-    strict = phi.copy()
+    strict = phi.copy()  # the suite shares phi with the lifting row
     strict[(0,) * hat_t.n] = 0.0
     rhs = adj(pi.coeffs.reshape(-1, hat_t.dim)) @ strict.reshape(-1, r.dim_e)
     return float(np.max(np.linalg.norm(lhs - rhs, axis=0), initial=0.0))
