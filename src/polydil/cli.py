@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -71,8 +72,10 @@ class RunConfig:
         if not 0.0 < self.radius <= 1.0:
             raise ParseError("radius must lie in (0, 1]")
         for name in ("cert_tol", "vn_tol", "root_tol"):
-            if getattr(self, name) <= 0:
-                raise ParseError(f"{name} must be positive")
+            if not 0.0 < getattr(self, name) < math.inf:  # NaN fails too
+                raise ParseError(f"{name} must be finite and positive")
+        if self.seed < 0:
+            raise ParseError("seed must be non-negative")
 
 
 # The flags every command takes: (flag, RunConfig field, help).  A flag's
@@ -150,10 +153,6 @@ def load_document(path: str) -> dict:
     if not isinstance(doc, dict):
         raise ParseError("top-level document must be an object")
     return doc
-
-
-def complex_to_doc(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
 
 
 def complex_from_doc(doc) -> complex:
@@ -357,22 +356,19 @@ def cmd_variety(args: argparse.Namespace, config: RunConfig) -> int:
     sample = vn.variety_sample(
         r, grid_per_axis=config.variety_grid, radius=config.radius, root_tol=config.root_tol
     )
+    # one column per field, complex ones as [re, im] pairs
+    pts, names = sample.points, sample.points.dtype.names
+    columns = [
+        matrix_to_doc(pts[name]) if pts[name].dtype.kind == "c" else pts[name].tolist()
+        for name in names
+    ]
     doc = {
         "h0_dim": sample.h0_dim,
         "singular_points": sample.singular_points,
         "max_residual": sample.max_residual,
         "residual_ok": sample.residual_ok,
-        "count": len(sample.points),
-        "points": [
-            {
-                "base": [complex_to_doc(z) for z in pt.base],
-                "fiber": complex_to_doc(pt.fiber),
-                "component": pt.component,
-                "residual": pt.residual,
-                "interior": pt.interior,
-            }
-            for pt in sample.points
-        ],
+        "count": len(pts),
+        "points": [dict(zip(names, row)) for row in zip(*columns)],
     }
     write_document(doc, config.out)
     return EXIT_OK if sample.residual_ok else EXIT_VARIETY
@@ -385,6 +381,8 @@ def _product_triple(args: argparse.Namespace, config: RunConfig):
 
 
 def _zero_triple(args: argparse.Namespace, config: RunConfig):
+    if args.dim < 1:
+        raise ValueError("need dim >= 1")
     zero = np.zeros((args.dim, args.dim), dtype=complex)
     t = tuples.make_tuple([zero, zero, zero])
     return t, tuples.last_defect_certificate(t, config.cert_tol).g
@@ -399,7 +397,10 @@ EXAMPLES = {"product-triple": _product_triple, "zero-triple": _zero_triple, "ran
 
 
 def cmd_generate(args: argparse.Namespace, config: RunConfig) -> int:
-    t, g = EXAMPLES[args.kind](args, config)
+    try:
+        t, g = EXAMPLES[args.kind](args, config)
+    except ValueError as exc:  # an out-of-range family parameter
+        raise ParseError(f"bad {args.kind} parameters: {exc}") from exc
     write_document(tuple_to_doc(t, g), config.out)
     return EXIT_OK
 

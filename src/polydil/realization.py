@@ -186,11 +186,15 @@ class InnerReport:
     grid_points: int
 
 
-def torus_points(m: int, grid: int) -> np.ndarray:
-    """The grid^m points of the torus grid as a (grid^m, m) array, the last
-    coordinate varying fastest."""
-    angles = np.exp(2j * np.pi * np.arange(grid) / grid)
-    axes = np.meshgrid(*([angles] * m), indexing="ij")
+def unit_circle(grid: int) -> np.ndarray:
+    """The grid-th roots of unity, from 1 counterclockwise."""
+    return np.exp(2j * np.pi * np.arange(grid) / grid)
+
+
+def grid_points(axis: np.ndarray, m: int) -> np.ndarray:
+    """The points of axis^m as a (len(axis)^m, m) array, the last coordinate
+    varying fastest; ``grid_points(unit_circle(grid), m)`` is the torus grid."""
+    axes = np.meshgrid(*([axis] * m), indexing="ij")
     return np.stack(axes, axis=-1).reshape(-1, m)
 
 
@@ -200,7 +204,7 @@ def inner_check(r: TransferRealization, grid: int) -> InnerReport:
     eye = np.eye(r.dim_e)
     max_dev = 0.0
     singular = 0
-    points = torus_points(len(r.partition), grid)
+    points = grid_points(unit_circle(grid), len(r.partition))
     for _, phi, regular in transfer_eval_many(r, points):
         singular += int(np.count_nonzero(~regular))
         phi = phi[regular]

@@ -12,7 +12,6 @@ coarseness.
 
 from __future__ import annotations
 
-import itertools
 import re
 from dataclasses import dataclass
 from typing import Mapping
@@ -277,7 +276,7 @@ class TorusCache:
 
 
 def precompute_torus(r: rz.TransferRealization, grid: int) -> TorusCache:
-    points = rz.torus_points(len(r.partition), grid)
+    points = rz.grid_points(rz.unit_circle(grid), len(r.partition))
     phi = np.empty((len(points), r.dim_e, r.dim_e), dtype=complex)
     regular = np.empty(len(points), dtype=bool)
     for rows, phi_rows, regular_rows in rz.transfer_eval_many(r, points):
@@ -313,7 +312,7 @@ def _matrix_sup(p: MultiPoly, cache: TorusCache) -> float:
         acc += coeffs[:, j, None, None] * power
         if j < deg_n:
             power = np.matmul(power, cache.phi)
-    return matcore.max_operator_norm(acc)
+    return float(np.max(operator_norm(acc), initial=0.0))
 
 
 def _fiber_sup(p: MultiPoly, points: np.ndarray, fibers: np.ndarray) -> float:
@@ -359,7 +358,7 @@ def polydisc_grid_sup(p: MultiPoly, grid: int, cache: TorusCache | None = None) 
     The fibers lie in the closed polydisc, so the enriched maximum is still a
     lower bound for the true polydisc supremum while dominating the variety
     scan pointwise."""
-    points = rz.torus_points(p.nvars, grid).reshape(-1, grid, p.nvars)
+    points = rz.grid_points(rz.unit_circle(grid), p.nvars).reshape(-1, grid, p.nvars)
     sup = _fiber_sup(p, points[:, 0, :-1], points[:, :, -1])
     if cache is not None:
         sup = max(sup, _fiber_sup(p, cache.points, cache.eigs))
@@ -371,32 +370,22 @@ def polydisc_grid_sup(p: MultiPoly, grid: int, cache: TorusCache | None = None) 
 
 
 @dataclass(frozen=True)
-class VarietyPoint:
-    base: tuple[complex, ...]
-    fiber: complex
-    component: str  # "V0" or "V1"
-    residual: float
-    interior: bool
-
-
-@dataclass(frozen=True)
 class VarietySample:
-    points: tuple[VarietyPoint, ...]
+    """The sampled variety as one structured array ``points`` with the
+    fields ``base`` (the m base coordinates z), ``fiber`` (the last
+    coordinate lambda), ``component`` ("V0" or "V1"), ``residual``
+    (|det(lambda I - Phi_j(z))|) and ``interior`` (|lambda| < 1).
+
+    The regular base points come in grid order, the last coordinate varying
+    fastest; each one's V1 fibers come first, in ``matcore.eigvals`` order,
+    then its V0 fibers.  ``max_residual`` is the largest residual, NaN
+    residuals skipped, and 0.0 for an empty sample."""
+
+    points: np.ndarray
     h0_dim: int
     singular_points: int
     max_residual: float
     residual_ok: bool
-
-
-def _disc_grid(grid_per_axis: int, radius: float) -> list[complex]:
-    coords = np.linspace(-radius, radius, grid_per_axis)
-    out = []
-    for re_part in coords:
-        for im_part in coords:
-            z = complex(re_part, im_part)
-            if abs(z) <= radius:
-                out.append(z)
-    return out
 
 
 def _fiber_bound_fails(worst: np.ndarray, phi: np.ndarray, root_tol: float) -> np.ndarray:
@@ -440,58 +429,54 @@ def variety_sample(
     The determinant is kept over the smallest singular value of
     lambda I - Phi_j(z): a computed eigenvalue is exact for Phi_j + E, so
     that singular value is at most ||E|| and just as blind.
+
+    The points come as one structured array, fields and order as described
+    on ``VarietySample``.
     """
     if split is None:
         split = split_transfer(r)
-    points: list[VarietyPoint] = []
-    singular = 0
-    max_res = 0.0
+    w = split.unitary_block
+    w_lam = matcore.eigvals(w)
+    w_res = np.abs(matcore.det(w_lam[:, None, None] * np.eye(split.h0_dim) - w))
+    w_bound = root_tol * (1.0 + operator_norm(w)) ** max(split.h0_dim, 1)
 
-    w_fibers: list[tuple[complex, float]] = []
-    if split.h0_dim:
-        w = split.unitary_block
-        w_lam = matcore.eigvals(w)
-        w_res = np.abs(matcore.det(w_lam[:, None, None] * np.eye(split.h0_dim) - w))
-        w_fibers = list(zip(w_lam.tolist(), w_res.tolist()))
-    w_bound = root_tol * (1.0 + operator_norm(split.unitary_block)) ** max(split.h0_dim, 1)
-
-    axis_points = _disc_grid(grid_per_axis, radius)
+    coords = np.linspace(-radius, radius, grid_per_axis)
+    disc = np.empty((grid_per_axis, grid_per_axis), dtype=complex)
+    disc.real, disc.imag = coords[:, None], coords[None, :]
     m_vars = len(r.partition)
-    bases = list(itertools.product(axis_points, repeat=m_vars))
+    # np.hypot is Python's abs(complex) to the bit; np.abs may round the
+    # other way, which moves |z| = 1 fibers across the interior cut
+    bases = rz.grid_points(disc[np.hypot(disc.real, disc.imag) <= radius], m_vars)
     e1 = split.cnu_part.dim_e if split.cnu_part is not None else 0
     lam = np.zeros((len(bases), e1), dtype=complex)
     res = np.zeros((len(bases), e1))
     fails = np.zeros(len(bases), dtype=bool)
     regular = np.ones(len(bases), dtype=bool)
     if split.cnu_part is not None:
-        base_arr = np.array(bases, dtype=complex).reshape(len(bases), m_vars)
-        for rows, phi, regular_rows in rz.transfer_eval_many(split.cnu_part, base_arr):
+        for rows, phi, regular_rows in rz.transfer_eval_many(split.cnu_part, bases):
             lam[rows] = matcore.eigvals(phi)
             shifted = lam[rows, :, None, None] * np.eye(e1) - phi[:, None]
             res[rows] = np.abs(matcore.det(shifted))
             worst = np.fmax.reduce(res[rows], axis=1)  # a NaN residual fails nowhere
             fails[rows] = _fiber_bound_fails(worst, phi, root_tol)
             regular[rows] = regular_rows
-    ok = not np.any(fails & regular)
 
-    for i, base in enumerate(bases):
-        if not regular[i]:  # pragma: no cover - interior points are regular
-            singular += 1
-            continue
-        for fiber, fiber_res in zip(lam[i].tolist(), res[i].tolist()):
-            max_res = max(max_res, fiber_res)
-            points.append(VarietyPoint(base, fiber, "V1", fiber_res, abs(fiber) < 1.0))
-        for fiber, fiber_res in w_fibers:
-            max_res = max(max_res, fiber_res)
-            if fiber_res > w_bound:
-                ok = False  # pragma: no cover - unitary fibers are exact to rounding
-            points.append(VarietyPoint(base, fiber, "V0", fiber_res, abs(fiber) < 1.0))
+    fields = [("base", complex, (m_vars,)), ("fiber", complex), ("component", "U2"),
+              ("residual", float), ("interior", bool)]
+    points = np.zeros((np.count_nonzero(regular), e1 + split.h0_dim), dtype=fields)
+    points["base"] = bases[regular, None]
+    points["fiber"][:, :e1], points["fiber"][:, e1:] = lam[regular], w_lam
+    points["residual"][:, :e1], points["residual"][:, e1:] = res[regular], w_res
+    points["component"][:, :e1], points["component"][:, e1:] = "V1", "V0"
+    points["interior"] = np.hypot(points["fiber"].real, points["fiber"].imag) < 1.0
+    # unitary fibers are exact to rounding, so the V0 bound holds in practice
+    v0_fails = np.any(points["residual"][:, e1:] > w_bound)
     return VarietySample(
-        points=tuple(points),
+        points=points.reshape(-1),
         h0_dim=split.h0_dim,
-        singular_points=singular,
-        max_residual=max_res,
-        residual_ok=ok,
+        singular_points=int(np.count_nonzero(~regular)),
+        max_residual=float(np.fmax.reduce(points["residual"].ravel(), initial=0.0)),
+        residual_ok=not (np.any(fails & regular) or v0_fails),
     )
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import struct
 
@@ -330,15 +331,17 @@ def test_variety_command(triple_doc, tmp_path):
 
 
 def test_variety_residual_failure_exit7(triple_doc, monkeypatch, tmp_path):
+    sample = vn.variety_sample
+
     def failing(*args, **kwargs):
-        point = vn.VarietyPoint((0.0, 0.0), 0.5, "V1", 1.0, True)
-        return vn.VarietySample((point,), 0, 0, 1.0, False)
+        return dataclasses.replace(sample(*args, **kwargs), residual_ok=False)
 
     monkeypatch.setattr(vn, "variety_sample", failing)
     out = tmp_path / "variety.json"
-    assert run(["variety", str(triple_doc), "--out", str(out)]) == cli.EXIT_VARIETY == 7
+    argv = ["variety", str(triple_doc), "--variety-grid", "3", "--out", str(out)]
+    assert run(argv) == cli.EXIT_VARIETY == 7
     doc = json.loads(out.read_text())
-    assert doc["residual_ok"] is False and doc["count"] == 1
+    assert doc["residual_ok"] is False and doc["count"] == len(doc["points"]) > 0
 
 
 # ---------------------------------------------------------------------------
@@ -351,6 +354,43 @@ def test_config_validation_rejects_small_grid(triple_doc):
 
 def test_config_validation_rejects_bad_tolerance(triple_doc):
     assert run(["certify", str(triple_doc), "--tol-cert", "-1", "--out", "-"]) == cli.EXIT_PARSE
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0"])
+@pytest.mark.parametrize(
+    "command, flag",
+    [("certify", "--tol-cert"), ("vn", "--tol-vn"), ("variety", "--tol-root")],
+)
+def test_non_finite_tolerance_exit2(command, flag, value, triple_doc, tmp_path, monkeypatch):
+    poly = tmp_path / "poly.txt"
+    poly.write_text("z1*z2 + z3")
+    argv = [command, str(triple_doc)] + ([str(poly)] if command == "vn" else [])
+    out = tmp_path / "out.json"
+    assert run(argv + [f"{flag}={value}", "--out", str(out)]) == cli.EXIT_PARSE
+    monkeypatch.setenv("POLYDIL_" + flag[2:].upper().replace("-", "_"), value)
+    assert run(argv + ["--out", str(out)]) == cli.EXIT_PARSE
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["generate", "random", "--seed", "-1"],
+        ["generate", "random", "--dim", "0"],
+        ["generate", "random", "--margin", "1.5"],
+        ["generate", "product-triple", "--d1", "0"],
+        ["generate", "product-triple", "--r1", "2"],
+        ["generate", "product-triple", "-j", "0"],
+        ["generate", "zero-triple", "--dim", "0"],
+        ["verify", None, "--seed", "-1"],
+    ],
+)
+def test_out_of_range_configuration_exit2(argv, triple_doc, tmp_path, capsys):
+    out = tmp_path / "out.json"
+    argv = [str(triple_doc) if arg is None else arg for arg in argv]
+    assert run(argv + ["--out", str(out)]) == cli.EXIT_PARSE
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_env_override(monkeypatch, triple_doc, tmp_path):

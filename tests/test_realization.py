@@ -8,25 +8,13 @@ from polydil import generators, hardy, matcore, realization as rz, tuples
 from polydil.errors import IsometryDefect, NotContraction
 from polydil.matcore import adj
 
-from conftest import random_complex, random_unitary
-
-
-def zero_triple(d=2):
-    z = np.zeros((d, d))
-    t = tuples.make_tuple([z, z, z])
-    return t, tuples.last_defect_certificate(t)
-
-
-def constant_realization(u, var_count=2):
-    """Decoupled realization: B, C empty, so Phi is constantly A*."""
-    e = u.shape[0]
-    return rz.TransferRealization(
-        a=u,
-        b=np.zeros((e, 0), dtype=complex),
-        c=np.zeros((0, e), dtype=complex),
-        d=np.zeros((0, 0), dtype=complex),
-        partition=(0,) * var_count,
-    )
+from conftest import (
+    constant_realization,
+    random_complex,
+    random_unitary,
+    w2_tensor_jordan,
+    zero_triple,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -168,22 +156,6 @@ def test_inner_product_triple(triple22):
     report = rz.inner_check(r, 32)
     assert report.max_deviation < 1e-8
     assert report.singular_points <= report.grid_points // 100
-
-
-def w2_tensor_jordan():
-    """T_i = 0.9 J_2 on factor i of C^2 (x) C^2 (x) C^2, T_4 = T_1 T_2 T_3,
-    with the telescoping certificate G_i = P_i (I - T_i T_i*) P_i*,
-    P_i = T_1 ... T_{i-1}."""
-    shift, eye2 = 0.9 * generators.lower_shift(2), np.eye(2)
-    factors = [np.kron(np.kron(shift, eye2), eye2), np.kron(np.kron(eye2, shift), eye2),
-               np.kron(np.kron(eye2, eye2), shift)]
-    eye = np.eye(8)
-    g, prefix = [], eye
-    for ti in factors:
-        g.append(prefix @ (eye - ti @ adj(ti)) @ adj(prefix))
-        prefix = prefix @ ti
-    t = tuples.make_tuple(factors + [prefix])
-    return t, tuples.verify_certificate(t, g)
 
 
 def test_inner_check_matches_full_svd_oracle(monkeypatch):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -5,24 +7,13 @@ from polydil import matcore, realization as rz, tuples, vonneumann as vn
 from polydil.errors import ArityMismatch, ParseError
 from polydil.matcore import adj
 
-from conftest import random_complex, random_unitary
-
-
-def zero_triple(d=2):
-    z = np.zeros((d, d))
-    t = tuples.make_tuple([z, z, z])
-    return t, tuples.last_defect_certificate(t)
-
-
-def constant_realization(u, var_count=2):
-    e = u.shape[0]
-    return rz.TransferRealization(
-        a=u,
-        b=np.zeros((e, 0), dtype=complex),
-        c=np.zeros((0, e), dtype=complex),
-        d=np.zeros((0, 0), dtype=complex),
-        partition=(0,) * var_count,
-    )
+from conftest import (
+    constant_realization,
+    random_complex,
+    random_unitary,
+    w2_tensor_jordan,
+    zero_triple,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -270,16 +261,93 @@ def test_exactly_singular_point_is_skipped_alone(grid):
 # variety sampling
 
 
+def variety_oracle(r, grid_per_axis, radius):
+    """The sample point by point: itertools.product over the disc points,
+    then Phi_1, its eigenvalues and the determinants at each base point."""
+    split = vn.split_transfer(r)
+    coords = np.linspace(-radius, radius, grid_per_axis)
+    disc = [complex(x, y) for x in coords for y in coords if abs(complex(x, y)) <= radius]
+    w = split.unitary_block
+    v0 = [(lam, "V0", np.abs(matcore.det(lam * np.eye(len(w)) - w))) for lam in matcore.eigvals(w)]
+    rows = []
+    for base in itertools.product(disc, repeat=len(r.partition)):
+        fibers = []
+        if split.cnu_part is not None:
+            phi = rz.transfer_eval(split.cnu_part, base)
+            eye = np.eye(len(phi))
+            fibers = [(lam, "V1", np.abs(matcore.det(lam * eye - phi))) for lam in matcore.eigvals(phi)]
+        rows += [(base, lam, comp, res, abs(lam) < 1.0) for lam, comp, res in fibers + v0]
+    return rows
+
+
+def direct_sum_constant(r, u):
+    """r with the 1x1 unimodular constant u added to its E-space: Phi (+) conj(u)."""
+    e, f = r.dim_e, r.dim_f
+    a = np.zeros((e + 1, e + 1), dtype=complex)
+    a[:e, :e], a[e, e] = r.a, u
+    return rz.TransferRealization(
+        a=a,
+        b=np.vstack([r.b, np.zeros((1, f))]),
+        c=np.hstack([r.c, np.zeros((f, 1))]),
+        d=r.d,
+        partition=r.partition,
+    )
+
+
+@pytest.mark.parametrize(
+    "which, grid, count",
+    [("triple22", 5, 13**2 * 4), ("m3", 4, 4**3 * 8), ("mixed", 5, 13**2 * 2), ("triple22", 2, 0)],
+)
+def test_variety_sample_matches_point_oracle(which, grid, count, triple22):
+    if which == "m3":
+        r = rz.build_generating_unitary(*w2_tensor_jordan())
+    elif which == "mixed":
+        # np.abs puts this V0 fiber at |lambda| < 1, Python's abs at exactly 1
+        r = direct_sum_constant(rz.build_generating_unitary(*zero_triple(1)), np.exp(0.2j))
+    else:
+        r = rz.build_generating_unitary(*triple22)
+    sample = vn.variety_sample(r, grid_per_axis=grid, radius=0.95)
+    points = sample.points
+    expected = np.array(variety_oracle(r, grid, 0.95), dtype=points.dtype)
+    assert points.shape == expected.shape == (count,)
+    for name in points.dtype.names:
+        assert points[name].tobytes() == expected[name].tobytes(), name
+    assert sample.max_residual == max([0.0] + points["residual"].tolist())
+    assert sample.residual_ok and sample.singular_points == 0
+    assert sample.h0_dim == (which == "mixed")
+
+
+def test_variety_max_residual_skips_nan(triple22, monkeypatch):
+    r = rz.build_generating_unitary(*triple22)
+    det = matcore.det
+
+    def nan_det(a):
+        d = det(a)
+        if np.ndim(d) == 2:  # the (G, e) residual stack of the V1 fibers
+            d[0, 1] = np.nan
+        return d
+
+    monkeypatch.setattr(matcore, "det", nan_det)
+    sample = vn.variety_sample(r, grid_per_axis=5, radius=0.95)
+    residuals = sample.points["residual"]
+    assert np.isnan(residuals[1]) and np.count_nonzero(np.isnan(residuals)) == 1
+    old = 0.0
+    for res in residuals.tolist():  # the per-point running maximum
+        old = max(old, res)
+    assert sample.max_residual == old == np.nanmax(residuals) > 0.0
+    assert sample.residual_ok
+
+
 def test_variety_constant_unitary_fibers():
     lam = np.exp(0.7j)
     r = constant_realization(np.array([[np.conj(lam)]], dtype=complex))
     sample = vn.variety_sample(r, grid_per_axis=3, radius=0.9)
     assert sample.h0_dim == 1
-    assert sample.points
-    for pt in sample.points:
-        assert pt.component == "V0"
-        assert pt.fiber == pytest.approx(lam, abs=1e-12)
-        assert not pt.interior
+    points = sample.points
+    assert len(points) == 5**2
+    assert np.all(points["component"] == "V0")
+    assert np.allclose(points["fiber"], lam, rtol=0.0, atol=1e-12)
+    assert not np.any(points["interior"])
 
 
 def test_variety_zero_triple_flip():
@@ -287,9 +355,9 @@ def test_variety_zero_triple_flip():
     r = rz.build_generating_unitary(t, cert)
     sample = vn.variety_sample(r, grid_per_axis=5, radius=0.9)
     assert sample.h0_dim == 0
-    for pt in sample.points:
-        assert pt.component == "V1"
-        assert pt.fiber == pytest.approx(pt.base[0], abs=1e-10)
+    points = sample.points
+    assert len(points) and np.all(points["component"] == "V1")
+    assert np.allclose(points["fiber"], points["base"][:, 0], rtol=0.0, atol=1e-10)
 
 
 def test_fiber_bound_matches_exact_rule(rng):
@@ -313,7 +381,7 @@ def test_variety_strict_contraction_interior(triple22):
     r = rz.build_generating_unitary(t, cert)
     sample = vn.variety_sample(r, grid_per_axis=5, radius=0.9)
     assert sample.residual_ok
-    assert all(pt.interior for pt in sample.points)
+    assert len(sample.points) and np.all(sample.points["interior"])
     assert sample.max_residual <= 1e-7
 
 
