@@ -29,7 +29,6 @@ from .vonneumann import (
     MultiPoly,
     eval_poly_tuple,
     parse_poly,
-    pure_tn_refinement,
     split_transfer,
     torus_sup,
     variety_sample,
@@ -69,6 +68,5 @@ __all__ = [
     "variety_sample",
     "vn_check",
     "split_transfer",
-    "pure_tn_refinement",
     "__version__",
 ]

@@ -67,8 +67,9 @@ class RunConfig:
             raise ParseError("degree cap must be at least 1")
         if self.grid < 4:
             raise ParseError("torus grid must be at least 4")
-        if self.variety_grid < 2:
-            raise ParseError("variety grid must be at least 2")
+        if self.variety_grid < 3:
+            # at 2 the disc grid is the four corners r(+-1 +-i), all outside the disc
+            raise ParseError("variety grid must be at least 3")
         if not 0.0 < self.radius <= 1.0:
             raise ParseError("radius must lie in (0, 1]")
         for name in ("cert_tol", "vn_tol", "root_tol"):

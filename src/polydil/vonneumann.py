@@ -1,13 +1,16 @@
 """Polynomial functional calculus and the variety von Neumann bound.
 
 The certified dilation turns the norm of P(T) into a boundary supremum of
-P(zeta_1 I, ..., zeta_{n-1} I, Phi(zeta)) over the torus.  Splitting the
-constant term of Phi into unitary and completely-non-unitary parts carves
-the relevant variety into a product component (unit-circle spectrum of the
-unitary part) and the zero set of det(z_n I - Phi_1(z)) over the polydisc.
-Grid suprema are lower bounds of the true ones, so the inequality check is
-one-sided: a failure beyond the tolerance indicates a bug, not grid
-coarseness.
+P(zeta_1 I, ..., zeta_{n-1} I, Phi(zeta)) over the torus.  Phi(zeta) is
+unitary at every regular torus point, so that operator is normal and its
+norm is the largest |P(zeta, lambda)| over the eigenvalues lambda of
+Phi(zeta): the torus scan is a supremum of |P| over the variety fibers.
+Splitting the constant term of Phi into unitary and completely-non-unitary
+parts carves the relevant variety into a product component (unit-circle
+spectrum of the unitary part) and the zero set of det(z_n I - Phi_1(z)) over
+the polydisc.  Grid suprema are lower bounds of the true ones, so the
+inequality check is one-sided: a failure beyond the tolerance indicates a
+bug, not grid coarseness.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import numpy as np
 from . import matcore, realization as rz
 from .errors import ArityMismatch, ParseError
 from .matcore import adj, operator_norm
-from .tuples import OperatorTuple, DilationCertificate, spectral_radius
+from .tuples import OperatorTuple, DilationCertificate
 
 MultiIndex = tuple[int, ...]
 
@@ -264,12 +267,11 @@ def split_transfer(r: rz.TransferRealization, tol: float = 1e-9) -> TransferSpli
 @dataclass(frozen=True)
 class TorusCache:
     """Transfer-function data over the boundary grid of the first n-1
-    variables: the points with a regular resolvent, Phi there, its
-    eigenvalues (LAPACK, sorted per point by (real, imag)), and the number of
-    grid points skipped for a singular resolvent."""
+    variables: the points with a regular resolvent, the eigenvalues of Phi
+    there (LAPACK, sorted per point by (real, imag)), and the number of grid
+    points skipped for a singular resolvent."""
 
     points: np.ndarray  # (G, m) complex
-    phi: np.ndarray  # (G, e, e)
     eigs: np.ndarray  # (G, e)
     singular_points: int
     grid: int
@@ -277,14 +279,13 @@ class TorusCache:
 
 def precompute_torus(r: rz.TransferRealization, grid: int) -> TorusCache:
     points = rz.grid_points(rz.unit_circle(grid), len(r.partition))
-    phi = np.empty((len(points), r.dim_e, r.dim_e), dtype=complex)
+    eigs = np.empty((len(points), r.dim_e), dtype=complex)
     regular = np.empty(len(points), dtype=bool)
-    for rows, phi_rows, regular_rows in rz.transfer_eval_many(r, points):
-        phi[rows] = phi_rows
+    for rows, phi, regular_rows in rz.transfer_eval_many(r, points):
+        eigs[rows] = matcore.eigvals(phi)
         regular[rows] = regular_rows
-    phi = phi[regular]
     singular = len(points) - int(np.count_nonzero(regular))
-    return TorusCache(points[regular], phi, matcore.eigvals(phi), singular, grid)
+    return TorusCache(points[regular], eigs[regular], singular, grid)
 
 
 def _base_coefficients(p: MultiPoly, points: np.ndarray) -> np.ndarray:
@@ -299,20 +300,6 @@ def _base_coefficients(p: MultiPoly, points: np.ndarray) -> np.ndarray:
                 w = w * points[:, axis] ** k[axis]
         out[:, k[-1]] += w
     return out
-
-
-def _matrix_sup(p: MultiPoly, cache: TorusCache) -> float:
-    """max over the cached points of ||P(zeta_1 I, ..., zeta_{n-1} I, Phi(zeta))||."""
-    coeffs = _base_coefficients(p, cache.points)
-    deg_n = coeffs.shape[1] - 1
-    g, e = cache.phi.shape[:2]
-    acc = np.zeros((g, e, e), dtype=complex)
-    power = np.broadcast_to(np.eye(e, dtype=complex), (g, e, e)).copy()
-    for j in range(deg_n + 1):
-        acc += coeffs[:, j, None, None] * power
-        if j < deg_n:
-            power = np.matmul(power, cache.phi)
-    return float(np.max(operator_norm(acc), initial=0.0))
 
 
 def _fiber_sup(p: MultiPoly, points: np.ndarray, fibers: np.ndarray) -> float:
@@ -341,28 +328,24 @@ def torus_sup(
 ) -> TorusScan:
     """max over the torus grid of || P(zeta_1 I, ..., zeta_{n-1} I, Phi(zeta)) ||.
 
-    The norm is computed through singular values (the grid matrices are
-    polynomials in commuting normal operators on the boundary)."""
+    The norm is the largest |P(zeta, lambda)| over the eigenvalues lambda of
+    Phi(zeta): Phi is unitary at the regular torus points, so the operator is
+    normal there.  The eigenvalues of P(zeta, Phi(zeta)) are the P(zeta,
+    lambda) in any case, so the value never exceeds the norm."""
     m_vars = len(r.partition)
     if p.nvars != m_vars + 1:
         raise ArityMismatch(f"polynomial has {p.nvars} variables, expected {m_vars + 1}")
     if cache is None or cache.grid != grid:
         cache = precompute_torus(r, grid)
-    return TorusScan(_matrix_sup(p, cache), cache.singular_points, grid**m_vars)
+    sup = _fiber_sup(p, cache.points, cache.eigs)
+    return TorusScan(sup, cache.singular_points, grid**m_vars)
 
 
-def polydisc_grid_sup(p: MultiPoly, grid: int, cache: TorusCache | None = None) -> float:
-    """max of |P| over the full torus grid, enriched with the transfer-function
-    fibers when a cache is supplied.
-
-    The fibers lie in the closed polydisc, so the enriched maximum is still a
-    lower bound for the true polydisc supremum while dominating the variety
-    scan pointwise."""
+def polydisc_grid_sup(p: MultiPoly, grid: int) -> float:
+    """max of |P| over the full torus grid, a lower bound for the polydisc
+    supremum."""
     points = rz.grid_points(rz.unit_circle(grid), p.nvars).reshape(-1, grid, p.nvars)
-    sup = _fiber_sup(p, points[:, 0, :-1], points[:, :, -1])
-    if cache is not None:
-        sup = max(sup, _fiber_sup(p, cache.points, cache.eigs))
-    return sup
+    return _fiber_sup(p, points[:, 0, :-1], points[:, :, -1])
 
 
 # ---------------------------------------------------------------------------
@@ -510,9 +493,11 @@ def vn_check(
     """Compare ||P(T)|| with the variety grid supremum.
 
     ``lhs`` is the operator norm of P(T); ``rhs`` the torus-grid supremum of
-    P applied to the dilation; the coarser polydisc grid supremum (enriched
-    with the sampled fibers, so it can never undercut the variety scan) is
-    reported alongside for sharpness comparison.
+    P applied to the dilation, which is the maximum of |P| over the variety
+    fibers above the torus grid (``torus_sup``).  The fibers lie in the
+    closed polydisc, so ``polydisc_sup``, the larger of ``rhs`` and the
+    supremum of |P| over the full torus grid, is still a lower bound of the
+    polydisc supremum; it is reported alongside for sharpness comparison.
     """
     if p.nvars != t.n:
         raise ArityMismatch(f"polynomial has {p.nvars} variables, tuple has {t.n}")
@@ -524,7 +509,7 @@ def vn_check(
         split = split_transfer(realization)
     lhs = operator_norm(eval_poly_tuple(p, t))
     scan = torus_sup(p, realization, grid, cache)
-    poly_sup = polydisc_grid_sup(p, grid, cache)
+    poly_sup = max(polydisc_grid_sup(p, grid), scan.sup)
     return VNReport(
         lhs=float(lhs),
         rhs=float(scan.sup),
@@ -534,20 +519,3 @@ def vn_check(
         h0_dim=split.h0_dim,
         polydisc_sup=float(poly_sup),
     )
-
-
-def pure_tn_refinement(
-    t: OperatorTuple,
-    cert: DilationCertificate,
-    r: rz.TransferRealization,
-    tol: float = 1e-6,
-) -> bool:
-    """True when purity of the last coordinate forces the unitary part away.
-
-    A pure T_n must yield an empty product component (h0_dim = 0); for a
-    non-pure T_n the implication is vacuous.
-    """
-    rho = spectral_radius(t.op(t.n))
-    if rho >= 1.0 - tol:
-        return True
-    return split_transfer(r).h0_dim == 0

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from polydil import generators, realization as rz, tuples
+from polydil import generators, matcore, realization as rz, tuples
 from polydil.matcore import adj
 
 
@@ -30,6 +30,22 @@ def constant_realization(u, var_count=2):
         d=np.zeros((0, 0), dtype=complex),
         partition=(0,) * var_count,
     )
+
+
+def svd_torus_sup(p, r, points):
+    """max over the rows zeta of ``points`` of ||P(zeta_1 I, ..., zeta_m I,
+    Phi(zeta))||, with Phi from ``rz.transfer_eval_many`` and one SVD per
+    point: the reference for the fiber maximum of ``vonneumann.torus_sup``."""
+    phi = []
+    for _, stack, regular in rz.transfer_eval_many(r, points):
+        assert regular.all()
+        phi.append(stack)
+    phi = np.concatenate(phi)
+    acc = np.zeros_like(phi)
+    for k, a in p.terms.items():
+        scalar = a * np.prod(points ** np.array(k[:-1]), axis=1)
+        acc += scalar[:, None, None] * np.linalg.matrix_power(phi, k[-1])
+    return float(np.max(matcore.operator_norm(acc), initial=0.0))
 
 
 def w2_tensor_jordan():

@@ -383,6 +383,7 @@ def test_non_finite_tolerance_exit2(command, flag, value, triple_doc, tmp_path, 
         ["generate", "product-triple", "-j", "0"],
         ["generate", "zero-triple", "--dim", "0"],
         ["verify", None, "--seed", "-1"],
+        ["variety", None, "--variety-grid", "2"],
     ],
 )
 def test_out_of_range_configuration_exit2(argv, triple_doc, tmp_path, capsys):

@@ -11,6 +11,7 @@ from conftest import (
     constant_realization,
     random_complex,
     random_unitary,
+    svd_torus_sup,
     w2_tensor_jordan,
     zero_triple,
 )
@@ -138,6 +139,16 @@ def test_torus_sup_last_variable_constant_unitary(rng):
     assert scan.sup == pytest.approx(1.0, abs=1e-12)
 
 
+def test_torus_sup_never_exceeds_the_svd_norm():
+    # Phi is the constant nilpotent 0.9 [[0, 0], [1, 0]], not unitary: its
+    # fibers are 0 while ||Phi|| = 0.9, so the fiber maximum reads 0
+    r = constant_realization(0.9 * np.array([[0, 1], [0, 0]], dtype=complex))
+    p = vn.multipoly(3, {(0, 0, 1): 1.0})
+    cache = vn.precompute_torus(r, 8)
+    assert vn.torus_sup(p, r, 8, cache).sup == 0.0
+    assert svd_torus_sup(p, r, cache.points) == pytest.approx(0.9, abs=1e-15)
+
+
 def test_polydisc_grid_sup_bounded_by_coefficient_sum(rng):
     p = vn.multipoly(3, {(1, 0, 0): 1.0, (0, 1, 1): -2.0})
     sup = vn.polydisc_grid_sup(p, 16)
@@ -254,7 +265,7 @@ def test_exactly_singular_point_is_skipped_alone(grid):
     assert cache.singular_points == 1
     assert cache.points.shape == (grid - 1, 1)
     assert np.all(cache.points[:, 0] != 1.0)
-    assert np.allclose(cache.phi, 1.0) and np.allclose(cache.eigs, 1.0)
+    assert np.allclose(cache.eigs, 1.0)  # Phi is 1x1, so its eigenvalue is Phi
 
 
 # ---------------------------------------------------------------------------
@@ -448,21 +459,11 @@ def test_vn_sharpness_ordering_random(triple22, rng):
         assert report.rhs <= report.polydisc_sup + 1e-9
 
 
-def test_pure_tn_refinement_product_triple(triple22):
+def test_product_triple_has_no_unitary_part(triple22):
+    # T_3 is pure, so the product component of the variety is empty
     t, cert = triple22
     r = rz.build_generating_unitary(t, cert)
-    assert vn.pure_tn_refinement(t, cert, r)
     assert vn.split_transfer(r).h0_dim == 0
-
-
-def test_pure_tn_refinement_vacuous_for_unitary_tn(rng):
-    d = 3
-    zero = np.zeros((d, d))
-    w = random_unitary(rng, d)
-    t = tuples.make_tuple([zero, zero, w])
-    cert = tuples.verify_certificate(t, [zero, zero])
-    r = rz.build_generating_unitary(t, cert)
-    assert vn.pure_tn_refinement(t, cert, r)  # vacuously: T_n is not pure
 
 
 def test_vn_check_unitary_tn_still_valid(rng):
