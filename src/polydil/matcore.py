@@ -348,30 +348,46 @@ def det(a):
     return complex(d) if m.ndim == 2 else d
 
 
-def inv_resolvent(d, zeta, tol: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:
-    """Solve (I - D diag(zeta_g)) X_g = I for every row zeta_g of a (G, n) array.
+def inv_resolvent(d, zeta, rhs, tol: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:
+    """Solve (I - D diag(zeta_g)) Y_g = R for every row zeta_g of a (G, n)
+    array and one (n, k) right side R.
 
-    Returns the (G, n, n) stack X and the (G,) mask of regular points: those
-    whose system is not exactly singular and whose residual
-    ||(I - D diag(zeta_g)) X_g - I|| is finite and at most ``tol``.  A
-    singular system can only arise at boundary evaluation points; X is zero
-    there.
+    Returns the (G, n, k) stack Y and the (G,) mask of regular points.  With
+    M_g = I - D diag(zeta_g), a point is regular when
+
+    * LU finds no zero pivot in M_g,
+    * ||Y_g||_F <= 1/tol, and
+    * the residual ||M_g Y_g - R|| is at most tol (``operator_norms_within``).
+
+    The bound on Y_g is the conditioning test: a backward-stable solve passes
+    the residual test however close M_g is to singular, but Y_g then grows
+    like ||R|| / sigma_min(M_g).  Blind spot: a point where M_g is nearly
+    singular only in directions that R never reaches keeps a bounded Y_g and
+    counts as regular; if a value built from Y_g is inaccurate there, the
+    check that uses it (for the transfer function, ``inner_deviation``)
+    reports it.  Y is zero at every point that is not regular.  A singular
+    system can only arise at boundary evaluation points.
     """
     dm = as_matrix(d)
+    r = as_matrix(rhs)
     z = np.asarray(zeta, dtype=complex)
     n = dm.shape[0]
-    if z.ndim != 2 or z.shape[1] != n:
-        raise DimensionMismatch(f"expected a (G, {n}) array of diagonals, got {z.shape}")
+    if z.ndim != 2 or z.shape[1] != n or r.shape[0] != n:
+        raise DimensionMismatch(
+            f"expected (G, {n}) diagonals and {n} right-side rows, got {z.shape} and {r.shape}"
+        )
     eye = np.eye(n, dtype=complex)
     m = eye - dm * z[:, None, :]
-    rhs = np.broadcast_to(eye, m.shape)
+    b = np.broadcast_to(r, (len(z),) + r.shape)  # numpy 1.x reads a 2-d b as vectors
     try:
-        x, solved = np.linalg.solve(m, rhs), True
+        y, solved = np.linalg.solve(m, b), True
     except np.linalg.LinAlgError:
         # LAPACK rejects the whole stack for one exactly singular matrix; the
         # LU of slogdet finds the same zero pivots, so solve around those
-        solved = np.linalg.slogdet(m).sign != 0
-        x = np.linalg.solve(np.where(solved[:, None, None], m, eye), rhs)
-    regular = solved & operator_norms_within(m @ x - eye, tol)
-    x[~regular] = 0.0
-    return x, regular
+        solved = np.linalg.slogdet(m)[0] != 0
+        y = np.linalg.solve(np.where(solved[:, None, None], m, eye), b)
+    bounded = solved & (norm_bounds(y)[1] <= 1.0 / tol)
+    y[~bounded] = 0.0  # keeps the residual product finite
+    regular = bounded & operator_norms_within(m @ y - r, tol)
+    y[~regular] = 0.0
+    return y, regular

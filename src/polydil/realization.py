@@ -128,11 +128,12 @@ def _block_diagonals(partition: Sequence[int], points) -> np.ndarray:
 def _transfer_solve(
     r: TransferRealization, zeta: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Phi, the resolvent X = (I - D* E)^{-1} and the regular-point mask at
-    the E(z) diagonals ``zeta`` (one row per point)."""
-    x, regular = matcore.inv_resolvent(adj(r.d), zeta)
-    phi = adj(r.a) + (adj(r.c) * zeta[:, None, :]) @ x @ adj(r.b)
-    return phi, x, regular
+    """Phi, Y = (I - D* E)^{-1} B* and the regular-point mask at the E(z)
+    diagonals ``zeta`` (one row per point): one solve per point for the e
+    columns of B*, then Phi = A* + C* E Y."""
+    y, regular = matcore.inv_resolvent(adj(r.d), zeta, adj(r.b))
+    phi = adj(r.a) + (adj(r.c) * zeta[:, None, :]) @ y
+    return phi, y, regular
 
 
 def transfer_eval_many(
@@ -166,16 +167,17 @@ def schur_identity_residual(r: TransferRealization, points) -> float:
     I - Phi* Phi = B (I - E* D)^{-1} (I - E* E) (I - D* E)^{-1} B*
     over the rows of a (G, m) point array, or at a single point.
 
-    (I - E* D)^{-1} is the adjoint of the resolvent that evaluates Phi, so one
-    solve per point serves both sides.
+    (I - E* D)^{-1} is the adjoint of the resolvent that evaluates Phi, so
+    the right side is Y* (I - E* E) Y with the same Y = (I - D* E)^{-1} B*:
+    one solve per point serves both sides.
     """
     zeta = _block_diagonals(r.partition, np.atleast_2d(points))
-    phi, x, regular = _transfer_solve(r, zeta)
+    phi, y, regular = _transfer_solve(r, zeta)
     if not regular.all():
         raise SingularResolvent("singular resolvent at a Schur sample point")
     lhs = np.eye(r.dim_e) - adj(phi) @ phi
     mid = 1.0 - (zeta.conj() * zeta).real
-    rhs = (r.b @ adj(x) * mid[:, None, :]) @ x @ adj(r.b)
+    rhs = (adj(y) * mid[:, None, :]) @ y
     return matcore.max_operator_norm(lhs - rhs)
 
 
@@ -193,7 +195,10 @@ def unit_circle(grid: int) -> np.ndarray:
 
 def grid_points(axis: np.ndarray, m: int) -> np.ndarray:
     """The points of axis^m as a (len(axis)^m, m) array, the last coordinate
-    varying fastest; ``grid_points(unit_circle(grid), m)`` is the torus grid."""
+    varying fastest; ``grid_points(unit_circle(grid), m)`` is the torus grid.
+    For m = 0 it is the one empty point."""
+    if m == 0:
+        return np.zeros((1, 0), dtype=axis.dtype)
     axes = np.meshgrid(*([axis] * m), indexing="ij")
     return np.stack(axes, axis=-1).reshape(-1, m)
 
@@ -287,10 +292,11 @@ def transfer_taylor(r: TransferRealization, cap: int) -> np.ndarray:
     """Taylor coefficients Phi_k of Phi for k in the box [0, cap]^m, as an
     array of shape (cap+1,)*m + (e, e).
 
-    The resolvent X(z) = (I - D* E(z))^{-1} = sum_k z^k X_k obeys
-    X_k = delta_{k0} I + sum_a D* P_a X_{k-e_a}, with P_a the selector of
-    block a, and Phi_k = delta_{k0} A* + sum_a C* P_a X_{k-e_a} B*.  The
-    recurrence runs over the total degree, all indices of one degree at once.
+    Y(z) = (I - D* E(z))^{-1} B* = sum_k z^k Y_k, the narrow resolvent
+    that evaluates Phi, obeys Y_k = delta_{k0} B* + sum_a D* P_a Y_{k-e_a},
+    with P_a the selector of block a, and Phi_k = delta_{k0} A* +
+    sum_a C* P_a Y_{k-e_a}.  The recurrence runs over the total degree, all
+    indices of one degree at once.
     """
     m = len(r.partition)
     box = (cap + 1,) * m
@@ -299,20 +305,20 @@ def transfer_taylor(r: TransferRealization, cap: int) -> np.ndarray:
     strides = [(cap + 1) ** (m - 1 - a) for a in range(m)]
     blocks = hardy.block_slices(r.partition)
     d_adj = adj(r.d)
-    x = np.zeros((index.shape[1], r.dim_f, r.dim_f), dtype=complex)
-    x[0] = np.eye(r.dim_f)
+    y = np.zeros((index.shape[1], r.dim_f, r.dim_e), dtype=complex)
+    y[0] = adj(r.b)
     for total in range(1, m * cap + 1):
         for a, sl in enumerate(blocks):
             rows = np.flatnonzero((degree == total) & (index[a] > 0))
-            x[rows] += d_adj[:, sl] @ x[rows - strides[a], sl, :]
-    x = x.reshape(box + x.shape[1:])
+            y[rows] += d_adj[:, sl] @ y[rows - strides[a], sl, :]
+    y = y.reshape(box + y.shape[1:])
     phi = np.zeros(box + (r.dim_e, r.dim_e), dtype=complex)
     phi[(0,) * m] = adj(r.a)
-    c_adj, b_adj = adj(r.c), adj(r.b)
+    c_adj = adj(r.c)
     for a, sl in enumerate(blocks):
         up = (slice(None),) * a + (slice(1, None),)
         down = (slice(None),) * a + (slice(None, cap),)
-        phi[up] += c_adj[:, sl] @ x[down][..., sl, :] @ b_adj
+        phi[up] += c_adj[:, sl] @ y[down][..., sl, :]
     return phi
 
 

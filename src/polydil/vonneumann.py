@@ -343,9 +343,11 @@ def torus_sup(
 
 def polydisc_grid_sup(p: MultiPoly, grid: int) -> float:
     """max of |P| over the full torus grid, a lower bound for the polydisc
-    supremum."""
-    points = rz.grid_points(rz.unit_circle(grid), p.nvars).reshape(-1, grid, p.nvars)
-    return _fiber_sup(p, points[:, 0, :-1], points[:, :, -1])
+    supremum: the circle is the fiber over each point of the grid^(n-1)
+    base, so the grid^n points are never built."""
+    circle = rz.unit_circle(grid)
+    base = rz.grid_points(circle, p.nvars - 1)
+    return _fiber_sup(p, base, np.broadcast_to(circle, (len(base), grid)))
 
 
 # ---------------------------------------------------------------------------

@@ -64,6 +64,13 @@ def w2_tensor_jordan():
     return t, tuples.verify_certificate(t, g)
 
 
+def w3_nonnormal():
+    """(0.5 I + 0.5 J_9, 0, 0.3 T_1) with the last-defect certificate."""
+    t1 = 0.5 * np.eye(9) + 0.5 * generators.lower_shift(9)
+    pair = tuples.make_tuple([t1, np.zeros((9, 9))])
+    return generators.last_defect_tuple(pair, 0.3 * t1)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)

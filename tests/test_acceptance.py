@@ -180,6 +180,7 @@ def test_criterion_07_innerness(fixtures):
         frac = fx.report.row("inner_singular_fraction").residual
         assert dev <= 1e-7, (fx.label, dev)
         assert frac < 0.01, (fx.label, frac)
+        assert fx.report.inner_singular == 0, (fx.label, fx.report.inner_singular)
         worst = max(worst, dev)
     _passline(
         "criterion 7 (innerness)",

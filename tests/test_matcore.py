@@ -349,40 +349,102 @@ def test_char_poly_roots_match_diag():
 
 
 # ---------------------------------------------------------------------------
-# inv_resolvent: one row of diagonals per point
+# inv_resolvent: one row of diagonals per point, one shared right side
 
 
-def test_inv_resolvent_zero():
-    x, regular = matcore.inv_resolvent(np.zeros((2, 2)), np.ones((3, 2)))
-    assert x.shape == (3, 2, 2) and regular.all()
-    assert np.allclose(x, np.eye(2))
+def test_inv_resolvent_zero(rng):
+    rhs = random_complex(rng, 2, 3)
+    y, regular = matcore.inv_resolvent(np.zeros((2, 2)), np.ones((3, 2)), rhs)
+    assert y.shape == (3, 2, 3) and regular.all()
+    assert np.allclose(y, rhs)
 
 
 def test_inv_resolvent_scalar_geometric():
-    x, regular = matcore.inv_resolvent(np.array([[0.5]]), np.array([[0.5], [-1.0]]))
+    y, regular = matcore.inv_resolvent(np.array([[0.5]]), np.array([[0.5], [-1.0]]), [[1.0, 2j]])
     assert regular.all()
-    assert np.allclose(x[:, 0, 0], [4.0 / 3.0, 2.0 / 3.0])
+    assert np.allclose(y[:, 0], [[4.0 / 3.0, 8j / 3.0], [2.0 / 3.0, 4j / 3.0]])
 
 
 def test_inv_resolvent_random_contractions(rng):
     d = random_complex(rng, 4, 4)
     d *= 0.6 / matcore.operator_norm(d)
-    zeta = 0.9 * np.exp(2j * np.pi * rng.uniform(size=(5, 4)))
-    x, regular = matcore.inv_resolvent(d, zeta)
-    assert regular.all()
-    for g in range(5):
-        res = matcore.operator_norm((np.eye(4) - d @ np.diag(zeta[g])) @ x[g] - np.eye(4))
-        assert res < 1e-12
+    rhs = random_complex(rng, 4, 3)
+    zeta = np.exp(2j * np.pi * rng.uniform(size=(6, 4)))
+    zeta[:3] *= 0.9
+    y, regular = matcore.inv_resolvent(d, zeta, rhs)
+    assert y.shape == (6, 4, 3) and regular.all()
+    for g in range(6):
+        m = np.eye(4) - d @ np.diag(zeta[g])
+        assert np.max(np.abs(y[g] - np.linalg.inv(m) @ rhs)) < 1e-13
+        assert matcore.operator_norm(m @ y[g] - rhs) < 1e-12
 
 
 def test_inv_resolvent_singular():
     # the exactly singular point does not stop the others from being solved
     zeta = np.array([[0.5, 0.5], [1.0, 1.0], [0.0, 0.0]])
-    x, regular = matcore.inv_resolvent(np.eye(2), zeta)
+    rhs = np.array([[1.0], [2j]])
+    y, regular = matcore.inv_resolvent(np.eye(2), zeta, rhs)
     assert regular.tolist() == [True, False, True]
-    assert np.allclose(x[0], 2.0 * np.eye(2))
-    assert np.allclose(x[2], np.eye(2))
-    assert not x[1].any()
+    assert np.allclose(y[0], 2.0 * rhs)
+    assert np.allclose(y[2], rhs)
+    assert not y[1].any()
+
+
+def test_inv_resolvent_rejects_mismatched_right_side():
+    with pytest.raises(DimensionMismatch):
+        matcore.inv_resolvent(np.eye(2), np.ones((1, 2)), np.ones((3, 1)))
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-4])
+def test_inv_resolvent_solution_bound_at_threshold(tol):
+    # ||Y||_F = (1/tol)(1 -+ 1e-6) with an exact solve: only the bound decides
+    for d, zeta in (([[0.0]], [[1.0]]), ([[0.5]], [[1.0]]), ([[0.5]], [[-1j]])):
+        m = 1.0 - d[0][0] * zeta[0][0]
+        for scale, expected in ((1 - 1e-6, True), (1 + 1e-6, False)):
+            y, regular = matcore.inv_resolvent(d, zeta, [[m * scale / tol]], tol)
+            assert regular.tolist() == [expected], (d, zeta, scale)
+            if expected:
+                assert abs(y[0, 0, 0]) == pytest.approx(scale / tol, rel=1e-12)
+            else:
+                assert not y.any()
+
+
+@pytest.mark.parametrize("rhs", [1.0, 2.0**26])
+def test_inv_resolvent_residual_at_threshold(rhs):
+    # 1 - (-48) * 1 = 49 exactly, and 49 * fl(1/49) != 1: the narrow residual
+    # is one rounding of the right side; 2^26 puts it at 7.5e-9, near the
+    # default tol
+    d, zeta = [[-48.0]], [[1.0]]
+    y, regular = matcore.inv_resolvent(d, zeta, [[rhs]], tol=1e-7)
+    res = abs(49.0 * y[0, 0, 0] - rhs)
+    assert regular.all() and res > 0.0
+    for scale, expected in ((1 + 1e-6, True), (1 - 1e-6, False)):
+        _, regular = matcore.inv_resolvent(d, zeta, [[rhs]], tol=res * scale)
+        assert regular.tolist() == [expected], scale
+
+
+def test_inv_resolvent_ill_conditioned_point_is_singular():
+    # I - c D with c = 2 + 1e-15 has condition number 5e38; its solve is
+    # exact to rounding, so only the bound on Y catches it
+    d = 0.5 * np.array([[1.0, 1e4], [0.0, 1.0]])
+    zeta = np.full((1, 2), 2.0 + 1e-15)
+    m = np.eye(2) - d * zeta
+    x = np.linalg.solve(m, np.eye(2))
+    assert matcore.operator_norm(m @ x - np.eye(2)) <= 1e-8 < 1e34 < np.linalg.norm(x)
+    for rhs in (np.eye(2), np.eye(2)[:, :1], np.eye(2)[:, 1:]):
+        y, regular = matcore.inv_resolvent(d, zeta, rhs)
+        assert not regular[0] and not y.any()
+
+
+def test_inv_resolvent_blind_spot():
+    # the documented blind spot: M = diag(1 - c/2, 1) is nearly singular only
+    # along e1, which the right side e2 never reaches, so Y stays bounded
+    d = np.diag([0.5, 0.0])
+    zeta = np.full((1, 2), 2.0 + 1e-15)
+    y, regular = matcore.inv_resolvent(d, zeta, [[0.0], [1.0]])
+    assert regular[0] and np.array_equal(y[0], [[0.0], [1.0]])
+    _, regular = matcore.inv_resolvent(d, zeta, [[1.0], [0.0]])
+    assert not regular[0]
 
 
 # ---------------------------------------------------------------------------
@@ -495,17 +557,30 @@ def test_operator_norms_within_non_finite(rng):
 
 
 def test_inv_resolvent_mask_matches_full_svd(monkeypatch):
-    # I - c D is exactly singular at c = 2; next to it the residual of the
-    # solve crosses tol = 1e-8 back and forth (5e-9 to 3e-4 on this sweep)
+    # I - c D is exactly singular at c = 2; next to it ||Y||_F runs from 4e6
+    # to 4e20 and the narrow residual from 6e-12 to 9e-5.  At tol = 1e-8 the
+    # bound on Y decides (36 points pass the residual test and fail the
+    # bound), at tol = 1e-10 the residual test does (18 bounded points fail it)
     d = 0.5 * np.array([[1.0, 1e4], [0.0, 1.0]])
     steps = np.logspace(-1, -8, 57)
     c = 2.0 + np.concatenate([-steps, [0.0], steps[::-1]])
     zeta = np.repeat(c[:, None], 2, axis=1)
-    x, regular = matcore.inv_resolvent(d, zeta)
+    rhs = np.eye(2)
+    m = np.eye(2) - d * zeta[:, None, :]
+    solved = np.linalg.det(m) != 0
+    m_solvable = np.where(solved[:, None, None], m, np.eye(2))
+    y_ref = np.linalg.solve(m_solvable, np.broadcast_to(rhs, m.shape))
+    frob = np.linalg.norm(y_ref, axis=(1, 2))
+    res = matcore.operator_norm(m @ y_ref - rhs)
+    screened = {tol: matcore.inv_resolvent(d, zeta, rhs, tol) for tol in (1e-8, 1e-10)}
     monkeypatch.setattr(matcore, "operator_norms_within", full_within)
-    x_full, regular_full = matcore.inv_resolvent(d, zeta)
-    assert np.array_equal(regular, regular_full)
-    assert np.array_equal(x, x_full)
-    assert not regular[57]
-    assert 10 < np.count_nonzero(regular[:57]) < 50
-    assert 10 < np.count_nonzero(regular[58:]) < 50
+    for tol, (y, regular) in screened.items():
+        y_full, regular_full = matcore.inv_resolvent(d, zeta, rhs, tol)
+        assert np.array_equal(regular, regular_full)
+        assert np.array_equal(y, y_full)
+        bounded = solved & (frob <= 1.0 / tol)
+        assert np.array_equal(regular, bounded & (res <= tol))
+        assert not regular[57]
+        assert 1 < np.count_nonzero(regular[:57]) and 1 < np.count_nonzero(regular[58:])
+    assert np.count_nonzero(solved & (res <= 1e-8) & ~(frob <= 1e8)) > 10
+    assert np.count_nonzero(solved & (frob <= 1e10) & ~(res <= 1e-10)) > 10

@@ -4,7 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
-from polydil import generators, hardy, matcore, realization as rz, tuples
+from polydil import hardy, matcore, realization as rz, tuples
 from polydil.errors import IsometryDefect, NotContraction
 from polydil.matcore import adj
 
@@ -13,6 +13,7 @@ from conftest import (
     random_complex,
     random_unitary,
     w2_tensor_jordan,
+    w3_nonnormal,
     zero_triple,
 )
 
@@ -394,13 +395,6 @@ def test_lifting_matches_double_loop_oracle(rng):
     res, _ = rz.lifting_residual(t, cert, r, cap)
     assert worst > 1e-3
     assert res == pytest.approx(worst, abs=1e-13)
-
-
-def w3_nonnormal():
-    """(0.5 I + 0.5 J_9, 0, 0.3 T_1) with the last-defect certificate."""
-    t1 = 0.5 * np.eye(9) + 0.5 * generators.lower_shift(9)
-    pair = tuples.make_tuple([t1, np.zeros((9, 9))])
-    return generators.last_defect_tuple(pair, 0.3 * t1)
 
 
 # The tail rows of the non-normal triple; their bounds are not pinned.

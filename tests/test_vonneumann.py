@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from polydil import matcore, realization as rz, tuples, vonneumann as vn
+from polydil import generators, matcore, realization as rz, tuples, vonneumann as vn
 from polydil.errors import ArityMismatch, ParseError
 from polydil.matcore import adj
 
@@ -13,6 +13,7 @@ from conftest import (
     random_unitary,
     svd_torus_sup,
     w2_tensor_jordan,
+    w3_nonnormal,
     zero_triple,
 )
 
@@ -156,6 +157,34 @@ def test_polydisc_grid_sup_bounded_by_coefficient_sum(rng):
     assert sup >= 2.0  # attained on the grid at aligned phases
 
 
+def full_grid_sup(p, grid):
+    """The fiber maximum over every row of the grid^n torus grid, the last
+    coordinate read off each row: the reference for ``polydisc_grid_sup``."""
+    points = rz.grid_points(rz.unit_circle(grid), p.nvars).reshape(-1, grid, p.nvars)
+    return vn._fiber_sup(p, points[:, 0, :-1], points[:, :, -1])
+
+
+def test_polydisc_grid_sup_matches_the_full_grid(rng):
+    for index in range(200):
+        nvars = 1 + index % 4
+        grid = 3 if index // 4 % 2 else [32, 16, 9, 5][nvars - 1]
+        exponents = list(itertools.product(range(4), repeat=nvars))
+        terms = {}
+        for _ in range(int(rng.integers(1, 7))):
+            k = exponents[int(rng.integers(0, len(exponents)))]
+            terms[k] = complex(rng.standard_normal(), rng.standard_normal())
+        p = vn.multipoly(nvars, terms)
+        assert vn.polydisc_grid_sup(p, grid).hex() == full_grid_sup(p, grid).hex(), p.terms
+
+
+def test_polydisc_grid_sup_one_variable():
+    assert rz.grid_points(rz.unit_circle(4), 0).shape == (1, 0)
+    p = vn.multipoly(1, {(2,): 1.0, (0,): -1.0})
+    assert vn.polydisc_grid_sup(p, 8) == pytest.approx(2.0, abs=1e-15)  # at z = +-1
+    assert vn.polydisc_grid_sup(p, 8) == full_grid_sup(p, 8)
+    assert vn.polydisc_grid_sup(vn.multipoly(1, {}), 8) == 0.0
+
+
 # ---------------------------------------------------------------------------
 # split_transfer
 
@@ -266,6 +295,21 @@ def test_exactly_singular_point_is_skipped_alone(grid):
     assert cache.points.shape == (grid - 1, 1)
     assert np.all(cache.points[:, 0] != 1.0)
     assert np.allclose(cache.eigs, 1.0)  # Phi is 1x1, so its eigenvalue is Phi
+
+
+@pytest.mark.parametrize("which", ["w1", "w2", "w3"])
+def test_no_singular_torus_points_on_the_workloads(which):
+    # the (3,3) product triple at r = 0.9 with (j,k) = (2,3), the n = 4
+    # tensor-Jordan tuple and the non-normal triple
+    tuple_and_cert = {
+        "w1": lambda: generators.product_triple(generators.jordan_pair(3, 3, 0.9, 0.9), 2, 3),
+        "w2": w2_tensor_jordan,
+        "w3": w3_nonnormal,
+    }[which]()
+    r = rz.build_generating_unitary(*tuple_and_cert)
+    inner = rz.inner_check(r, 32)
+    assert inner.singular_points == 0 and inner.grid_points == 32 ** len(r.partition)
+    assert vn.precompute_torus(r, 32).singular_points == 0
 
 
 # ---------------------------------------------------------------------------
