@@ -7,7 +7,10 @@ document is ``{dim, n, operators, certificate?: {G: [...]}}`` and a
 realization document carries the blocks ``{A, B, C, D, partition}``.  Each
 document is written as one line of JSON (``python -m json.tool FILE``
 pretty-prints one).  Reals are written as Python's shortest round-trip repr
-and a zero keeps its sign, so save/load round trips are bit-identical.
+and a zero keeps its sign, so save/load round trips are bit-identical.  The
+variety document's points are written from their structured array chunk by
+chunk, from values the standard library's encoder writes, in the bytes one
+``json.dumps`` of the whole document would give.
 
 Exit codes: 0 success, 2 parse failure, 3 certification failure, 4 dilation
 failure, 5 verification failure, 6 von Neumann margin violation, 7 variety
@@ -125,14 +128,68 @@ def dumps_document(doc: dict) -> str:
         raise ParseError(f"cannot serialize document: {exc}") from exc
 
 
-def write_document(doc: dict, path: str) -> None:
+# Rows of a streamed points array encoded and written at a time.
+POINTS_CHUNK = 4096
+
+
+def _column_texts(column: np.ndarray) -> list[str]:
+    """The JSON text of each row of one field column (float, complex, bool
+    or str values, a complex one as [re, im]), as ``json.dumps`` writes the
+    row's ``tolist()``.  Each run of consecutive rows with bit-identical
+    values is encoded once: a bitwise test, since -0.0 == 0.0."""
+    raw = np.ascontiguousarray(column).view(np.uint8).reshape(len(column), -1)
+    new = np.ones(len(column), dtype=bool)
+    new[1:] = np.any(raw[1:] != raw[:-1], axis=1)
+    heads = column[new]
+    if heads.dtype.kind == "c":
+        heads = np.stack([heads.real, heads.imag], -1)
+    values = heads.reshape(-1).tolist()
+    if heads.dtype.kind == "U":
+        texts = [json.dumps(value) for value in values]
+    else:  # no float or bool text holds ", "
+        texts = json.dumps(values, allow_nan=False)[1:-1].split(", ")
+    if heads.ndim > 1:
+        # the row's nested list with %s in place of each value
+        row = json.dumps(np.zeros(heads.shape[1:]).tolist()).replace("0.0", "%s")
+        k = heads[0].size
+        texts = [row % values for values in zip(*(texts[j::k] for j in range(k)))]
+    return texts if new.all() else [texts[i] for i in (np.cumsum(new) - 1).tolist()]
+
+
+def _streamed(head: str, points: np.ndarray):
+    """``head`` (a one-object document line) with a last key "points"
+    holding one object per row of ``points``, yielded chunk by chunk."""
+    names = points.dtype.names
+    row = "{" + ", ".join(f"{json.dumps(name)}: %s" for name in names) + "}"
+    yield head[:-2] + (", " if head != "{}\n" else "") + '"points": ['
+    for start in range(0, len(points), POINTS_CHUNK):
+        chunk = points[start : start + POINTS_CHUNK]
+        columns = [_column_texts(chunk[name]) for name in names]
+        yield (", " if start else "") + ", ".join([row % values for values in zip(*columns)])
+    yield "]}\n"
+
+
+def write_document(doc: dict, path: str, points: np.ndarray | None = None) -> None:
+    """Write ``doc`` as one line of JSON to ``path`` ('-' for stdout).
+
+    ``points``, a structured array, becomes the last key "points": one
+    object per row, keys in field order, in the bytes ``dumps_document``
+    gives for those rows as dicts.  Its rows are encoded and written chunk
+    by chunk.  Every refusal (a non-finite value anywhere) is decided
+    before the file is opened or anything reaches stdout."""
     text = dumps_document(doc)
+    pieces = [text]
+    if points is not None:
+        for name in points.dtype.names:
+            if points[name].dtype.kind in "fc" and not np.isfinite(points[name]).all():
+                raise ParseError(f"cannot serialize document: non-finite value in points {name!r}")
+        pieces = _streamed(text, points)
     if path == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
         return
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
     except OSError as exc:
         raise ParseError(f"cannot write {path}: {exc}") from exc
 
@@ -357,21 +414,14 @@ def cmd_variety(args: argparse.Namespace, config: RunConfig) -> int:
     sample = vn.variety_sample(
         r, grid_per_axis=config.variety_grid, radius=config.radius, root_tol=config.root_tol
     )
-    # one column per field, complex ones as [re, im] pairs
-    pts, names = sample.points, sample.points.dtype.names
-    columns = [
-        matrix_to_doc(pts[name]) if pts[name].dtype.kind == "c" else pts[name].tolist()
-        for name in names
-    ]
     doc = {
         "h0_dim": sample.h0_dim,
         "singular_points": sample.singular_points,
         "max_residual": sample.max_residual,
         "residual_ok": sample.residual_ok,
-        "count": len(pts),
-        "points": [dict(zip(names, row)) for row in zip(*columns)],
+        "count": len(sample.points),
     }
-    write_document(doc, config.out)
+    write_document(doc, config.out, points=sample.points)
     return EXIT_OK if sample.residual_ok else EXIT_VARIETY
 
 

@@ -32,6 +32,20 @@ def constant_realization(u, var_count=2):
     )
 
 
+def direct_sum_constant(r, u):
+    """r with the 1x1 unimodular constant u added to its E-space: Phi (+) conj(u)."""
+    e, f = r.dim_e, r.dim_f
+    a = np.zeros((e + 1, e + 1), dtype=complex)
+    a[:e, :e], a[e, e] = r.a, u
+    return rz.TransferRealization(
+        a=a,
+        b=np.vstack([r.b, np.zeros((1, f))]),
+        c=np.hstack([r.c, np.zeros((f, 1))]),
+        d=r.d,
+        partition=r.partition,
+    )
+
+
 def svd_torus_sup(p, r, points):
     """max over the rows zeta of ``points`` of ||P(zeta_1 I, ..., zeta_m I,
     Phi(zeta))||, with Phi from ``rz.transfer_eval_many`` and one SVD per

@@ -8,6 +8,8 @@ import pytest
 from polydil import cli, realization as rz, vonneumann as vn
 from polydil.errors import IsometryDefect
 
+from conftest import direct_sum_constant, w3_nonnormal, zero_triple
+
 
 def run(argv):
     return cli.main(argv)
@@ -342,6 +344,148 @@ def test_variety_residual_failure_exit7(triple_doc, monkeypatch, tmp_path):
     assert run(argv) == cli.EXIT_VARIETY == 7
     doc = json.loads(out.read_text())
     assert doc["residual_ok"] is False and doc["count"] == len(doc["points"]) > 0
+
+
+def oracle_document(head: dict, points: np.ndarray) -> str:
+    """One dumps_document of the head plus every point as a dict of nested
+    lists: the bytes the streamed points writer must reproduce."""
+    names = points.dtype.names
+    columns = [
+        cli.matrix_to_doc(points[name]) if points[name].dtype.kind == "c" else points[name].tolist()
+        for name in names
+    ]
+    return cli.dumps_document({**head, "points": [dict(zip(names, row)) for row in zip(*columns)]})
+
+
+def assert_same_text(text: str, oracle: str) -> None:
+    """text == oracle, reporting the first difference rather than a full
+    diff, which takes minutes on megabyte documents."""
+    same = text == oracle
+    if not same:
+        at = next((i for i, (a, b) in enumerate(zip(text, oracle)) if a != b), None)
+        at = min(len(text), len(oracle)) if at is None else at
+        assert same, f"differ at {at}: {text[at - 40 : at + 40]!r} != {oracle[at - 40 : at + 40]!r}"
+
+
+def variety_head(sample) -> dict:
+    return {
+        "h0_dim": sample.h0_dim,
+        "singular_points": sample.singular_points,
+        "max_residual": sample.max_residual,
+        "residual_ok": sample.residual_ok,
+        "count": len(sample.points),
+    }
+
+
+def recording_variety_sample(monkeypatch, change=lambda sample: sample) -> list:
+    """Make the CLI's variety_sample pass its result through ``change`` and
+    record it; returns the list of recorded samples."""
+    samples, sample = [], vn.variety_sample
+
+    def recording(*args, **kwargs):
+        samples.append(change(sample(*args, **kwargs)))
+        return samples[-1]
+
+    monkeypatch.setattr(vn, "variety_sample", recording)
+    return samples
+
+
+@pytest.mark.parametrize("which, grid", [("readme", 9), ("w3", 5)])
+def test_variety_document_matches_dict_oracle(which, grid, tmp_path, monkeypatch):
+    # the README's (2,2) triple at r = 0.9 and the non-normal triple
+    if which == "readme":
+        triple = ["generate", "product-triple", "--r1", "0.9", "--r2", "0.9"]
+        assert run(triple + ["--out", str(tmp_path / "triple.json")]) == 0
+    else:
+        t, cert = w3_nonnormal()
+        cli.write_document(cli.tuple_to_doc(t, cert.g), str(tmp_path / "triple.json"))
+    samples = recording_variety_sample(monkeypatch)
+    out = tmp_path / "variety.json"
+    argv = ["variety", str(tmp_path / "triple.json"), "--variety-grid", str(grid)]
+    assert run(argv + ["--out", str(out)]) == 0
+    (sample,) = samples
+    if which == "readme":
+        assert len(sample.points) > cli.POINTS_CHUNK  # written in several chunks
+    assert_same_text(out.read_text(), oracle_document(variety_head(sample), sample.points))
+
+
+@pytest.mark.parametrize("which", ["mixed", "empty"])
+def test_streamed_points_match_dict_oracle(which, tmp_path):
+    if which == "mixed":  # V1 fibers of the zero triple, one V0 fiber per base point
+        r = direct_sum_constant(rz.build_generating_unitary(*zero_triple(1)), np.exp(0.2j))
+        sample = vn.variety_sample(r, grid_per_axis=5, radius=0.95)
+        assert set(sample.points["component"]) == {"V0", "V1"}
+    else:  # no grid point lies inside the disc at grid 2
+        sample = vn.variety_sample(rz.build_generating_unitary(*zero_triple(1)), grid_per_axis=2)
+        assert len(sample.points) == 0
+    out = tmp_path / "variety.json"
+    cli.write_document(variety_head(sample), str(out), points=sample.points)
+    assert_same_text(out.read_text(), oracle_document(variety_head(sample), sample.points))
+
+
+def test_streamed_points_keep_bits_across_chunks(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "POINTS_CHUNK", 3)
+    big, tiny = 1.7976931348623157e308, 5e-324
+    fields = [("base", complex, (2,)), ("fiber", complex), ("component", "U2"),
+              ("residual", float), ("interior", bool)]
+    points = np.zeros(8, dtype=fields)
+    # one base run over rows 0-4, across the chunk boundary at row 3, then
+    # bases that differ from it only in the sign of a zero
+    points["base"][:5] = [complex(-0.0, tiny), big]
+    points["base"][5] = [complex(0.0, tiny), big]
+    points["base"][6:] = [complex(0.0, -tiny), -big]
+    points["fiber"] = [-0.0, 0.0, tiny, -tiny * 1j, big, complex(-0.0, -0.0), 0.1 + 0.2, -big]
+    points["component"] = ["V1", "V1", "V0", "V0", "V1", "V0", "V1", "V1"]
+    points["residual"] = [-0.0, 0.0, tiny, big, 1e-17, -0.0, 0.0, 3.0]
+    points["interior"] = [True, True, False, False, True, False, True, False]
+    head = {"count": len(points)}
+    out = tmp_path / "points.json"
+    cli.write_document(head, str(out), points=points)
+    text = out.read_text()
+    assert_same_text(text, oracle_document(head, points))
+    back = json.loads(text)["points"]
+    assert [_bits(p["base"][0][0]) for p in back[4:7]] == [_bits(-0.0), _bits(0.0), _bits(0.0)]
+    empty = tmp_path / "empty.json"
+    cli.write_document({}, str(empty), points=points[:0])
+    assert empty.read_text() == oracle_document({}, points[:0]) == '{"points": []}\n'
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("field", ["residual", "fiber", "base"])
+def test_variety_non_finite_point_exit2(field, value, triple_doc, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "POINTS_CHUNK", 4)
+
+    def poison_last_point(sample):
+        sample.points[field][-1] = value  # in the last chunk
+        return sample
+
+    recording_variety_sample(monkeypatch, poison_last_point)
+    out = tmp_path / "variety.json"
+    for path in (str(out), "-"):
+        assert run(["variety", str(triple_doc), "--variety-grid", "3", "--out", path]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().out == ""
+
+
+def test_variety_nan_max_residual_exit2(triple_doc, tmp_path, monkeypatch, capsys):
+    recording_variety_sample(
+        monkeypatch, lambda sample: dataclasses.replace(sample, max_residual=float("nan"))
+    )
+    out = tmp_path / "variety.json"
+    for path in (str(out), "-"):
+        assert run(["variety", str(triple_doc), "--variety-grid", "3", "--out", path]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().out == ""
+
+
+def test_variety_stdout_matches_file(triple_doc, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "POINTS_CHUNK", 7)
+    out = tmp_path / "variety.json"
+    argv = ["variety", str(triple_doc), "--variety-grid", "3", "--out"]
+    assert run(argv + [str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert run(argv + ["-"]) == 0
+    assert capsys.readouterr().out == out.read_text()
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from polydil.matcore import adj
 
 from conftest import (
     constant_realization,
+    direct_sum_constant,
     random_complex,
     random_unitary,
     svd_torus_sup,
@@ -333,20 +334,6 @@ def variety_oracle(r, grid_per_axis, radius):
             fibers = [(lam, "V1", np.abs(matcore.det(lam * eye - phi))) for lam in matcore.eigvals(phi)]
         rows += [(base, lam, comp, res, abs(lam) < 1.0) for lam, comp, res in fibers + v0]
     return rows
-
-
-def direct_sum_constant(r, u):
-    """r with the 1x1 unimodular constant u added to its E-space: Phi (+) conj(u)."""
-    e, f = r.dim_e, r.dim_f
-    a = np.zeros((e + 1, e + 1), dtype=complex)
-    a[:e, :e], a[e, e] = r.a, u
-    return rz.TransferRealization(
-        a=a,
-        b=np.vstack([r.b, np.zeros((1, f))]),
-        c=np.hstack([r.c, np.zeros((f, 1))]),
-        d=r.d,
-        partition=r.partition,
-    )
 
 
 @pytest.mark.parametrize(
