@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import generators, realization as rz, tuples, vonneumann as vn
+from . import generators, hardy, matcore, realization as rz, tuples, vonneumann as vn
 from .errors import CertificationError, DilationError, NotIsometric, ParseError, PolydilError
 
 EXIT_OK = 0
@@ -55,13 +55,15 @@ ENV_PREFIX = "POLYDIL_"
 
 @dataclass(frozen=True)
 class RunConfig:
-    cap: int = 12
+    # grid, variety_grid, radius and seed mirror the defaults of
+    # run_identity_suite, vn_check and variety_sample
+    cap: int = hardy.DEFAULT_CAP
     grid: int = 32
     variety_grid: int = 17
     radius: float = 0.95
-    cert_tol: float = 1e-8
+    cert_tol: float = tuples.CERT_TOL
     vn_tol: float = 1e-7
-    root_tol: float = 1e-7
+    root_tol: float = matcore.ROOT_TOL
     seed: int = 0
     out: str = "-"
 
@@ -262,8 +264,10 @@ def tuple_from_doc(doc: dict) -> tuple[tuples.OperatorTuple, list | None]:
     for key in ("dim", "n", "operators"):
         if key not in doc:
             raise ParseError(f"tuple document is missing {key!r}")
+    dim, n = doc["dim"], doc["n"]
+    if not all(isinstance(x, int) and not isinstance(x, bool) for x in (dim, n)):
+        raise ParseError("tuple document's dim and n must be integers")
     try:
-        dim, n = int(doc["dim"]), int(doc["n"])
         ops = [matrix_from_doc(m) for m in list(doc["operators"])]
         if len(ops) != n:
             raise ParseError("operator count does not match n")

@@ -75,7 +75,7 @@ def product_triple(
     eye = np.eye(pair.dim, dtype=complex)
     g1 = eye - t1j @ adj(t1j)
     g2 = t1j @ (eye - t2k @ adj(t2k)) @ adj(t1j)
-    triple = make_tuple([t1, t2, t3], pair.commute_tol, pair.contract_tol)
+    triple = make_tuple([t1, t2, t3])
     try:
         cert = verify_certificate(triple, [g1, g2], tol)
     except CertificationError as exc:
@@ -90,7 +90,7 @@ def last_defect_tuple(
     with G_1 = I - T_n T_n* and G_i = 0 otherwise."""
     if pair.n != 2:
         raise ValueError("last_defect_tuple extends a 2-tuple")
-    triple = make_tuple(list(pair.ops) + [tn], pair.commute_tol, pair.contract_tol)
+    triple = make_tuple(list(pair.ops) + [tn])
     cert = last_defect_certificate(triple, tol)
     return triple, cert
 

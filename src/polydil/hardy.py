@@ -27,13 +27,13 @@ from .tuples import OperatorTuple, DilationCertificate, is_pure, spectral_radius
 DEFAULT_CAP = 12
 
 
-def nilpotency_order(m, tol: float = 1e-14) -> int | None:
-    """Smallest p <= dim with ||M^p|| below tol, or None if M is not nilpotent."""
+def nilpotency_order(m) -> int | None:
+    """Smallest p <= dim with ||M^p|| <= 1e-14, or None if M is not nilpotent."""
     m = matcore.as_matrix(m)
     p = np.eye(m.shape[0], dtype=complex)
     for order in range(1, m.shape[0] + 1):
         p = p @ m
-        if operator_norm(p) <= tol:
+        if operator_norm(p) <= 1e-14:
             return order
     return None
 
@@ -94,14 +94,6 @@ class CoefficientEmbedding:
         if h.size != self.tuple.dim:
             raise DimensionMismatch("vector dimension mismatch")
         return self.coeffs @ h
-
-    def adjoint_apply(self, f) -> np.ndarray:
-        """sum_k T^k M* f_k for a coefficient array f of shape
-        (cap+1,)*m + (out,); exact on the box."""
-        f = np.asarray(f, dtype=complex)
-        if f.shape != self.coeffs.shape[:-1]:
-            raise DimensionMismatch("element does not match the embedding")
-        return np.tensordot(f, self.coeffs.conj(), axes=f.ndim)
 
     def isometry_defect(self, h) -> float:
         """||Pi h||^2 - ||h||^2; nonpositive, and zero once the cap swallows

@@ -144,13 +144,13 @@ def herm_eig(a, tol: float = EIG_TOL) -> HermEig:
     return HermEig(w, v)
 
 
-def psd_sqrt(a, tol: float = PSD_CLAMP_TOL, eig_tol: float = EIG_TOL) -> np.ndarray:
+def psd_sqrt(a, tol: float = PSD_CLAMP_TOL) -> np.ndarray:
     """Hermitian psd square root.
 
     Eigenvalues in ``[-tol, 0)`` are clamped to zero; anything below ``-tol``
     raises NotPsd.
     """
-    w, v = herm_eig(a, eig_tol)
+    w, v = herm_eig(a)
     if w.size and w[0] < -tol:
         raise NotPsd(float(w[0]))
     w = np.clip(w, 0.0, None)
@@ -174,23 +174,14 @@ def kernel_basis(a, tol: float = EIG_TOL) -> np.ndarray:
 
 
 def range_onb(vectors, tol: float = EIG_TOL) -> np.ndarray:
-    """Orthonormal basis of the numerical span of the given columns.
+    """Orthonormal basis of the numerical span of the columns of a matrix.
 
-    ``vectors`` is a matrix whose columns generate the subspace (or a
-    sequence of column vectors).  Rank is decided at ``tol * max(1, sigma_0)``.
+    Rank is decided at ``tol * max(1, sigma_0)``.
     """
-    if isinstance(vectors, (list, tuple)):
-        cols = [np.asarray(v, dtype=complex).reshape(-1) for v in vectors]
-        if not cols:
-            return np.zeros((0, 0), dtype=complex)
-        m = np.column_stack(cols)
-    else:
-        m = as_matrix(vectors)
+    m = as_matrix(vectors)
     if m.shape[1] == 0 or m.shape[0] == 0:
         return np.zeros((m.shape[0], 0), dtype=complex)
     u, s, _ = np.linalg.svd(m, full_matrices=False)
-    if s.size == 0:
-        return np.zeros((m.shape[0], 0), dtype=complex)
     thr = tol * max(1.0, s[0])
     rank = int(np.sum(s > thr))
     return u[:, :rank]

@@ -227,23 +227,21 @@ class CnuDecomposition:
     unitary_block: np.ndarray
     h1_frame: np.ndarray
     cnu_block: np.ndarray
-    offdiag_residual: float
-    unitary_residual: float
-    cnu_spectral_bound: float
 
     @property
     def h0_dim(self) -> int:
         return self.h0_frame.shape[1]
 
 
-def cnu_decomposition(a, tol: float = 1e-9) -> CnuDecomposition:
+def cnu_decomposition(a) -> CnuDecomposition:
     """Split a contraction into its unitary and completely-non-unitary parts.
 
     H0 is the intersection of the kernels of I - A*^m A^m and I - A^m A*^m
-    for m = 1..dim; the compression of A to H0 is unitary and the H1
-    compression has no unimodular eigenvalues (its spectral bound is
-    reported for cross-checking).
+    for m = 1..dim; the compression of A to H0 is unitary, the H1
+    compression has no unimodular eigenvalues, and H0 reduces A.  Norm and
+    kernel decisions use the tolerance 1e-9.
     """
+    tol = 1e-9
     m = matcore.as_matrix(a)
     if m.shape[0] != m.shape[1]:
         raise DimensionMismatch("canonical decomposition needs a square matrix")
@@ -260,27 +258,12 @@ def cnu_decomposition(a, tol: float = 1e-9) -> CnuDecomposition:
         stack_rows.append(eye - power @ adj(power))
     stacked = np.vstack(stack_rows) if stack_rows else np.zeros((0, d), dtype=complex)
     h0 = matcore.kernel_basis(stacked, tol)
-    h1 = matcore.kernel_basis(adj(h0), tol) if h0.shape[1] else np.eye(d, dtype=complex)
-    if h0.shape[1] == d:
-        h1 = np.zeros((d, 0), dtype=complex)
-    w = adj(h0) @ m @ h0
-    e_blk = adj(h1) @ m @ h1
-    offdiag = 0.0
-    if h0.shape[1] and h1.shape[1]:
-        offdiag = max(
-            operator_norm(adj(h0) @ m @ h1),
-            operator_norm(adj(h1) @ m @ h0),
-        )
-    unit_res = operator_norm(adj(w) @ w - np.eye(h0.shape[1])) if h0.shape[1] else 0.0
-    cnu_bound = float(np.max(np.abs(matcore.eigvals(e_blk)), initial=0.0))
+    h1 = matcore.kernel_basis(adj(h0), tol)
     return CnuDecomposition(
         h0_frame=h0,
-        unitary_block=w,
+        unitary_block=adj(h0) @ m @ h0,
         h1_frame=h1,
-        cnu_block=e_blk,
-        offdiag_residual=offdiag,
-        unitary_residual=unit_res,
-        cnu_spectral_bound=cnu_bound,
+        cnu_block=adj(h1) @ m @ h1,
     )
 
 
@@ -326,15 +309,17 @@ def transfer_taylor(r: TransferRealization, cap: int) -> np.ndarray:
 # dilation-level identity checks
 
 
-def _tail(hat_t: OperatorTuple, cap: int, dim: int) -> tuple[float, float]:
-    """The largest spectral radius of the hat-tuple and the tail bound it gives."""
-    rho = max(spectral_radius(m) for m in hat_t.ops) if hat_t.ops else 0.0
-    return rho, hardy.tail_tolerance(rho, cap, np.sqrt(dim))
-
-
 def _lifting(
     t: OperatorTuple, pi: hardy.CoefficientEmbedding, phi: np.ndarray, cap: int
 ) -> float:
+    """Residual of the commutant lifting  M_Phi* Pi = Pi T_n*.
+
+    Verified coefficientwise: for every k in the box the coefficient of
+    Pi T_n* is compared against sum_j Phi_j* Pi_{k+j}, a correlation of the
+    Taylor tensor ``phi`` of Phi with the coefficient tensor of Pi over the
+    shifts j in the box.  Every pairing inside the box is present, so only
+    the genuine infinite tail is dropped.
+    """
     rhs = np.zeros_like(pi.coeffs)
     for j in np.ndindex(*phi.shape[:-2]):
         head = tuple(slice(0, cap + 1 - x) for x in j)
@@ -344,25 +329,6 @@ def _lifting(
     return matcore.max_operator_norm(lhs - rhs)
 
 
-def lifting_residual(
-    t: OperatorTuple,
-    cert: DilationCertificate,
-    r: TransferRealization,
-    cap: int,
-) -> tuple[float, float]:
-    """Residual and tail bound for the commutant lifting  M_Phi* Pi = Pi T_n*.
-
-    Verified coefficientwise: for every k in the box the coefficient of
-    Pi T_n* is compared against sum_j Phi_j* Pi_{k+j}, a correlation of the
-    Taylor tensor of Phi with the coefficient tensor of Pi over the shifts j
-    in the box.  Every pairing inside the box is present, so only the
-    genuine infinite tail is dropped.
-    """
-    hat_t = hat(t, t.n)
-    pi = hardy.canonical_isometry(hat_t, cert.defect, cert.d_frame, cap)
-    return _lifting(t, pi, transfer_taylor(r, cap), cap), _tail(hat_t, cap, t.dim)[1]
-
-
 def _strict_multiplier(
     hat_t: OperatorTuple,
     cert: DilationCertificate,
@@ -370,24 +336,6 @@ def _strict_multiplier(
     pi: hardy.CoefficientEmbedding,
     phi: np.ndarray,
 ) -> float:
-    col_plain, _ = hardy.defect_block_maps(cert, hat_t)
-    b_adj = adj(r.b)
-    lhs = sum(
-        op @ adj(col_plain[sl]) @ b_adj[sl]
-        for op, sl in zip(hat_t.ops, hardy.block_slices(cert.ranks))
-    )
-    strict = phi.copy()  # the suite shares phi with the lifting row
-    strict[(0,) * hat_t.n] = 0.0
-    rhs = adj(pi.coeffs.reshape(-1, hat_t.dim)) @ strict.reshape(-1, r.dim_e)
-    return float(np.max(np.linalg.norm(lhs - rhs, axis=0), initial=0.0))
-
-
-def strict_multiplier_residual(
-    t: OperatorTuple,
-    cert: DilationCertificate,
-    r: TransferRealization,
-    cap: int,
-) -> tuple[float, float]:
     """Residual of the strict-part multiplier identity.
 
     Feeding a constant through the B*-block, the block shift and the
@@ -396,10 +344,16 @@ def strict_multiplier_residual(
     function, sum_{k != 0} Pi_k* Phi_k; the gap is the multiplier's Taylor
     tail beyond the cap.
     """
-    hat_t = hat(t, t.n)
-    pi = hardy.canonical_isometry(hat_t, cert.defect, cert.d_frame, cap)
-    res = _strict_multiplier(hat_t, cert, r, pi, transfer_taylor(r, cap))
-    return res, _tail(hat_t, cap, t.dim)[1]
+    col_plain, _ = hardy.defect_block_maps(cert, hat_t)
+    b_adj = adj(r.b)
+    lhs = sum(
+        op @ adj(col_plain[sl]) @ b_adj[sl]
+        for op, sl in zip(hat_t.ops, hardy.block_slices(cert.ranks))
+    )
+    strict = phi.copy()  # phi is shared with the lifting row
+    strict[(0,) * hat_t.n] = 0.0
+    rhs = adj(pi.coeffs.reshape(-1, hat_t.dim)) @ strict.reshape(-1, r.dim_e)
+    return float(np.max(np.linalg.norm(lhs - rhs, axis=0), initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -461,7 +415,8 @@ def run_identity_suite(
     cap = hardy.effective_cap(hat_t, cap)
     m_vars = hat_t.n
     taylor_cap = m_vars * cap
-    rho, tail = _tail(hat_t, cap, t.dim)
+    rho = max(spectral_radius(m) for m in hat_t.ops)
+    tail = hardy.tail_tolerance(rho, cap, np.sqrt(t.dim))
 
     pi = hardy.canonical_isometry(hat_t, cert.defect, cert.d_frame, cap)
     j_map = hardy.tuple_embedding(hat_t, cap)

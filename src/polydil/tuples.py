@@ -42,14 +42,12 @@ class OperatorTuple:
     """n commuting contractions on C^dim.
 
     ``ops`` are d x d complex matrices; validity (commutators within
-    ``commute_tol``, norms within ``1 + contract_tol``) is established by
+    ``COMMUTE_TOL``, norms within ``1 + CONTRACT_TOL``) is established by
     :func:`make_tuple` and assumed afterwards.
     """
 
     ops: tuple[np.ndarray, ...]
     dim: int
-    commute_tol: float
-    contract_tol: float
 
     @property
     def n(self) -> int:
@@ -62,11 +60,7 @@ class OperatorTuple:
         return self.ops[i - 1]
 
 
-def make_tuple(
-    matrices: Sequence,
-    commute_tol: float = COMMUTE_TOL,
-    contract_tol: float = CONTRACT_TOL,
-) -> OperatorTuple:
+def make_tuple(matrices: Sequence) -> OperatorTuple:
     """Validate and build an OperatorTuple."""
     ops = tuple(matcore.as_matrix(m) for m in matrices)
     if not ops:
@@ -77,13 +71,13 @@ def make_tuple(
             raise DimensionMismatch(f"expected {d}x{d} blocks, got {m.shape}")
     for i, m in enumerate(ops):
         norm = operator_norm(m)
-        if norm > 1.0 + contract_tol:
+        if norm > 1.0 + CONTRACT_TOL:
             raise NotContractive(i + 1, norm)
     for i, j in itertools.combinations(range(len(ops)), 2):
         res = operator_norm(ops[i] @ ops[j] - ops[j] @ ops[i])
-        if res > commute_tol:
+        if res > COMMUTE_TOL:
             raise NotCommuting(i + 1, j + 1, res)
-    return OperatorTuple(ops=ops, dim=d, commute_tol=commute_tol, contract_tol=contract_tol)
+    return OperatorTuple(ops=ops, dim=d)
 
 
 def hat(t: OperatorTuple, i: int) -> OperatorTuple:
@@ -91,7 +85,7 @@ def hat(t: OperatorTuple, i: int) -> OperatorTuple:
     if not 1 <= i <= t.n:
         raise IndexOutOfRange(f"index {i} outside 1..{t.n}")
     ops = t.ops[: i - 1] + t.ops[i:]
-    return OperatorTuple(ops=ops, dim=t.dim, commute_tol=t.commute_tol, contract_tol=t.contract_tol)
+    return OperatorTuple(ops=ops, dim=t.dim)
 
 
 def _power_product(ops: Sequence[np.ndarray], exps: Sequence[int], dim: int) -> np.ndarray:
@@ -135,13 +129,12 @@ class SzegoCheck(NamedTuple):
 
 def is_szego(t: OperatorTuple, tol: float = CERT_TOL) -> SzegoCheck:
     """Positivity of the Szego defect, reported with its smallest eigenvalue."""
-    w, _ = matcore.herm_eig(szego_defect(t), 1e-8)
-    min_eig = float(w[0]) if w.size else 0.0
+    min_eig = _min_eig(szego_defect(t))
     return SzegoCheck(min_eig >= -tol, min_eig)
 
 
-def spectral_radius(m, max_doublings: int = 8) -> float:
-    """Upper estimate of the spectral radius via ||M^(2^k)||^(1/2^k).
+def spectral_radius(m) -> float:
+    """Upper estimate of the spectral radius via ||M^(2^k)||^(1/2^k), k <= 8.
 
     Every iterate is an upper bound for the spectral radius, so the smallest
     one keeps purity tests and tail bounds on the safe side.  The doubling
@@ -154,7 +147,7 @@ def spectral_radius(m, max_doublings: int = 8) -> float:
         return 0.0
     b = m
     best = operator_norm(b)
-    for k in range(1, max_doublings + 1):
+    for k in range(1, 9):
         b = b @ b
         norm = operator_norm(b)
         if norm == 0.0:
@@ -163,9 +156,9 @@ def spectral_radius(m, max_doublings: int = 8) -> float:
     return best
 
 
-def is_pure(t: OperatorTuple, tol: float = PURE_TOL) -> bool:
-    """True when every coordinate has spectral radius below 1 - tol."""
-    return all(spectral_radius(m) < 1.0 - tol for m in t.ops)
+def is_pure(t: OperatorTuple) -> bool:
+    """True when every coordinate has spectral radius below 1 - PURE_TOL."""
+    return all(spectral_radius(m) < 1.0 - PURE_TOL for m in t.ops)
 
 
 @dataclass(frozen=True)

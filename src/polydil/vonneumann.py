@@ -36,11 +36,10 @@ class MultiPoly:
     nvars: int
     terms: Mapping[MultiIndex, complex]
 
-    def degree(self) -> int:
-        return max((sum(k) for k in self.terms), default=0)
-
 
 def multipoly(nvars: int, terms: Mapping) -> MultiPoly:
+    """The polynomial with these terms, like terms combined and zero ones
+    dropped; a coefficient that is then not finite is a ParseError."""
     clean: dict[MultiIndex, complex] = {}
     for k, a in terms.items():
         k = tuple(int(x) for x in k)
@@ -49,6 +48,8 @@ def multipoly(nvars: int, terms: Mapping) -> MultiPoly:
         a = complex(a)
         if a != 0:
             clean[k] = clean.get(k, 0) + a
+    if not all(np.isfinite(a) for a in clean.values()):
+        raise ParseError("a polynomial coefficient is not finite")
     return MultiPoly(nvars, {k: a for k, a in clean.items() if a != 0})
 
 
@@ -111,7 +112,8 @@ def parse_poly(text: str, nvars: int | None = None) -> MultiPoly:
     """Parse the polynomial grammar: sums of `c * z1^a1 * ... * zn^an`.
 
     Coefficients are real or imaginary literals; a full complex coefficient
-    is written in parentheses, e.g. ``(0.5+0.5i)*z1^2*z2``.  Whitespace is
+    is written in parentheses, e.g. ``(0.5+0.5i)*z1^2*z2``.  Every
+    coefficient must be finite once like terms are combined.  Whitespace is
     ignored.  A bare ``a+bi`` without parentheses parses as two constant
     terms, which has the same value.
     """
@@ -209,26 +211,21 @@ class TransferSplit:
     cnu_part: rz.TransferRealization | None
     h0_frame: np.ndarray
     h1_frame: np.ndarray
-    offdiag_max: float
 
     @property
     def h0_dim(self) -> int:
         return self.h0_frame.shape[1]
 
 
-_SPLIT_SAMPLES = [0.31, -0.22, 0.47, 0.11, -0.38]
-
-
-def split_transfer(r: rz.TransferRealization, tol: float = 1e-9) -> TransferSplit:
+def split_transfer(r: rz.TransferRealization) -> TransferSplit:
     """Split along the canonical decomposition of the constant term A*.
 
     The unitary part of A* reduces Phi to the constant block W*, and the
-    complement carries the compressed realization Phi_1.  The off-diagonal
-    blocks of Phi must vanish; the largest one found at a few interior sample
-    points is reported.
+    complement carries the compressed realization Phi_1: the off-diagonal
+    blocks of Phi vanish.
     """
-    cnu = rz.cnu_decomposition(adj(r.a), tol)
-    h0, h1 = cnu.h0_frame, cnu.h1_frame
+    cnu = rz.cnu_decomposition(adj(r.a))
+    h1 = cnu.h1_frame
     cnu_part = None
     if h1.shape[1]:
         cnu_part = rz.TransferRealization(
@@ -238,25 +235,11 @@ def split_transfer(r: rz.TransferRealization, tol: float = 1e-9) -> TransferSpli
             d=r.d,
             partition=r.partition,
         )
-    offdiag = 0.0
-    if h0.shape[1] and h1.shape[1]:
-        m_vars = len(r.partition)
-        samples = [
-            [base * np.exp(2j * np.pi * (j + axis) / 7.0) for axis in range(m_vars)]
-            for j, base in enumerate(_SPLIT_SAMPLES)
-        ]
-        _, phi, regular = next(rz.transfer_eval_many(r, samples))
-        phi = phi[regular]  # interior samples are always regular
-        offdiag = max(
-            matcore.max_operator_norm(adj(h0) @ phi @ h1),
-            matcore.max_operator_norm(adj(h1) @ phi @ h0),
-        )
     return TransferSplit(
         unitary_block=cnu.unitary_block,
         cnu_part=cnu_part,
-        h0_frame=h0,
+        h0_frame=cnu.h0_frame,
         h1_frame=h1,
-        offdiag_max=offdiag,
     )
 
 
@@ -316,29 +299,18 @@ def _fiber_sup(p: MultiPoly, points: np.ndarray, fibers: np.ndarray) -> float:
     return float(np.max(np.abs(vals), initial=0.0))
 
 
-@dataclass(frozen=True)
-class TorusScan:
-    sup: float
-    singular_points: int
-    grid_points: int
-
-
-def torus_sup(
-    p: MultiPoly, r: rz.TransferRealization, grid: int, cache: TorusCache | None = None
-) -> TorusScan:
-    """max over the torus grid of || P(zeta_1 I, ..., zeta_{n-1} I, Phi(zeta)) ||.
+def torus_sup(p: MultiPoly, cache: TorusCache) -> float:
+    """max over the regular points of the cached torus grid of
+    || P(zeta_1 I, ..., zeta_{n-1} I, Phi(zeta)) ||.
 
     The norm is the largest |P(zeta, lambda)| over the eigenvalues lambda of
     Phi(zeta): Phi is unitary at the regular torus points, so the operator is
     normal there.  The eigenvalues of P(zeta, Phi(zeta)) are the P(zeta,
     lambda) in any case, so the value never exceeds the norm."""
-    m_vars = len(r.partition)
+    m_vars = cache.points.shape[1]
     if p.nvars != m_vars + 1:
         raise ArityMismatch(f"polynomial has {p.nvars} variables, expected {m_vars + 1}")
-    if cache is None or cache.grid != grid:
-        cache = precompute_torus(r, grid)
-    sup = _fiber_sup(p, cache.points, cache.eigs)
-    return TorusScan(sup, cache.singular_points, grid**m_vars)
+    return _fiber_sup(p, cache.points, cache.eigs)
 
 
 def polydisc_grid_sup(p: MultiPoly, grid: int) -> float:
@@ -510,14 +482,14 @@ def vn_check(
     if split is None:
         split = split_transfer(realization)
     lhs = operator_norm(eval_poly_tuple(p, t))
-    scan = torus_sup(p, realization, grid, cache)
-    poly_sup = max(polydisc_grid_sup(p, grid), scan.sup)
+    rhs = torus_sup(p, cache)
+    poly_sup = max(polydisc_grid_sup(p, grid), rhs)
     return VNReport(
         lhs=float(lhs),
-        rhs=float(scan.sup),
-        margin=float(scan.sup - lhs),
+        rhs=rhs,
+        margin=float(rhs - lhs),
         grid=grid,
-        singular_points=scan.singular_points,
+        singular_points=cache.singular_points,
         h0_dim=split.h0_dim,
         polydisc_sup=float(poly_sup),
     )

@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from polydil import generators, hardy, matcore, realization as rz, tuples, vonneumann as vn
-from polydil.matcore import adj
 
 from conftest import svd_torus_sup
 
@@ -133,7 +132,9 @@ def test_criterion_04_commutant_lifting(fixtures):
         assert lift.residual <= max(1e-9, lift.bound), (fx.label, lift.residual, lift.bound)
         order = list(reversed(range(fx.realization.dim_e + fx.realization.dim_f)))
         permuted = rz.build_generating_unitary(fx.t, fx.cert, completion_order=order)
-        res2, _ = rz.lifting_residual(fx.t, fx.cert, permuted, fx.report.cap)
+        res2 = rz.run_identity_suite(
+            fx.t, fx.cert, permuted, cap=fx.report.cap, schur_points=1, inner_grid=4
+        ).row("lifting").residual
         swing = abs(res2 - lift.residual)
         assert swing <= 1e-9, (fx.label, swing)
         worst = max(worst, lift.residual)

@@ -1,11 +1,12 @@
 import dataclasses
+import inspect
 import json
 import struct
 
 import numpy as np
 import pytest
 
-from polydil import cli, realization as rz, vonneumann as vn
+from polydil import cli, hardy, matcore, realization as rz, tuples, vonneumann as vn
 from polydil.errors import IsometryDefect
 
 from conftest import direct_sum_constant, w3_nonnormal, zero_triple
@@ -137,7 +138,17 @@ def test_certify_deeply_nested_document_exit2(tmp_path):
     assert run(["certify", str(bad), "--out", "-"]) == cli.EXIT_PARSE
 
 
-@pytest.mark.parametrize("field", [{"certificate": {"G": 5}}, {"dim": float("inf")}])
+@pytest.mark.parametrize(
+    "field",
+    [
+        {"certificate": {"G": 5}},
+        {"dim": float("inf")},
+        {"dim": 4.7},
+        {"dim": "4"},
+        {"n": 3.9},
+        {"n": "3"},
+    ],
+)
 def test_certify_malformed_field_exit2(field, triple_doc, tmp_path):
     doc = json.loads(triple_doc.read_text())
     doc.update(field)
@@ -302,6 +313,14 @@ def test_vn_bad_polynomial_exit2(triple_doc, tmp_path):
     poly = tmp_path / "poly.txt"
     poly.write_text("z1 ** 2")
     assert run(["vn", str(triple_doc), str(poly), "--out", "-"]) == cli.EXIT_PARSE
+
+
+@pytest.mark.parametrize("text", ["1e999*z1", "1e200*1e200*z2"])
+def test_vn_overflowing_coefficient_exit2(text, triple_doc, tmp_path, capsys):
+    poly = tmp_path / "poly.txt"
+    poly.write_text(text)
+    assert run(["vn", str(triple_doc), str(poly), "--out", "-"]) == cli.EXIT_PARSE
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_vn_non_utf8_polynomial_exit2(triple_doc, tmp_path):
@@ -490,6 +509,21 @@ def test_variety_stdout_matches_file(triple_doc, tmp_path, monkeypatch, capsys):
 
 # ---------------------------------------------------------------------------
 # config plumbing
+
+
+def test_run_config_defaults_are_the_library_defaults():
+    def default(fn, name):
+        return inspect.signature(fn).parameters[name].default
+
+    config = cli.RunConfig()
+    assert config.cap == hardy.DEFAULT_CAP
+    assert config.cert_tol == tuples.CERT_TOL
+    assert config.root_tol == matcore.ROOT_TOL
+    assert config.grid == default(rz.run_identity_suite, "inner_grid")
+    assert config.grid == default(vn.vn_check, "grid")
+    assert config.seed == default(rz.run_identity_suite, "seed")
+    assert config.variety_grid == default(vn.variety_sample, "grid_per_axis")
+    assert config.radius == default(vn.variety_sample, "radius")
 
 
 def test_config_validation_rejects_small_grid(triple_doc):

@@ -195,7 +195,7 @@ def test_kernel_basis_annihilates(rng):
 
 def test_range_onb_duplicate_collapse():
     e1 = np.array([1.0, 0.0], dtype=complex)
-    q = matcore.range_onb([e1, e1])
+    q = matcore.range_onb(np.column_stack([e1, e1]))
     assert q.shape == (2, 1)
 
 
@@ -210,7 +210,7 @@ def test_range_onb_full_space():
         np.array([1.0, -1.0]) / np.sqrt(2),
         np.array([1.0, 0.0]),
     ]
-    assert matcore.range_onb(vecs).shape == (2, 2)
+    assert matcore.range_onb(np.column_stack(vecs)).shape == (2, 2)
 
 
 # ---------------------------------------------------------------------------
