@@ -44,10 +44,6 @@ class NotIsometric(PolydilError):
         super().__init__(f"frames do not define an isometry (Gram mismatch {residual:.3e})")
 
 
-class DegenerateLeadingCoefficient(PolydilError):
-    pass
-
-
 class SingularResolvent(PolydilError):
     pass
 

@@ -33,7 +33,6 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import (
-    DegenerateLeadingCoefficient,
     DimensionMismatch,
     NoConvergence,
     NotHermitian,
@@ -44,6 +43,7 @@ from .errors import (
 EIG_TOL = 1e-10
 PSD_CLAMP_TOL = 1e-9
 ROOT_TOL = 1e-7
+RESOLVENT_TOL = 1e-8
 
 
 def as_matrix(a) -> np.ndarray:
@@ -298,31 +298,10 @@ def unitary_completion(
     return u
 
 
-def poly_roots(coeffs, tol: float = ROOT_TOL) -> np.ndarray:
-    """All roots (with multiplicity) of a polynomial.
-
-    Coefficients are ordered from the highest degree down.  Roots are
-    returned sorted by (real, imag) so the multiset has a canonical order.
-    """
-    c = np.atleast_1d(np.asarray(coeffs, dtype=complex))
-    if c.ndim != 1 or c.size == 0:
-        raise DegenerateLeadingCoefficient("empty coefficient list")
-    scale = float(np.max(np.abs(c)))
-    if scale == 0.0 or abs(c[0]) <= 1e-14 * scale:
-        raise DegenerateLeadingCoefficient(
-            f"leading coefficient {c[0]} is degenerate at scale {scale:.3e}"
-        )
-    if c.size == 1:
-        return np.zeros(0, dtype=complex)
-    roots = np.roots(c)
-    order = np.lexsort((roots.imag, roots.real))
-    return roots[order]
-
-
 def eigvals(a) -> np.ndarray:
     """Eigenvalues of a square matrix, or of each matrix of a stack
-    (..., n, n), from LAPACK; sorted per matrix by (real, imag) like the
-    roots of :func:`poly_roots`."""
+    (..., n, n), from LAPACK; sorted per matrix by (real, imag), so the
+    multiset has a canonical order."""
     w = np.linalg.eigvals(np.asarray(a, dtype=complex))
     return np.take_along_axis(w, np.lexsort((w.imag, w.real), axis=-1), axis=-1)
 
@@ -339,7 +318,24 @@ def det(a):
     return complex(d) if m.ndim == 2 else d
 
 
-def inv_resolvent(d, zeta, rhs, tol: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:
+def solve_stack(m: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solve M_g X_g = B_g over a stack of square matrices (..., n, n) and
+    right sides (..., n, k) of the same leading shape.
+
+    Returns X and the mask of the matrices whose LU found no zero pivot; at
+    the others X is B.  LAPACK rejects the whole stack for one exactly
+    singular matrix, and the LU of slogdet finds the same zero pivots, so the
+    stack is solved around those.
+    """
+    try:
+        return np.linalg.solve(m, b), np.ones(m.shape[:-2], dtype=bool)
+    except np.linalg.LinAlgError:
+        solved = np.linalg.slogdet(m)[0] != 0
+        eye = np.eye(m.shape[-1], dtype=m.dtype)
+        return np.linalg.solve(np.where(solved[..., None, None], m, eye), b), solved
+
+
+def inv_resolvent(d, zeta, rhs, tol: float = RESOLVENT_TOL) -> tuple[np.ndarray, np.ndarray]:
     """Solve (I - D diag(zeta_g)) Y_g = R for every row zeta_g of a (G, n)
     array and one (n, k) right side R.
 
@@ -356,8 +352,13 @@ def inv_resolvent(d, zeta, rhs, tol: float = 1e-8) -> tuple[np.ndarray, np.ndarr
     singular only in directions that R never reaches keeps a bounded Y_g and
     counts as regular; if a value built from Y_g is inaccurate there, the
     check that uses it (for the transfer function, ``inner_deviation``)
-    reports it.  Y is zero at every point that is not regular.  A singular
-    system can only arise at boundary evaluation points.
+    reports it.  The grid path ``realization.transfer_eval_grid`` builds
+    Y_g from two smaller solves instead, holds it to the last two tests
+    against the full M_g, and solves every point that fails them, or whose
+    smaller solves met a zero pivot, again here; its regular points are
+    therefore this rule's, with the same blind spot.  Y is zero at every
+    point that is not regular.  A singular system can only arise at
+    boundary evaluation points.
     """
     dm = as_matrix(d)
     r = as_matrix(rhs)
@@ -367,16 +368,9 @@ def inv_resolvent(d, zeta, rhs, tol: float = 1e-8) -> tuple[np.ndarray, np.ndarr
         raise DimensionMismatch(
             f"expected (G, {n}) diagonals and {n} right-side rows, got {z.shape} and {r.shape}"
         )
-    eye = np.eye(n, dtype=complex)
-    m = eye - dm * z[:, None, :]
+    m = np.eye(n, dtype=complex) - dm * z[:, None, :]
     b = np.broadcast_to(r, (len(z),) + r.shape)  # numpy 1.x reads a 2-d b as vectors
-    try:
-        y, solved = np.linalg.solve(m, b), True
-    except np.linalg.LinAlgError:
-        # LAPACK rejects the whole stack for one exactly singular matrix; the
-        # LU of slogdet finds the same zero pivots, so solve around those
-        solved = np.linalg.slogdet(m)[0] != 0
-        y = np.linalg.solve(np.where(solved[:, None, None], m, eye), b)
+    y, solved = solve_stack(m, b)
     bounded = solved & (norm_bounds(y)[1] <= 1.0 / tol)
     y[~bounded] = 0.0  # keeps the residual product finite
     regular = bounded & operator_norms_within(m @ y - r, tol)

@@ -7,6 +7,19 @@ multiplier that lifts the last tuple coordinate through the dilation
 isometry.  The rest of the module evaluates that transfer function, checks
 the Schur identity and boundary innerness, splits off the unitary part of
 its constant term, and runs the full intertwining verification suite.
+
+Phi has two evaluation paths.  ``transfer_eval_many`` takes any points and
+solves the full resolvent at each (``matcore.inv_resolvent``).
+``transfer_eval_grid`` takes a product grid axis^m, the torus grid of
+``inner_check`` and the torus cache or the interior grid of variety
+sampling, and solves it fiber by fiber: the first m - 1 blocks once per
+base point, then a system of the last block's size per grid point.  It
+applies the regular-point rule of ``inv_resolvent`` to the full system at
+every point and hands each point that fails it, or that meets a zero
+pivot, to ``inv_resolvent``, so both paths count the same singular points.
+A null vector of the base block is harmless: for a contractive D* and
+unimodular E it is reducing, so the full system is singular on that whole
+fiber, and ``inv_resolvent`` says so.
 """
 
 from __future__ import annotations
@@ -203,18 +216,97 @@ def grid_points(axis: np.ndarray, m: int) -> np.ndarray:
     return np.stack(axes, axis=-1).reshape(-1, m)
 
 
+def transfer_eval_grid(
+    r: TransferRealization, axis: np.ndarray
+) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
+    """Phi over the product grid ``grid_points(axis, m)``, fiber by fiber:
+    ``(rows, phi, regular)`` triples as ``transfer_eval_many`` yields them on
+    that grid, in the same point order.  A chunk holds whole fibers, at most
+    CHUNK points of them, or CHUNK points of one fiber longer than that.
+
+    The state splits into R, the blocks 1..m-1, and L, the last block (size
+    p).  At a base point z' one solve of M_RR = I - D*_RR E_R(z') against
+    [B*_R | D*_RL] gives Y0 and G, and with them the one-variable colligation
+    gamma = B*_L + D*_LR E_R Y0, delta = D*_LL + D*_LR E_R G.  At a fiber
+    point lambda the p x p solve (I - lambda delta) w = gamma gives
+    Y = (Y0 + lambda G w, w), the narrow resolvent of the full system.
+
+    Every point is held to the regular-point rule of
+    ``matcore.inv_resolvent``, at its default tolerance and for the full
+    system: ||Y||_F <= 1/tol, and ||Y - D* E Y - B*|| within tol.  A point
+    that fails it, or whose base or fiber solve finds a zero pivot, is solved
+    again by ``inv_resolvent`` and takes its verdict, so the singular points
+    are the direct path's.
+    """
+    axis = np.asarray(axis, dtype=complex)
+    k, tol = len(axis), matcore.RESOLVENT_TOL
+    if k == 0:
+        return
+    e, f, p = r.dim_e, r.dim_f, r.partition[-1]
+    fr = f - p
+    a_adj, b_adj, c_adj, d_adj = adj(r.a), adj(r.b), adj(r.c), adj(r.d)
+    base_rhs = np.hstack([b_adj[:fr], d_adj[:fr, fr:]])  # [B*_R | D*_RL]
+    bases = _block_diagonals(r.partition[:-1], grid_points(axis, len(r.partition) - 1))
+    per = max(1, CHUNK // k)
+    for b0 in range(0, len(bases), per):
+        zr = bases[b0 : b0 + per]  # the diagonals of E_R(z')
+        nb = len(zr)
+        m_rr = np.eye(fr) - d_adj[:fr, :fr] * zr[:, None, :]
+        h, base_solved = matcore.solve_stack(m_rr, np.broadcast_to(base_rhs, (nb, fr, e + p)))
+        y0, g = h[..., :e], h[..., e:]
+        reduced = d_adj[fr:, :fr] @ (zr[:, :, None] * h)  # D*_LR E_R [Y0 | G]
+        gamma, delta = b_adj[fr:] + reduced[..., :e], d_adj[fr:, fr:] + reduced[..., e:]
+        for l0 in range(0, k, CHUNK):
+            lam = axis[l0 : l0 + CHUNK]
+            nl = len(lam)
+            size = nb * nl
+            zeta = np.empty((nb, nl, f), dtype=complex)  # the diagonals of E(z', lambda)
+            zeta[..., :fr], zeta[..., fr:] = zr[:, None], lam[:, None]
+            zeta = zeta.reshape(size, f)
+            # overflow leaves a non-finite Y, which fails the bound below
+            with np.errstate(over="ignore", invalid="ignore"):
+                n = np.eye(p) - lam[:, None, None] * delta[:, None]
+                w, fiber_solved = matcore.solve_stack(
+                    n, np.broadcast_to(gamma[:, None], (nb, nl, p, e))
+                )
+                # Y and E Y with the state index first, as (f, size, e) arrays
+                lw = (lam[:, None, None] * w).transpose(0, 2, 1, 3).reshape(nb, p, nl * e)
+                y = np.empty((f, nb, nl, e), dtype=complex)
+                y[:fr] = (g @ lw).reshape(nb, fr, nl, e).transpose(1, 0, 2, 3)
+                y[:fr] += y0.transpose(1, 0, 2)[:, :, None]
+                y[fr:] = w.transpose(2, 0, 1, 3)
+                y = y.reshape(f, size, e)
+                ey = zeta.T[:, :, None] * y
+                sq = y.real**2
+                sq += y.imag**2
+                ok = (base_solved[:, None] & fiber_solved).reshape(size)
+                ok &= np.sqrt(sq.sum(axis=(0, 2))) <= 1.0 / tol
+            if not ok.all():  # keeps the products and the residual finite
+                y[:, ~ok], ey[:, ~ok] = 0.0, 0.0
+            # one GEMM each for D* E Y and C* E Y over the chunk
+            resid = (d_adj @ ey.reshape(f, size * e)).reshape(f, size, e)
+            np.subtract(y, resid, out=resid)
+            resid -= b_adj[:, None, :]
+            ok &= matcore.operator_norms_within(resid.transpose(1, 0, 2), tol)
+            c_ey = (c_adj @ ey.reshape(f, size * e)).reshape(e, size, e).transpose(1, 0, 2)
+            phi = np.add(a_adj, c_ey, out=np.empty((size, e, e), dtype=complex))
+            if not ok.all():
+                bad = ~ok
+                phi[bad], _, ok[bad] = _transfer_solve(r, zeta[bad])
+            yield slice(b0 * k + l0, b0 * k + l0 + size), phi, ok
+
+
 def inner_check(r: TransferRealization, grid: int) -> InnerReport:
     """Max over the torus grid of ||Phi(w)* Phi(w) - I||, skipping (and
     counting) points with a singular resolvent."""
     eye = np.eye(r.dim_e)
     max_dev = 0.0
     singular = 0
-    points = grid_points(unit_circle(grid), len(r.partition))
-    for _, phi, regular in transfer_eval_many(r, points):
+    for _, phi, regular in transfer_eval_grid(r, unit_circle(grid)):
         singular += int(np.count_nonzero(~regular))
         phi = phi[regular]
         max_dev = max(max_dev, matcore.max_operator_norm(adj(phi) @ phi - eye))
-    return InnerReport(max_dev, singular, len(points))
+    return InnerReport(max_dev, singular, grid ** len(r.partition))
 
 
 # ---------------------------------------------------------------------------

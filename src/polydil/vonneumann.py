@@ -261,10 +261,11 @@ class TorusCache:
 
 
 def precompute_torus(r: rz.TransferRealization, grid: int) -> TorusCache:
-    points = rz.grid_points(rz.unit_circle(grid), len(r.partition))
+    circle = rz.unit_circle(grid)
+    points = rz.grid_points(circle, len(r.partition))
     eigs = np.empty((len(points), r.dim_e), dtype=complex)
     regular = np.empty(len(points), dtype=bool)
-    for rows, phi, regular_rows in rz.transfer_eval_many(r, points):
+    for rows, phi, regular_rows in rz.transfer_eval_grid(r, circle):
         eigs[rows] = matcore.eigvals(phi)
         regular[rows] = regular_rows
     singular = len(points) - int(np.count_nonzero(regular))
@@ -403,14 +404,15 @@ def variety_sample(
     m_vars = len(r.partition)
     # np.hypot is Python's abs(complex) to the bit; np.abs may round the
     # other way, which moves |z| = 1 fibers across the interior cut
-    bases = rz.grid_points(disc[np.hypot(disc.real, disc.imag) <= radius], m_vars)
+    axis = disc[np.hypot(disc.real, disc.imag) <= radius]
+    bases = rz.grid_points(axis, m_vars)
     e1 = split.cnu_part.dim_e if split.cnu_part is not None else 0
     lam = np.zeros((len(bases), e1), dtype=complex)
     res = np.zeros((len(bases), e1))
     fails = np.zeros(len(bases), dtype=bool)
     regular = np.ones(len(bases), dtype=bool)
     if split.cnu_part is not None:
-        for rows, phi, regular_rows in rz.transfer_eval_many(split.cnu_part, bases):
+        for rows, phi, regular_rows in rz.transfer_eval_grid(split.cnu_part, axis):
             lam[rows] = matcore.eigvals(phi)
             shifted = lam[rows, :, None, None] * np.eye(e1) - phi[:, None]
             res[rows] = np.abs(matcore.det(shifted))

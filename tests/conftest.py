@@ -2,7 +2,33 @@ import numpy as np
 import pytest
 
 from polydil import generators, matcore, realization as rz, tuples
+from polydil.errors import PolydilError
 from polydil.matcore import adj
+
+
+class DegenerateLeadingCoefficient(PolydilError):
+    pass
+
+
+def poly_roots(coeffs) -> np.ndarray:
+    """All roots (with multiplicity) of a polynomial.
+
+    Coefficients are ordered from the highest degree down.  Roots are
+    returned sorted by (real, imag) so the multiset has a canonical order.
+    """
+    c = np.atleast_1d(np.asarray(coeffs, dtype=complex))
+    if c.ndim != 1 or c.size == 0:
+        raise DegenerateLeadingCoefficient("empty coefficient list")
+    scale = float(np.max(np.abs(c)))
+    if scale == 0.0 or abs(c[0]) <= 1e-14 * scale:
+        raise DegenerateLeadingCoefficient(
+            f"leading coefficient {c[0]} is degenerate at scale {scale:.3e}"
+        )
+    if c.size == 1:
+        return np.zeros(0, dtype=complex)
+    roots = np.roots(c)
+    order = np.lexsort((roots.imag, roots.real))
+    return roots[order]
 
 
 def random_complex(rng, *shape):

@@ -15,7 +15,7 @@ import pytest
 
 from polydil import generators, hardy, matcore, realization as rz, tuples, vonneumann as vn
 
-from conftest import svd_torus_sup
+from conftest import poly_roots, svd_torus_sup
 
 DIMS = [(2, 2), (3, 2), (3, 3)]
 SCALES = [1.0, 0.9]
@@ -268,7 +268,7 @@ def test_criterion_10_oracle_equivalence():
             coeffs = np.concatenate(
                 [[1.0], rng.standard_normal(degree) + 1j * rng.standard_normal(degree)]
             )
-            roots = matcore.poly_roots(coeffs)
+            roots = poly_roots(coeffs)
             recon = np.array([1.0 + 0.0j])
             for root in roots:
                 recon = np.convolve(recon, np.array([1.0, -root], dtype=complex))

@@ -297,6 +297,126 @@ def test_transfer_eval_many_matches_one_point(which, triple22, rng):
     assert covered == count
 
 
+def w1_product_triple():
+    """The (3,3) product triple at r = 0.9 with (j,k) = (2,3)."""
+    return generators.product_triple(generators.jordan_pair(3, 3, 0.9, 0.9), 2, 3)
+
+
+# the benchmark's W1, the n = 4 tensor-Jordan tuple and the non-normal triple
+WORKLOAD_INPUTS = {"w1": w1_product_triple, "w2": w2_tensor_jordan, "w3": w3_nonnormal}
+
+
+def disc_axis(grid_per_axis, radius=0.95):
+    """The interior axis of ``vn.variety_sample``: the square grid's points
+    in the closed disc of this radius."""
+    coords = np.linspace(-radius, radius, grid_per_axis)
+    disc = (coords[:, None] + 1j * coords[None, :]).ravel()
+    return disc[np.hypot(disc.real, disc.imag) <= radius]
+
+
+def assert_grid_matches_direct(r, axis, stride):
+    """``rz.transfer_eval_grid(r, axis)`` against ``rz.transfer_eval_many``
+    on ``grid_points(axis, m)``: rows in grid order, each point once, the
+    same regular mask, Phi within 1e-14 everywhere and, at every
+    ``stride``-th regular point, within 1e-14 of the dense one-point
+    inverse."""
+    points = rz.grid_points(axis, len(r.partition))
+    direct_phi = np.empty((len(points), r.dim_e, r.dim_e), dtype=complex)
+    direct_regular = np.empty(len(points), dtype=bool)
+    for rows, phi, regular in rz.transfer_eval_many(r, points):
+        direct_phi[rows], direct_regular[rows] = phi, regular
+    covered = 0
+    for rows, phi, regular in rz.transfer_eval_grid(r, axis):
+        assert rows.start == covered and len(phi) == len(regular) == rows.stop - rows.start
+        assert len(phi) <= max(rz.CHUNK, len(axis))
+        assert np.array_equal(regular, direct_regular[rows])
+        assert np.max(matcore.operator_norm(phi - direct_phi[rows]), initial=0.0) < 1e-14
+        for index in range(-rows.start % stride, len(phi), stride):
+            z = points[rows.start + index]
+            if regular[index]:
+                assert matcore.operator_norm(phi[index] - one_point_phi(r, z)) < 1e-14
+        covered = rows.stop
+    assert covered == len(points)
+    return direct_regular
+
+
+def one_variable(r):
+    """r with one variable driving its whole state space (m = 1)."""
+    return rz.TransferRealization(a=r.a, b=r.b, c=r.c, d=r.d, partition=(r.dim_f,))
+
+
+@pytest.mark.parametrize(
+    "which, axis, stride",
+    [
+        ("w1", rz.unit_circle(32), 7),
+        ("w2", rz.unit_circle(32), 61),
+        ("w3", rz.unit_circle(32), 7),  # partition (9, 0): the last block is empty
+        ("w1", disc_axis(9), 7),
+        ("w2", disc_axis(5), 7),
+        ("mixed", rz.unit_circle(rz.CHUNK + 44), 97),  # (1, 0); fibers longer than CHUNK
+        ("m1", rz.unit_circle(rz.CHUNK + 8), 1),
+        ("m1", disc_axis(9), 1),
+    ],
+)
+def test_transfer_eval_grid_matches_direct_path(which, axis, stride, triple22, rng):
+    if which == "mixed":
+        r = mixed_block_realization(rng)
+    elif which == "m1":
+        r = one_variable(rz.build_generating_unitary(*triple22))
+    else:
+        r = rz.build_generating_unitary(*WORKLOAD_INPUTS[which]())
+    assert assert_grid_matches_direct(r, axis, stride).all()
+
+
+def with_reducing_unimodular_coordinate(r):
+    """r with a 1 direct-summed into D as the first coordinate of block 1:
+    Phi is unchanged, and I - D* E(z) loses rank exactly where z_1 = 1."""
+    e, f = r.dim_e, r.dim_f
+    d = np.zeros((f + 1, f + 1), dtype=complex)
+    d[0, 0], d[1:, 1:] = 1.0, r.d
+    return rz.TransferRealization(
+        a=r.a,
+        b=np.hstack([np.zeros((e, 1)), r.b]),
+        c=np.vstack([np.zeros((1, e)), r.c]),
+        d=d,
+        partition=(r.partition[0] + 1,) + r.partition[1:],
+    )
+
+
+@pytest.mark.parametrize("which, grid", [("triple22", 32), ("w2", 8)])
+def test_grid_fallback_takes_the_direct_verdict(which, grid, triple22):
+    # every torus point over the base z_1 = 1 has an exact zero pivot in
+    # M_RR and in the full system: the grid path must hand those points to
+    # inv_resolvent and report them, with Phi = A* there, as the direct path does
+    base = rz.build_generating_unitary(*(triple22 if which == "triple22" else w2_tensor_jordan()))
+    r = with_reducing_unimodular_coordinate(base)
+    assert rz.unitarity_residual(r) < 1e-12
+    m = len(r.partition)
+    regular = assert_grid_matches_direct(r, rz.unit_circle(grid), 1 if m == 2 else 17)
+    on_base = rz.grid_points(rz.unit_circle(grid), m)[:, 0] == 1.0
+    assert np.array_equal(regular, ~on_base)
+    inner = rz.inner_check(r, grid)
+    assert (inner.singular_points, inner.grid_points) == (grid ** (m - 1), grid**m)
+    assert abs(inner.max_deviation - rz.inner_check(base, grid).max_deviation) < 1e-14
+    cache = vn.precompute_torus(r, grid)
+    assert cache.singular_points == grid ** (m - 1)
+    assert len(cache.points) == grid**m - grid ** (m - 1) and np.all(cache.points[:, 0] != 1.0)
+
+
+def test_grid_fallback_solves_regular_points_over_a_singular_base():
+    # D* = [[1, 1], [1, 0]] is not a contraction: M_RR = 1 - z_1 vanishes at
+    # z_1 = 1, while the full system there, of determinant -z_2, is regular
+    r = rz.TransferRealization(
+        a=np.array([[0.5]], dtype=complex),
+        b=np.array([[1.0, 0.5]], dtype=complex),
+        c=np.array([[1.0], [0.25]], dtype=complex),
+        d=np.array([[1.0, 1.0], [1.0, 0.0]], dtype=complex),
+        partition=(1, 1),
+    )
+    assert assert_grid_matches_direct(r, rz.unit_circle(8), 1).all()
+    assert rz.inner_check(r, 8).singular_points == 0
+
+
 @pytest.mark.parametrize("grid", [8, rz.CHUNK + 8])
 def test_exactly_singular_point_is_skipped_alone(grid):
     # Phi is constantly 1 and I - D* E(z) = 1 - z vanishes exactly at z = 1,
@@ -316,14 +436,7 @@ def test_exactly_singular_point_is_skipped_alone(grid):
 
 @pytest.mark.parametrize("which", ["w1", "w2", "w3"])
 def test_no_singular_torus_points_on_the_workloads(which):
-    # the (3,3) product triple at r = 0.9 with (j,k) = (2,3), the n = 4
-    # tensor-Jordan tuple and the non-normal triple
-    tuple_and_cert = {
-        "w1": lambda: generators.product_triple(generators.jordan_pair(3, 3, 0.9, 0.9), 2, 3),
-        "w2": w2_tensor_jordan,
-        "w3": w3_nonnormal,
-    }[which]()
-    r = rz.build_generating_unitary(*tuple_and_cert)
+    r = rz.build_generating_unitary(*WORKLOAD_INPUTS[which]())
     inner = rz.inner_check(r, 32)
     assert inner.singular_points == 0 and inner.grid_points == 32 ** len(r.partition)
     assert vn.precompute_torus(r, 32).singular_points == 0
@@ -335,17 +448,26 @@ def test_no_singular_torus_points_on_the_workloads(which):
 
 def variety_oracle(r, grid_per_axis, radius):
     """The sample point by point: itertools.product over the disc points,
-    then Phi_1, its eigenvalues and the determinants at each base point."""
+    then Phi_1, its eigenvalues and the determinants at each base point.
+
+    Phi_1 is the value the sample is built from, ``rz.transfer_eval_grid``
+    over the disc, at the point's place in grid order; at every point it is
+    checked within 1e-14 of ``rz.transfer_eval``."""
     split = vn.split_transfer(r)
     coords = np.linspace(-radius, radius, grid_per_axis)
     disc = [complex(x, y) for x in coords for y in coords if abs(complex(x, y)) <= radius]
     w = split.unitary_block
     v0 = [(lam, "V0", np.abs(matcore.det(lam * np.eye(len(w)) - w))) for lam in matcore.eigvals(w)]
+    grid_phi = []
+    if split.cnu_part is not None:
+        for _, stack, _ in rz.transfer_eval_grid(split.cnu_part, np.array(disc, dtype=complex)):
+            grid_phi.extend(stack)
     rows = []
-    for base in itertools.product(disc, repeat=len(r.partition)):
+    for index, base in enumerate(itertools.product(disc, repeat=len(r.partition))):
         fibers = []
         if split.cnu_part is not None:
-            phi = rz.transfer_eval(split.cnu_part, base)
+            phi = grid_phi[index]
+            assert matcore.operator_norm(phi - rz.transfer_eval(split.cnu_part, base)) < 1e-14
             eye = np.eye(len(phi))
             fibers = [(lam, "V1", np.abs(matcore.det(lam * eye - phi))) for lam in matcore.eigvals(phi)]
         rows += [(base, lam, comp, res, abs(lam) < 1.0) for lam, comp, res in fibers + v0]
