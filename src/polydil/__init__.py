@@ -20,7 +20,6 @@ from .realization import (
     build_generating_unitary,
     cnu_decomposition,
     inner_check,
-    transfer_taylor,
     run_identity_suite,
     schur_identity_residual,
     transfer_eval,
@@ -60,7 +59,6 @@ __all__ = [
     "schur_identity_residual",
     "inner_check",
     "cnu_decomposition",
-    "transfer_taylor",
     "run_identity_suite",
     "parse_poly",
     "eval_poly_tuple",

@@ -8,9 +8,9 @@ handled at once: M_{z_i}* and the block shift E(z) are slices along axis i,
 and the adjoint sends z^k c to T^k M* c, the conjugate transpose of the k-th
 coefficient applied to c.  Multiplication operators drop anything pushed
 past the cap while adjoints are exact on the box.  With that convention the
-adjoint-side intertwining identities below hold exactly for nilpotent
-tuples and up to explicit geometric tails otherwise, which is what the
-verification suite reports; each is one array expression over the tensors.
+adjoint-side intertwining identities below hold exactly on the box, for any
+pure tuple, and each is one array expression over the tensors.  What the box
+drops of the dilation isometry's norm is known exactly too: ``box_gap``.
 """
 
 from __future__ import annotations
@@ -44,20 +44,6 @@ def effective_cap(t: OperatorTuple, cap: int) -> int:
     if any(o is None for o in orders):
         return cap
     return max(cap, max(orders))
-
-
-def geom_tail(rho: float, cap: int, scale: float) -> float:
-    """Crude geometric tail bound  scale * rho^(cap+1) / (1 - rho)."""
-    if rho <= 0.0:
-        return 0.0
-    if rho >= 1.0:
-        return float("inf")
-    return float(scale * rho ** (cap + 1) / (1.0 - rho))
-
-
-def tail_tolerance(rho: float, cap: int, scale: float, atol: float = 1e-10) -> float:
-    """Tail bound padded with an absolute floor for exact (nilpotent) cases."""
-    return atol + geom_tail(rho, cap, scale)
 
 
 # ---------------------------------------------------------------------------
@@ -117,6 +103,26 @@ def tuple_embedding(t: OperatorTuple, cap: int) -> CoefficientEmbedding:
     if not is_pure(t):
         raise NotPure(max(spectral_radius(m) for m in t.ops))
     return CoefficientEmbedding(t, np.eye(t.dim, dtype=complex), cap)
+
+
+def box_gap(t: OperatorTuple, cap: int) -> np.ndarray:
+    """The part of the identity that the box [0, cap]^m misses:
+    gap = I - sum_k T^k S T*^k over the box, with S the Szego defect.
+
+    Summing each axis telescopes, so the box sum is
+    prod_a (Id - C_{P_a}) applied to I, with P_a = T_a^(cap+1) and
+    C_P(X) = P X P*; gap is the inclusion-exclusion sum over nonempty S of
+    (-1)^(|S|+1) P_S P_S*.  It is accumulated one axis at a time as
+    gap <- gap + P_a (I - gap) P_a*, which never subtracts from I the tiny
+    numbers it is made of.  For the canonical isometry, whose M* M is S,
+    ||Pi h||^2 - ||h||^2 = -<gap h, h>.
+    """
+    eye = np.eye(t.dim, dtype=complex)
+    gap = np.zeros_like(eye)
+    for op in t.ops:
+        power = np.linalg.matrix_power(op, cap + 1)
+        gap = gap + power @ (eye - gap) @ adj(power)
+    return gap
 
 
 # ---------------------------------------------------------------------------

@@ -360,92 +360,53 @@ def cnu_decomposition(a) -> CnuDecomposition:
 
 
 # ---------------------------------------------------------------------------
-# Taylor expansion of the transfer function
+# the commutant lifting, as one finite identity
 
 
-def transfer_taylor(r: TransferRealization, cap: int) -> np.ndarray:
-    """Taylor coefficients Phi_k of Phi for k in the box [0, cap]^m, as an
-    array of shape (cap+1,)*m + (e, e).
+def _lifting_residuals(
+    t: OperatorTuple, cert: DilationCertificate, r: TransferRealization
+) -> tuple[float, float]:
+    """Residuals of the strict-part multiplier identity and of the commutant
+    lifting  M_Phi* Pi = Pi T_n*, both without truncation.
 
-    Y(z) = (I - D* E(z))^{-1} B* = sum_k z^k Y_k, the narrow resolvent
-    that evaluates Phi, obeys Y_k = delta_{k0} B* + sum_a D* P_a Y_{k-e_a},
-    with P_a the selector of block a, and Phi_k = delta_{k0} A* +
-    sum_a C* P_a Y_{k-e_a}.  The recurrence runs over the total degree, all
-    indices of one degree at once.
+    With M = frame* D the dilation isometry has the coefficients
+    Pi_k = M T*^k over the hat coordinates.  Those commute, so the lifting
+    holds at every k once it holds at k = 0:  T_n M* = sum_j T^j M* Phi_j.
+    The Taylor coefficients of Phi = A* + C* E (I - D* E)^{-1} B* turn the
+    right side into  M* A* + sum_a T_a Z_a B*,  where Z_a solves the Stein
+    system  Z - sum_b T_b Z D* P_b = M* C* P_a  and P_b selects block b.  The
+    m systems share one dense matrix of size d f, solved once; a zero pivot
+    makes both residuals inf.
+
+    The strict-part row compares sum_a T_a F_a* B*_a, a constant fed through
+    the B*-block and the block-column pullback, with the same
+    sum_a T_a Z_a B* (the multiplier by the strictly-positive-degree part of
+    Phi).  It reads only the lower colligation row: it is blind to A and B,
+    which the lifting row and ``generating_identity`` read.
     """
-    m = len(r.partition)
-    box = (cap + 1,) * m
-    index = np.indices(box).reshape(m, -1)
-    degree = index.sum(axis=0)
-    strides = [(cap + 1) ** (m - 1 - a) for a in range(m)]
+    hat_t = hat(t, t.n)
+    dim, f, m = t.dim, r.dim_f, hat_t.n
+    m_adj = adj(adj(cert.d_frame) @ cert.defect)
+    d_adj, c_adj, b_adj = adj(r.d), adj(r.c), adj(r.b)
     blocks = hardy.block_slices(r.partition)
-    d_adj = adj(r.d)
-    y = np.zeros((index.shape[1], r.dim_f, r.dim_e), dtype=complex)
-    y[0] = adj(r.b)
-    for total in range(1, m * cap + 1):
-        for a, sl in enumerate(blocks):
-            rows = np.flatnonzero((degree == total) & (index[a] > 0))
-            y[rows] += d_adj[:, sl] @ y[rows - strides[a], sl, :]
-    y = y.reshape(box + y.shape[1:])
-    phi = np.zeros(box + (r.dim_e, r.dim_e), dtype=complex)
-    phi[(0,) * m] = adj(r.a)
-    c_adj = adj(r.c)
-    for a, sl in enumerate(blocks):
-        up = (slice(None),) * a + (slice(1, None),)
-        down = (slice(None),) * a + (slice(None, cap),)
-        phi[up] += c_adj[:, sl] @ y[down][..., sl, :]
-    return phi
-
-
-# ---------------------------------------------------------------------------
-# dilation-level identity checks
-
-
-def _lifting(
-    t: OperatorTuple, pi: hardy.CoefficientEmbedding, phi: np.ndarray, cap: int
-) -> float:
-    """Residual of the commutant lifting  M_Phi* Pi = Pi T_n*.
-
-    Verified coefficientwise: for every k in the box the coefficient of
-    Pi T_n* is compared against sum_j Phi_j* Pi_{k+j}, a correlation of the
-    Taylor tensor ``phi`` of Phi with the coefficient tensor of Pi over the
-    shifts j in the box.  Every pairing inside the box is present, so only
-    the genuine infinite tail is dropped.
-    """
-    rhs = np.zeros_like(pi.coeffs)
-    for j in np.ndindex(*phi.shape[:-2]):
-        head = tuple(slice(0, cap + 1 - x) for x in j)
-        tail = tuple(slice(x, cap + 1) for x in j)
-        rhs[head] += adj(phi[j]) @ pi.coeffs[tail]
-    lhs = pi.coeffs @ adj(t.op(t.n))
-    return matcore.max_operator_norm(lhs - rhs)
-
-
-def _strict_multiplier(
-    hat_t: OperatorTuple,
-    cert: DilationCertificate,
-    r: TransferRealization,
-    pi: hardy.CoefficientEmbedding,
-    phi: np.ndarray,
-) -> float:
-    """Residual of the strict-part multiplier identity.
-
-    Feeding a constant through the B*-block, the block shift and the
-    block-column pullback must agree with the dilation-isometry adjoint of
-    the multiplier by the strictly-positive-degree part of the transfer
-    function, sum_{k != 0} Pi_k* Phi_k; the gap is the multiplier's Taylor
-    tail beyond the cap.
-    """
+    # row-major vec(T Z K) = (T (x) K^T) vec(Z)
+    system = np.eye(dim * f, dtype=complex)
+    rhs = np.zeros((m, dim, f), dtype=complex)
+    for a, (op, sl) in enumerate(zip(hat_t.ops, blocks)):
+        block = np.zeros((f, f), dtype=complex)
+        block[:, sl] = d_adj[:, sl]
+        system -= np.kron(op, block.T)
+        rhs[a][:, sl] = m_adj @ c_adj[:, sl]
+    z, solved = matcore.solve_stack(system, rhs.reshape(m, dim * f).T)
+    if not solved:
+        return float("inf"), float("inf")
+    z = z.T.reshape(m, dim, f)
+    strict = sum(op @ z_a @ b_adj for op, z_a in zip(hat_t.ops, z))
     col_plain, _ = hardy.defect_block_maps(cert, hat_t)
-    b_adj = adj(r.b)
-    lhs = sum(
-        op @ adj(col_plain[sl]) @ b_adj[sl]
-        for op, sl in zip(hat_t.ops, hardy.block_slices(cert.ranks))
-    )
-    strict = phi.copy()  # phi is shared with the lifting row
-    strict[(0,) * hat_t.n] = 0.0
-    rhs = adj(pi.coeffs.reshape(-1, hat_t.dim)) @ strict.reshape(-1, r.dim_e)
-    return float(np.max(np.linalg.norm(lhs - rhs, axis=0), initial=0.0))
+    fed = sum(op @ adj(col_plain[sl]) @ b_adj[sl] for op, sl in zip(hat_t.ops, blocks))
+    strict_res = float(np.max(np.linalg.norm(fed - strict, axis=0), initial=0.0))
+    lifting = t.op(t.n) @ m_adj - m_adj @ adj(r.a) - strict
+    return strict_res, float(operator_norm(lifting))
 
 
 # ---------------------------------------------------------------------------
@@ -494,12 +455,13 @@ def run_identity_suite(
 ) -> VerificationReport:
     """Evaluate every intertwining identity the dilation construction asserts.
 
-    The Hardy-side rows compare coefficient tensors over the box
-    [0, cap]^m, and the Taylor rows use the transfer function's Taylor
-    tensor on the same box; ``taylor_cap`` reports m * cap, the highest
-    total degree in it.  Residuals are compared against the geometric tail
-    bound padded with an absolute floor of 1e-10; nilpotent tuples have zero
-    tails, so there the checks are effectively exact.
+    The Hardy-side rows compare coefficient tensors over the box [0, cap]^m;
+    ``taylor_cap`` reports m * cap, the highest total degree in it.  The box
+    rows are exact on the box, so every bound is an absolute floor.
+    ``pi_isometry_defect`` checks the box's loss of norm against its exact
+    value, ``-<gap h, h>`` with ``gap = hardy.box_gap(hat T, cap)``, and
+    ``lifting`` and ``strict_multiplier`` are finite identities with no box
+    (``_lifting_residuals``).
     """
     if r is None:
         r = build_generating_unitary(t, cert)
@@ -508,7 +470,6 @@ def run_identity_suite(
     m_vars = hat_t.n
     taylor_cap = m_vars * cap
     rho = max(spectral_radius(m) for m in hat_t.ops)
-    tail = hardy.tail_tolerance(rho, cap, np.sqrt(t.dim))
 
     pi = hardy.canonical_isometry(hat_t, cert.defect, cert.d_frame, cap)
     j_map = hardy.tuple_embedding(hat_t, cap)
@@ -517,8 +478,9 @@ def run_identity_suite(
     rows.append(CheckRow("generating_identity", generating_residual(t, cert, r), 1e-9))
     rows.append(CheckRow("unitarity", unitarity_residual(r), 1e-10))
 
-    defect_max = max(abs(pi.isometry_defect(h)) for h in np.eye(t.dim))
-    rows.append(CheckRow("pi_isometry_defect", defect_max, tail))
+    gap = hardy.box_gap(hat_t, cap).diagonal().real
+    defect_max = max(abs(pi.isometry_defect(h) + float(g)) for h, g in zip(np.eye(t.dim), gap))
+    rows.append(CheckRow("pi_isometry_defect", defect_max, 1e-10))
 
     rows.append(CheckRow("intertwine_mz", hardy.intertwine_mz_residual(pi, hat_t), 1e-12))
     rows.append(
@@ -526,15 +488,15 @@ def run_identity_suite(
     )
 
     shifted, plain = hardy.block_pullback_residuals(hat_t, cert, j_map, cap)
-    rows.append(CheckRow("block_pullback_shifted", shifted, tail))
-    rows.append(CheckRow("block_pullback_plain", plain, tail))
-    rows.append(CheckRow("adjoint_monomial", hardy.adjoint_monomial_residual(pi, cert, cap), tail))
+    rows.append(CheckRow("block_pullback_shifted", shifted, 1e-10))
+    rows.append(CheckRow("block_pullback_plain", plain, 1e-10))
+    rows.append(CheckRow("adjoint_monomial", hardy.adjoint_monomial_residual(pi, cert, cap), 1e-10))
     colligation = hardy.colligation_pullback_residual(hat_t, cert, pi, j_map, r.c, r.d, cap)
-    rows.append(CheckRow("colligation_pullback", colligation, tail))
+    rows.append(CheckRow("colligation_pullback", colligation, 1e-10))
 
-    phi = transfer_taylor(r, cap)
-    rows.append(CheckRow("strict_multiplier", _strict_multiplier(hat_t, cert, r, pi, phi), tail))
-    rows.append(CheckRow("lifting", _lifting(t, pi, phi, cap), tail))
+    strict, lifting = _lifting_residuals(t, cert, r)
+    rows.append(CheckRow("strict_multiplier", strict, 1e-10))
+    rows.append(CheckRow("lifting", lifting, 1e-10))
 
     # drawn point by point, m radii then m angles, so the seed fixes the points
     draws = np.random.default_rng(seed).uniform(0, 1, size=(schur_points, 2, m_vars))

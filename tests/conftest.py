@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from polydil import generators, matcore, realization as rz, tuples
+from polydil import generators, hardy, matcore, realization as rz, tuples
 from polydil.errors import PolydilError
 from polydil.matcore import adj
 
@@ -104,11 +104,97 @@ def w2_tensor_jordan():
     return t, tuples.verify_certificate(t, g)
 
 
+def diagonal_triple(rng):
+    """(0.5 U, 0.4 U^2, 0.35 U) for a random diagonal unitary U, with the
+    last-defect certificate: pure, commuting and not nilpotent."""
+    u = np.diag(np.exp(2j * np.pi * rng.uniform(size=3)))
+    t = tuples.make_tuple([0.5 * u, 0.4 * u @ u, 0.35 * u])
+    return t, tuples.last_defect_certificate(t)
+
+
 def w3_nonnormal():
     """(0.5 I + 0.5 J_9, 0, 0.3 T_1) with the last-defect certificate."""
     t1 = 0.5 * np.eye(9) + 0.5 * generators.lower_shift(9)
     pair = tuples.make_tuple([t1, np.zeros((9, 9))])
     return generators.last_defect_tuple(pair, 0.3 * t1)
+
+
+# ---------------------------------------------------------------------------
+# truncated Taylor oracles for the closed lifting rows of the identity suite
+
+
+def transfer_taylor(r, cap):
+    """Taylor coefficients Phi_k of Phi for k in the box [0, cap]^m, as an
+    array of shape (cap+1,)*m + (e, e).
+
+    Y(z) = (I - D* E(z))^{-1} B* = sum_k z^k Y_k, the narrow resolvent
+    that evaluates Phi, obeys Y_k = delta_{k0} B* + sum_a D* P_a Y_{k-e_a},
+    with P_a the selector of block a, and Phi_k = delta_{k0} A* +
+    sum_a C* P_a Y_{k-e_a}.  The recurrence runs over the total degree, all
+    indices of one degree at once.
+    """
+    m = len(r.partition)
+    box = (cap + 1,) * m
+    index = np.indices(box).reshape(m, -1)
+    degree = index.sum(axis=0)
+    strides = [(cap + 1) ** (m - 1 - a) for a in range(m)]
+    blocks = hardy.block_slices(r.partition)
+    d_adj = adj(r.d)
+    y = np.zeros((index.shape[1], r.dim_f, r.dim_e), dtype=complex)
+    y[0] = adj(r.b)
+    for total in range(1, m * cap + 1):
+        for a, sl in enumerate(blocks):
+            rows = np.flatnonzero((degree == total) & (index[a] > 0))
+            y[rows] += d_adj[:, sl] @ y[rows - strides[a], sl, :]
+    y = y.reshape(box + y.shape[1:])
+    phi = np.zeros(box + (r.dim_e, r.dim_e), dtype=complex)
+    phi[(0,) * m] = adj(r.a)
+    c_adj = adj(r.c)
+    for a, sl in enumerate(blocks):
+        up = (slice(None),) * a + (slice(1, None),)
+        down = (slice(None),) * a + (slice(None, cap),)
+        phi[up] += c_adj[:, sl] @ y[down][..., sl, :]
+    return phi
+
+
+def _box_data(t, cert, r, cap):
+    hat_t = tuples.hat(t, t.n)
+    pi = hardy.canonical_isometry(hat_t, cert.defect, cert.d_frame, cap)
+    return hat_t, pi, transfer_taylor(r, cap)
+
+
+def truncated_lifting(t, cert, r, cap):
+    """Residual of the commutant lifting  M_Phi* Pi = Pi T_n*  over the box.
+
+    For every k in the box the coefficient of Pi T_n* is compared against
+    sum_j Phi_j* Pi_{k+j}, a correlation of the Taylor tensor of Phi with the
+    coefficient tensor of Pi over the shifts j in the box.  Every pairing
+    inside the box is present, so only the genuine infinite tail is dropped.
+    """
+    _, pi, phi = _box_data(t, cert, r, cap)
+    rhs = np.zeros_like(pi.coeffs)
+    for j in np.ndindex(*phi.shape[:-2]):
+        head = tuple(slice(0, cap + 1 - x) for x in j)
+        tail = tuple(slice(x, cap + 1) for x in j)
+        rhs[head] += adj(phi[j]) @ pi.coeffs[tail]
+    lhs = pi.coeffs @ adj(t.op(t.n))
+    return matcore.max_operator_norm(lhs - rhs)
+
+
+def truncated_strict_multiplier(t, cert, r, cap):
+    """Residual of the strict-part multiplier identity over the box:
+    sum_a T_a F_a* B*_a against sum_{k != 0} Pi_k* Phi_k, the gap being the
+    multiplier's Taylor tail beyond the cap."""
+    hat_t, pi, phi = _box_data(t, cert, r, cap)
+    col_plain, _ = hardy.defect_block_maps(cert, hat_t)
+    b_adj = adj(r.b)
+    lhs = sum(
+        op @ adj(col_plain[sl]) @ b_adj[sl]
+        for op, sl in zip(hat_t.ops, hardy.block_slices(cert.ranks))
+    )
+    phi[(0,) * hat_t.n] = 0.0
+    rhs = adj(pi.coeffs.reshape(-1, hat_t.dim)) @ phi.reshape(-1, r.dim_e)
+    return float(np.max(np.linalg.norm(lhs - rhs, axis=0), initial=0.0))
 
 
 @pytest.fixture

@@ -267,6 +267,22 @@ def test_verify_deterministic(triple_doc, tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+@pytest.mark.parametrize("cap", [None, 8])
+def test_verify_non_normal_triple(cap, tmp_path):
+    # W3 is not nilpotent: the box misses part of the norm at every cap
+    t, cert = w3_nonnormal()
+    path = tmp_path / "w3.json"
+    cli.write_document(cli.tuple_to_doc(t, cert.g), str(path))
+    out = tmp_path / "verify.json"
+    extra = [] if cap is None else ["--cap", str(cap)]
+    assert run(["verify", str(path), "--grid", "8", "--out", str(out)] + extra) == 0
+    doc = json.loads(out.read_text())
+    assert doc["ok"] is True and doc["cap"] == (cap or hardy.DEFAULT_CAP)
+    assert doc["rho"] > 0.5
+    for row in doc["checks"]:
+        assert row["ok"] is True, row
+
+
 # ---------------------------------------------------------------------------
 # vn / variety
 

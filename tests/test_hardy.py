@@ -134,19 +134,33 @@ def test_canonical_isometry_nilpotent_exact(jordan22):
 
 
 def test_canonical_isometry_defect_below_tail(rng):
-    # non-nilpotent pure pair: the truncation loss obeys the geometric tail
+    # non-nilpotent pure pair: the truncation loss is exactly -<gap h, h>
     u = np.diag(np.exp(2j * np.pi * rng.uniform(size=3)))
     t = tuples.make_tuple([0.6 * u, 0.5 * np.eye(3)])
     defect = matcore.psd_sqrt(tuples.szego_defect(t))
     frame = matcore.range_onb(defect)
     cap = 12
     pi = hardy.canonical_isometry(t, defect, frame, cap)
-    rho = max(tuples.spectral_radius(m) for m in t.ops)
-    bound = hardy.tail_tolerance(rho, cap, np.sqrt(3.0))
+    gap = hardy.box_gap(t, cap)
     h = random_complex(rng, 3)
     h /= np.linalg.norm(h)
-    assert abs(pi.isometry_defect(h)) <= bound
+    predicted = -np.vdot(h, gap @ h).real
+    assert predicted < -1e-8  # the box visibly misses part of the norm
+    assert pi.isometry_defect(h) == pytest.approx(predicted, abs=1e-14)
     assert pi.isometry_defect(h) <= 1e-15  # never exceeds the true norm
+
+
+def test_box_gap_is_the_inclusion_exclusion_sum(rng):
+    u = np.diag(np.exp(2j * np.pi * rng.uniform(size=3)))
+    t = tuples.make_tuple([0.6 * u, 0.5 * np.eye(3), 0.7 * u @ u])
+    cap = 2
+    expected = np.zeros((3, 3), dtype=complex)
+    for size in (1, 2, 3):
+        for subset in itertools.combinations(t.ops, size):
+            p = np.linalg.matrix_power(np.linalg.multi_dot([np.eye(3), *subset]), cap + 1)
+            expected += (-1) ** (size + 1) * p @ adj(p)
+    assert np.allclose(hardy.box_gap(t, cap), expected, rtol=0, atol=1e-15)
+    assert np.array_equal(hardy.box_gap(zero_pair(), cap), np.zeros((2, 2)))
 
 
 def test_canonical_isometry_requires_purity():
@@ -239,7 +253,7 @@ def test_block_slices_skip_empty_blocks():
 
 
 # ---------------------------------------------------------------------------
-# caps, tails, pullback residuals
+# caps and pullback residuals
 
 
 def test_nilpotency_order():
@@ -252,12 +266,6 @@ def test_effective_cap_raises_to_order():
     pair = generators.jordan_pair(5, 2)
     assert hardy.effective_cap(pair, 3) == 5
     assert hardy.effective_cap(pair, 12) == 12
-
-
-def test_geom_tail_values():
-    assert hardy.geom_tail(0.0, 10, 2.0) == 0.0
-    assert hardy.geom_tail(0.5, 3, 1.0) == pytest.approx(0.5**4 / 0.5)
-    assert hardy.geom_tail(1.0, 3, 1.0) == float("inf")
 
 
 def test_pullback_residuals_nilpotent(triple32):

@@ -10,8 +10,12 @@ from polydil.matcore import adj
 
 from conftest import (
     constant_realization,
+    diagonal_triple,
     random_complex,
     random_unitary,
+    transfer_taylor,
+    truncated_lifting,
+    truncated_strict_multiplier,
     w2_tensor_jordan,
     w3_nonnormal,
     zero_triple,
@@ -244,7 +248,7 @@ def test_cnu_rejects_expansion():
 
 
 # ---------------------------------------------------------------------------
-# Taylor expansion
+# Taylor expansion (the oracle behind the truncated lifting rows)
 
 
 def taylor_series_oracle(r, degree):
@@ -283,7 +287,7 @@ def taylor_series_oracle(r, degree):
 
 def taylor_consistency_residual(r, z, cap):
     """|transfer_eval - sum_k z^k Phi_k| over the box at an interior point."""
-    phi = rz.transfer_taylor(r, cap)
+    phi = transfer_taylor(r, cap)
     acc = np.zeros((r.dim_e, r.dim_e), dtype=complex)
     for k in itertools.product(range(cap + 1), repeat=len(z)):
         acc = acc + np.prod(np.power(z, k)) * phi[k]
@@ -293,7 +297,7 @@ def taylor_consistency_residual(r, z, cap):
 def test_transfer_taylor_constant(rng):
     u = random_unitary(rng, 2)
     r = constant_realization(u)
-    series = rz.transfer_taylor(r, 5)
+    series = transfer_taylor(r, 5)
     assert series.shape == (6, 6, 2, 2)
     assert np.argwhere(np.any(series != 0, axis=(-2, -1))).tolist() == [[0, 0]]
     assert np.allclose(series[0, 0], adj(u))
@@ -305,7 +309,7 @@ def test_transfer_taylor_scalar_geometric(rng):
     r = rz.TransferRealization(
         a=u[:1, :1], b=u[:1, 1:], c=u[1:, :1], d=u[1:, 1:], partition=(1,)
     )
-    series = rz.transfer_taylor(r, 6)
+    series = transfer_taylor(r, 6)
     assert series[0][0, 0] == pytest.approx(np.conj(a))
     for m in range(6):
         expected = np.conj(c) * np.conj(d) ** m * np.conj(b)
@@ -327,7 +331,7 @@ def test_transfer_taylor_matches_series_oracle(rng, partition):
     r = rz.TransferRealization(
         a=u[:e, :e], b=u[:e, e:], c=u[e:, :e], d=u[e:, e:], partition=partition
     )
-    series = rz.transfer_taylor(r, 3)
+    series = transfer_taylor(r, 3)
     oracle = taylor_series_oracle(r, 3)
     for k in itertools.product(range(4), repeat=len(partition)):
         if sum(k) <= 3:
@@ -340,7 +344,7 @@ def test_transfer_taylor_matches_series_oracle(rng, partition):
 
 def suite_row(t, cert, r, cap, name):
     """One row of the identity suite at ``cap``; the Schur sample and the
-    torus grid, which no Taylor row reads, are kept small."""
+    torus grid, which neither lifting row reads, are kept small."""
     return rz.run_identity_suite(t, cert, r, cap=cap, schur_points=1, inner_grid=4).row(name)
 
 
@@ -370,12 +374,6 @@ def test_strict_multiplier_nilpotent(triple32):
     assert row.bound >= row.residual
 
 
-def diagonal_triple(rng):
-    u = np.diag(np.exp(2j * np.pi * rng.uniform(size=3)))
-    t = tuples.make_tuple([0.5 * u, 0.4 * u @ u, 0.35 * u])
-    return t, tuples.last_defect_certificate(t)
-
-
 def test_lifting_matches_double_loop_oracle(rng):
     # max_k || Pi_k T_3* - sum_{j : k+j in box} Phi_j* Pi_{k+j} ||, looping
     # over k and j, with Pi_k from matrix powers and Phi_j from the series
@@ -400,12 +398,13 @@ def test_lifting_matches_double_loop_oracle(rng):
             if max(kj) <= cap:
                 rhs = rhs + adj(phi[j]) @ pi[kj]
         worst = max(worst, matcore.operator_norm(pi[k] @ adj(t.op(3)) - rhs))
-    res = suite_row(t, cert, r, cap, "lifting").residual
+    res = truncated_lifting(t, cert, r, cap)
     assert worst > 1e-3
     assert res == pytest.approx(worst, abs=1e-13)
 
 
-# The tail rows of the non-normal triple; their bounds are not pinned.
+# The truncated rows of the non-normal triple W3, from the box oracles: the
+# residuals that the suite reported before its rows were closed
 W3_TAIL_ROWS = {
     8: {
         "pi_isometry_defect": 0.18546676635742176,
@@ -423,9 +422,73 @@ W3_TAIL_ROWS = {
 @pytest.mark.parametrize("cap", sorted(W3_TAIL_ROWS))
 def test_non_normal_tail_rows_pinned(cap):
     t, cert = w3_nonnormal()
-    report = rz.run_identity_suite(t, cert, cap=cap, schur_points=4, inner_grid=8)
+    r = rz.build_generating_unitary(t, cert)
+    hat_t = tuples.hat(t, t.n)
+    pi = hardy.canonical_isometry(hat_t, cert.defect, cert.d_frame, cap)
+    truncated = {
+        "pi_isometry_defect": max(abs(pi.isometry_defect(h)) for h in np.eye(t.dim)),
+        "strict_multiplier": truncated_strict_multiplier(t, cert, r, cap),
+        "lifting": truncated_lifting(t, cert, r, cap),
+    }
     for name, value in W3_TAIL_ROWS[cap].items():
-        assert report.row(name).residual == pytest.approx(value, abs=1e-12), name
+        assert truncated[name] == pytest.approx(value, abs=1e-12), name
+
+
+def test_truncated_lifting_converges_to_the_closed_row():
+    # M_Phi is a contraction, so the box misses at most sqrt(||gap_N||) of
+    # the lifting; as N grows the truncated residual falls to the closed one
+    t, cert = w3_nonnormal()
+    r = rz.build_generating_unitary(t, cert)
+    closed = suite_row(t, cert, r, 12, "lifting").residual
+    assert closed < 1e-13
+    hat_t = tuples.hat(t, t.n)
+    previous = np.inf
+    for cap in (12, 30, 40, 60):
+        truncated = truncated_lifting(t, cert, r, cap)
+        assert truncated <= np.sqrt(matcore.operator_norm(hardy.box_gap(hat_t, cap))), cap
+        assert abs(truncated - closed) < previous, cap
+        previous = abs(truncated - closed)
+    assert previous < 1e-9
+
+
+def perturbed(r, block, eps=1e-6):
+    """r with eps times a fixed unit-entry matrix added to one block of U."""
+    bump = getattr(r, block)
+    return dataclasses.replace(r, **{block: bump + eps * np.ones_like(bump)})
+
+
+@pytest.mark.parametrize("block", ["a", "b", "c", "d"])
+def test_lifting_sees_every_block_of_u(block):
+    t, cert = w3_nonnormal()
+    r = rz.build_generating_unitary(t, cert)
+    assert suite_row(t, cert, r, 8, "lifting").residual < 1e-13
+    assert suite_row(t, cert, perturbed(r, block), 8, "lifting").residual > 1e-8
+
+
+@pytest.mark.parametrize("block, moves", [("a", False), ("b", False), ("c", True), ("d", True)])
+def test_strict_multiplier_blind_to_a_and_b(block, moves):
+    # the row reads only the lower colligation row [C, D]
+    t, cert = w3_nonnormal()
+    r = rz.build_generating_unitary(t, cert)
+    res = suite_row(t, cert, perturbed(r, block), 8, "strict_multiplier").residual
+    assert (res > 1e-8) if moves else (res < 1e-13), res
+
+
+def test_lifting_rows_fail_on_a_zero_pivot(monkeypatch):
+    # the Stein system is the only unstacked solve of the suite; a zero pivot
+    # there makes both closed rows read inf instead of raising
+    t, cert = w3_nonnormal()
+    r = rz.build_generating_unitary(t, cert)
+    solve = matcore.solve_stack
+
+    def singular_system(m, b):
+        return solve(m, b) if m.ndim > 2 else (b, np.zeros((), dtype=bool))
+
+    monkeypatch.setattr(matcore, "solve_stack", singular_system)
+    report = rz.run_identity_suite(t, cert, r, cap=4, schur_points=1, inner_grid=4)
+    for name in ("lifting", "strict_multiplier"):
+        assert report.row(name).residual == np.inf and not report.row(name).ok
+    assert not report.ok
 
 
 # ---------------------------------------------------------------------------
@@ -442,23 +505,30 @@ def test_identity_suite_nilpotent(triple32):
 
 
 def test_identity_suite_non_nilpotent(rng):
-    u = np.diag(np.exp(2j * np.pi * rng.uniform(size=3)))
-    t1 = 0.5 * u
-    t2 = 0.4 * u @ u
-    t3 = 0.35 * u
-    t = tuples.make_tuple([t1, t2, t3])
-    cert = tuples.last_defect_certificate(t)
+    t, cert = diagonal_triple(rng)
     report = rz.run_identity_suite(t, cert, cap=10, schur_points=25, inner_grid=16)
     assert report.ok, [(r.name, r.residual, r.bound) for r in report.rows if not r.ok]
     assert report.rho > 0.0
 
 
-def test_identity_suite_tiny_cap_loose_bounds(rng):
-    # a deliberately small cap keeps the tail bounds loose but satisfied
-    u = np.diag(np.exp(2j * np.pi * rng.uniform(size=3)))
-    t = tuples.make_tuple([0.5 * u, 0.4 * u @ u, 0.35 * u])
-    cert = tuples.last_defect_certificate(t)
+def test_identity_suite_tiny_cap_exact_bounds(rng):
+    # a cap of 1 leaves most of the norm outside the box, and no bound widens
+    t, cert = diagonal_triple(rng)
     report = rz.run_identity_suite(t, cert, cap=1, schur_points=10, inner_grid=8)
     assert report.cap == 1
     assert report.ok, [(r.name, r.residual, r.bound) for r in report.rows if not r.ok]
-    assert report.row("lifting").bound > 0.1  # visibly loose
+    for row in report.rows:
+        if row.name not in ("schur_identity", "inner_deviation", "inner_singular_fraction"):
+            assert row.bound <= 1e-9, row
+
+
+@pytest.mark.parametrize("cap", [8, 12])
+def test_identity_suite_non_normal_ok(cap):
+    t, cert = w3_nonnormal()
+    report = rz.run_identity_suite(t, cert, cap=cap, schur_points=4, inner_grid=8)
+    assert report.ok, [(r.name, r.residual, r.bound) for r in report.rows if not r.ok]
+    assert report.cap == cap and report.taylor_cap == 2 * cap
+    # |box defect + <gap h, h>|; a gap of the wrong sign would leave twice
+    # the box defect, 0.29 at cap 12
+    assert report.row("pi_isometry_defect").residual < 1e-14
+
