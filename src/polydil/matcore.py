@@ -92,16 +92,18 @@ def norm_bounds(a) -> tuple[np.ndarray, np.ndarray]:
     return np.sqrt(np.where(np.isinf(lower), 0.0, lower)), np.sqrt(rows.sum(axis=-1))
 
 
-def max_operator_norm(a) -> float:
+def max_operator_norm(a, floor: float = 0.0) -> float:
     """``float(np.max(operator_norm(a), initial=0.0))`` for a stack
     (..., p, q), with an SVD only of the matrices that can attain it: those
-    whose Frobenius norm reaches the largest row or column norm of the stack.
+    whose Frobenius norm reaches both the largest row or column norm of the
+    stack and ``floor``.  So ``max(floor, max_operator_norm(a, floor))`` is
+    ``max(floor, max_operator_norm(a))`` bit for bit.
     """
     m = np.asarray(a, dtype=complex)
     lower, upper = norm_bounds(m)
-    floor = float(np.max(lower, initial=0.0)) * (1.0 - _SCREEN_SLACK)
-    if _SCREEN_RANGE[0] <= floor <= _SCREEN_RANGE[1]:  # NaN or inf: no screen
-        m = m[upper >= floor]
+    screen = max(float(np.max(lower, initial=0.0)), floor) * (1.0 - _SCREEN_SLACK)
+    if _SCREEN_RANGE[0] <= screen <= _SCREEN_RANGE[1]:  # NaN or inf: no screen
+        m = m[upper >= screen]
     return float(np.max(operator_norm(m), initial=0.0))
 
 
@@ -159,14 +161,15 @@ def psd_sqrt(a, tol: float = PSD_CLAMP_TOL) -> np.ndarray:
 
 
 def kernel_basis(a, tol: float = EIG_TOL) -> np.ndarray:
-    """Orthonormal basis of the numerical kernel of A (columns)."""
+    """Orthonormal basis of the numerical kernel of A (columns); a tall A
+    needs only its thin SVD."""
     m = as_matrix(a)
     rows, cols = m.shape
     if cols == 0:
         return np.zeros((0, 0), dtype=complex)
     if rows == 0:
         return np.eye(cols, dtype=complex)
-    _, s, vh = np.linalg.svd(m, full_matrices=True)
+    _, s, vh = np.linalg.svd(m, full_matrices=rows < cols)
     scale = s[0] if s.size else 0.0
     thr = tol * max(1.0, scale)
     keep = [i for i in range(cols) if (s[i] if i < s.size else 0.0) <= thr]
@@ -353,12 +356,12 @@ def inv_resolvent(d, zeta, rhs, tol: float = RESOLVENT_TOL) -> tuple[np.ndarray,
     counts as regular; if a value built from Y_g is inaccurate there, the
     check that uses it (for the transfer function, ``inner_deviation``)
     reports it.  The grid path ``realization.transfer_eval_grid`` builds
-    Y_g from two smaller solves instead, holds it to the last two tests
-    against the full M_g, and solves every point that fails them, or whose
-    smaller solves met a zero pivot, again here; its regular points are
-    therefore this rule's, with the same blind spot.  Y is zero at every
-    point that is not regular.  A singular system can only arise at
-    boundary evaluation points.
+    Y_g from two smaller solves and applies the last two tests through
+    upper bounds on ||Y_g||_F and on the full residual's Frobenius norm; it
+    solves every point that fails them, or whose smaller solves met a zero
+    pivot, again here, so its regular points pass this rule for its own Y_g,
+    with the same blind spot.  Y is zero at every point that is not
+    regular.  A singular system can only arise at boundary evaluation points.
     """
     dm = as_matrix(d)
     r = as_matrix(rhs)

@@ -8,18 +8,18 @@ isometry.  The rest of the module evaluates that transfer function, checks
 the Schur identity and boundary innerness, splits off the unitary part of
 its constant term, and runs the full intertwining verification suite.
 
-Phi has two evaluation paths.  ``transfer_eval_many`` takes any points and
-solves the full resolvent at each (``matcore.inv_resolvent``).
-``transfer_eval_grid`` takes a product grid axis^m, the torus grid of
-``inner_check`` and the torus cache or the interior grid of variety
-sampling, and solves it fiber by fiber: the first m - 1 blocks once per
-base point, then a system of the last block's size per grid point.  It
-applies the regular-point rule of ``inv_resolvent`` to the full system at
-every point and hands each point that fails it, or that meets a zero
-pivot, to ``inv_resolvent``, so both paths count the same singular points.
-A null vector of the base block is harmless: for a contractive D* and
-unimodular E it is reducing, so the full system is singular on that whole
-fiber, and ``inv_resolvent`` says so.
+Phi has two evaluation paths.  ``transfer_eval`` and the Schur identity
+solve the full resolvent at each point (``matcore.inv_resolvent``).
+``transfer_eval_grid`` takes a product grid axis^m (the torus grid of
+``inner_check`` and the torus cache, or the interior grid of variety
+sampling): fixing the first m - 1 variables at a base point leaves a
+one-variable colligation on the last block's state, built once per base
+point and solved at each grid point.  It holds every point to the
+regular-point rule of ``inv_resolvent`` through exact upper bounds and
+hands each point that fails them, or that meets a zero pivot, to
+``inv_resolvent``.  A null vector of the base block is harmless: for a
+contractive D* and unimodular E it is reducing, so the full system is
+singular on that whole fiber, and ``inv_resolvent`` says so.
 """
 
 from __future__ import annotations
@@ -149,27 +149,9 @@ def _transfer_solve(
     return phi, y, regular
 
 
-def transfer_eval_many(
-    r: TransferRealization, points
-) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
-    """Phi(z) = A* + C* E(z) (I - D* E(z))^{-1} B* over the rows of a (G, m)
-    point array, CHUNK rows at a time.
-
-    Yields ``(rows, phi, regular)``: the slice of ``points`` covered, Phi
-    there as a (k, e, e) stack, and the mask of the points whose resolvent is
-    regular.  Interior points are always regular; on the torus the resolvent
-    may be singular, and there ``phi`` holds A* in place of a value.
-    """
-    zeta = _block_diagonals(r.partition, points)
-    for start in range(0, len(zeta), CHUNK):
-        rows = slice(start, start + CHUNK)
-        phi, _, regular = _transfer_solve(r, zeta[rows])
-        yield rows, phi, regular
-
-
 def transfer_eval(r: TransferRealization, z: Sequence[complex]) -> np.ndarray:
     """Phi(z) at one point; a singular resolvent raises SingularResolvent."""
-    _, phi, regular = next(transfer_eval_many(r, [z]))
+    phi, _, regular = _transfer_solve(r, _block_diagonals(r.partition, [z]))
     if not regular[0]:
         raise SingularResolvent(f"singular resolvent at {tuple(z)}")
     return phi[0]
@@ -216,84 +198,99 @@ def grid_points(axis: np.ndarray, m: int) -> np.ndarray:
     return np.stack(axes, axis=-1).reshape(-1, m)
 
 
+def _base_colligation(r: TransferRealization, zr: np.ndarray):
+    """The one-variable colligations left by fixing the first m - 1
+    variables at base points, the rows of ``zr`` being their E_R diagonals.
+
+    R is the state of blocks 1..m-1, L that of the last block (size p).  One
+    solve of M_RR = I - D*_RR E_R against [B*_R | D*_RL] gives H = [Y0 | G],
+    and [alpha | beta] = [A* | C*_L] + C*_R E_R H,
+    [gamma | delta] = [B*_L | D*_LL] + D*_LR E_R H.  Returns H, the mask of
+    LUs without a zero pivot, the two rows, and the Frobenius norms of Y0,
+    G, r0 = M_RR Y0 - B*_R and r1 = M_RR G - D*_RL as a (4, bases) array.
+    """
+    e, fr = r.dim_e, r.dim_f - r.partition[-1]
+    a_adj, b_adj, c_adj, d_adj = adj(r.a), adj(r.b), adj(r.c), adj(r.d)
+    base_rhs = np.hstack([b_adj[:fr], d_adj[:fr, fr:]])
+    m_rr = np.eye(fr) - d_adj[:fr, :fr] * zr[:, None, :]
+    h, solved = matcore.solve_stack(m_rr, np.broadcast_to(base_rhs, (len(zr),) + base_rhs.shape))
+    # overflow leaves non-finite norms, which fail the bounds
+    with np.errstate(over="ignore", invalid="ignore"):
+        eh = zr[:, :, None] * h
+        top = np.hstack([a_adj, c_adj[:, fr:]]) + c_adj[:, :fr] @ eh
+        low = np.hstack([b_adj[fr:], d_adj[fr:, fr:]]) + d_adj[fr:, :fr] @ eh
+        sq = np.stack([h, m_rr @ h - base_rhs])
+        sq = sq.real**2 + sq.imag**2
+        y_sq, g_sq = sq[..., :e].sum(axis=(-2, -1)), sq[..., e:].sum(axis=(-2, -1))
+    return h, solved, top, low, np.sqrt([y_sq[0], g_sq[0], y_sq[1], g_sq[1]])
+
+
+def _fiber_eval(top: np.ndarray, low: np.ndarray, norms: np.ndarray, lam: np.ndarray):
+    """Phi at the fiber points ``lam`` over each base of ``_base_colligation``,
+    with bounds on the full system, arrays indexed (base, fiber) first.
+
+    (I - lambda delta) w = gamma gives Phi = alpha + lambda beta w and the
+    full narrow resolvent Y = (Y0 + lambda G w, w), whose residual is, in
+    exact arithmetic, (r0 + lambda r1 w, (I - lambda delta) w - gamma) for
+    any Y0, G and w.  Returns w, Phi, the mask of LUs without a zero pivot,
+    and the bounds ||Y0|| + |lambda| ||G|| ||w|| + ||w|| on ||Y||_F and
+    ||r0|| + |lambda| ||r1|| ||w|| + ||(I - lambda delta) w - gamma|| on the
+    residual, all Frobenius norms.
+    """
+    e, p = top.shape[-2], low.shape[-2]
+    nb, nl = len(top), len(lam)
+    gamma, delta = low[..., :e], low[..., e:]
+    # overflow leaves a non-finite w, which fails the bounds
+    with np.errstate(over="ignore", invalid="ignore"):
+        n = np.eye(p) - lam[:, None, None] * delta[:, None]
+        w, solved = matcore.solve_stack(n, np.broadcast_to(gamma[:, None], (nb, nl, p, e)))
+        # lambda w with the fiber index inside the columns: one GEMM per base
+        lw = (lam[:, None, None] * w).transpose(0, 2, 1, 3).reshape(nb, p, nl * e)
+        phi = top[:, None, :, :e] + (top[..., e:] @ lw).reshape(nb, e, nl, e).transpose(0, 2, 1, 3)
+        fiber_res = w - gamma[:, None] - (delta @ lw).reshape(nb, p, nl, e).transpose(0, 2, 1, 3)
+        sq = np.stack([w, fiber_res])
+        w_norm, fiber_norm = np.sqrt((sq.real**2 + sq.imag**2).sum(axis=(-2, -1)))
+        y0_norm, g_norm, r0, r1 = norms[..., None]
+        y_bound = y0_norm + (np.abs(lam) * g_norm + 1.0) * w_norm
+        res_bound = r0 + np.abs(lam) * r1 * w_norm + fiber_norm
+    return w, phi, solved, y_bound, res_bound
+
+
 def transfer_eval_grid(
     r: TransferRealization, axis: np.ndarray
 ) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
-    """Phi over the product grid ``grid_points(axis, m)``, fiber by fiber:
-    ``(rows, phi, regular)`` triples as ``transfer_eval_many`` yields them on
-    that grid, in the same point order.  A chunk holds whole fibers, at most
-    CHUNK points of them, or CHUNK points of one fiber longer than that.
+    """Phi over the product grid ``grid_points(axis, m)`` as ``(rows, phi,
+    regular)``: the grid rows covered, Phi there as a (k, e, e) stack, and
+    the regular-point mask; at the other points ``phi`` holds A*.  A chunk
+    holds whole fibers, at most CHUNK points, or CHUNK points of one longer
+    fiber.  No per-point array is f rows tall.
 
-    The state splits into R, the blocks 1..m-1, and L, the last block (size
-    p).  At a base point z' one solve of M_RR = I - D*_RR E_R(z') against
-    [B*_R | D*_RL] gives Y0 and G, and with them the one-variable colligation
-    gamma = B*_L + D*_LR E_R Y0, delta = D*_LL + D*_LR E_R G.  At a fiber
-    point lambda the p x p solve (I - lambda delta) w = gamma gives
-    Y = (Y0 + lambda G w, w), the narrow resolvent of the full system.
-
-    Every point is held to the regular-point rule of
-    ``matcore.inv_resolvent``, at its default tolerance and for the full
-    system: ||Y||_F <= 1/tol, and ||Y - D* E Y - B*|| within tol.  A point
-    that fails it, or whose base or fiber solve finds a zero pivot, is solved
-    again by ``inv_resolvent`` and takes its verdict, so the singular points
-    are the direct path's.
+    A point is regular by the rule of ``matcore.inv_resolvent`` for the full
+    system at its default tolerance, through the bounds of ``_fiber_eval``:
+    ||Y||_F <= 1/tol and the residual within tol.  A point that fails a
+    bound, or whose base or fiber solve meets a zero pivot, is solved again
+    by ``inv_resolvent`` and takes its verdict.
     """
     axis = np.asarray(axis, dtype=complex)
     k, tol = len(axis), matcore.RESOLVENT_TOL
     if k == 0:
         return
-    e, f, p = r.dim_e, r.dim_f, r.partition[-1]
-    fr = f - p
-    a_adj, b_adj, c_adj, d_adj = adj(r.a), adj(r.b), adj(r.c), adj(r.d)
-    base_rhs = np.hstack([b_adj[:fr], d_adj[:fr, fr:]])  # [B*_R | D*_RL]
     bases = _block_diagonals(r.partition[:-1], grid_points(axis, len(r.partition) - 1))
     per = max(1, CHUNK // k)
     for b0 in range(0, len(bases), per):
         zr = bases[b0 : b0 + per]  # the diagonals of E_R(z')
-        nb = len(zr)
-        m_rr = np.eye(fr) - d_adj[:fr, :fr] * zr[:, None, :]
-        h, base_solved = matcore.solve_stack(m_rr, np.broadcast_to(base_rhs, (nb, fr, e + p)))
-        y0, g = h[..., :e], h[..., e:]
-        reduced = d_adj[fr:, :fr] @ (zr[:, :, None] * h)  # D*_LR E_R [Y0 | G]
-        gamma, delta = b_adj[fr:] + reduced[..., :e], d_adj[fr:, fr:] + reduced[..., e:]
+        _, base_solved, top, low, norms = _base_colligation(r, zr)
         for l0 in range(0, k, CHUNK):
             lam = axis[l0 : l0 + CHUNK]
-            nl = len(lam)
-            size = nb * nl
-            zeta = np.empty((nb, nl, f), dtype=complex)  # the diagonals of E(z', lambda)
-            zeta[..., :fr], zeta[..., fr:] = zr[:, None], lam[:, None]
-            zeta = zeta.reshape(size, f)
-            # overflow leaves a non-finite Y, which fails the bound below
-            with np.errstate(over="ignore", invalid="ignore"):
-                n = np.eye(p) - lam[:, None, None] * delta[:, None]
-                w, fiber_solved = matcore.solve_stack(
-                    n, np.broadcast_to(gamma[:, None], (nb, nl, p, e))
-                )
-                # Y and E Y with the state index first, as (f, size, e) arrays
-                lw = (lam[:, None, None] * w).transpose(0, 2, 1, 3).reshape(nb, p, nl * e)
-                y = np.empty((f, nb, nl, e), dtype=complex)
-                y[:fr] = (g @ lw).reshape(nb, fr, nl, e).transpose(1, 0, 2, 3)
-                y[:fr] += y0.transpose(1, 0, 2)[:, :, None]
-                y[fr:] = w.transpose(2, 0, 1, 3)
-                y = y.reshape(f, size, e)
-                ey = zeta.T[:, :, None] * y
-                sq = y.real**2
-                sq += y.imag**2
-                ok = (base_solved[:, None] & fiber_solved).reshape(size)
-                ok &= np.sqrt(sq.sum(axis=(0, 2))) <= 1.0 / tol
-            if not ok.all():  # keeps the products and the residual finite
-                y[:, ~ok], ey[:, ~ok] = 0.0, 0.0
-            # one GEMM each for D* E Y and C* E Y over the chunk
-            resid = (d_adj @ ey.reshape(f, size * e)).reshape(f, size, e)
-            np.subtract(y, resid, out=resid)
-            resid -= b_adj[:, None, :]
-            ok &= matcore.operator_norms_within(resid.transpose(1, 0, 2), tol)
-            c_ey = (c_adj @ ey.reshape(f, size * e)).reshape(e, size, e).transpose(1, 0, 2)
-            phi = np.add(a_adj, c_ey, out=np.empty((size, e, e), dtype=complex))
+            _, phi, solved, y_bound, res_bound = _fiber_eval(top, low, norms, lam)
+            ok = base_solved[:, None] & solved & (y_bound <= 1.0 / tol) & (res_bound <= tol)
+            ok, phi = ok.ravel(), phi.reshape(ok.size, r.dim_e, r.dim_e)
             if not ok.all():
                 bad = ~ok
-                phi[bad], _, ok[bad] = _transfer_solve(r, zeta[bad])
-            yield slice(b0 * k + l0, b0 * k + l0 + size), phi, ok
+                ib, il = np.divmod(np.flatnonzero(bad), len(lam))
+                zeta = np.hstack([zr[ib], np.repeat(lam[il, None], r.partition[-1], axis=1)])
+                phi[bad], _, ok[bad] = _transfer_solve(r, zeta)
+            yield slice(b0 * k + l0, b0 * k + l0 + len(ok)), phi, ok
 
 
 def inner_check(r: TransferRealization, grid: int) -> InnerReport:
@@ -305,7 +302,7 @@ def inner_check(r: TransferRealization, grid: int) -> InnerReport:
     for _, phi, regular in transfer_eval_grid(r, unit_circle(grid)):
         singular += int(np.count_nonzero(~regular))
         phi = phi[regular]
-        max_dev = max(max_dev, matcore.max_operator_norm(adj(phi) @ phi - eye))
+        max_dev = max(max_dev, matcore.max_operator_norm(adj(phi) @ phi - eye, max_dev))
     return InnerReport(max_dev, singular, grid ** len(r.partition))
 
 

@@ -72,12 +72,29 @@ def direct_sum_constant(r, u):
     )
 
 
+def transfer_eval_many(r, points):
+    """Phi(z) = A* + C* E(z) (I - D* E(z))^{-1} B* over the rows of a (G, m)
+    point array, CHUNK rows at a time, each point by its own full resolvent
+    solve (``matcore.inv_resolvent``): the direct-path oracle for
+    ``rz.transfer_eval_grid``.
+
+    Yields ``(rows, phi, regular)``: the slice of ``points`` covered, Phi
+    there as a (k, e, e) stack, and the mask of the points whose resolvent is
+    regular; at the others ``phi`` holds A* in place of a value.
+    """
+    zeta = rz._block_diagonals(r.partition, points)
+    for start in range(0, len(zeta), rz.CHUNK):
+        rows = slice(start, start + rz.CHUNK)
+        phi, _, regular = rz._transfer_solve(r, zeta[rows])
+        yield rows, phi, regular
+
+
 def svd_torus_sup(p, r, points):
     """max over the rows zeta of ``points`` of ||P(zeta_1 I, ..., zeta_m I,
-    Phi(zeta))||, with Phi from ``rz.transfer_eval_many`` and one SVD per
+    Phi(zeta))||, with Phi from ``transfer_eval_many`` and one SVD per
     point: the reference for the fiber maximum of ``vonneumann.torus_sup``."""
     phi = []
-    for _, stack, regular in rz.transfer_eval_many(r, points):
+    for _, stack, regular in transfer_eval_many(r, points):
         assert regular.all()
         phi.append(stack)
     phi = np.concatenate(phi)
@@ -170,13 +187,16 @@ def truncated_lifting(t, cert, r, cap):
     sum_j Phi_j* Pi_{k+j}, a correlation of the Taylor tensor of Phi with the
     coefficient tensor of Pi over the shifts j in the box.  Every pairing
     inside the box is present, so only the genuine infinite tail is dropped.
+    A shift whose slice of Pi is exactly zero adds exact zeros and is skipped.
     """
     _, pi, phi = _box_data(t, cert, r, cap)
     rhs = np.zeros_like(pi.coeffs)
+    nonzero = pi.coeffs.any(axis=(-2, -1))
     for j in np.ndindex(*phi.shape[:-2]):
         head = tuple(slice(0, cap + 1 - x) for x in j)
         tail = tuple(slice(x, cap + 1) for x in j)
-        rhs[head] += adj(phi[j]) @ pi.coeffs[tail]
+        if nonzero[tail].any():
+            rhs[head] += adj(phi[j]) @ pi.coeffs[tail]
     lhs = pi.coeffs @ adj(t.op(t.n))
     return matcore.max_operator_norm(lhs - rhs)
 

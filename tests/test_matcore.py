@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from polydil import matcore
+from polydil import matcore, realization as rz
 from polydil.errors import (
     DimensionMismatch,
     NotHermitian,
@@ -11,7 +11,13 @@ from polydil.errors import (
 )
 from polydil.matcore import adj
 
-from conftest import DegenerateLeadingCoefficient, poly_roots, random_complex, random_unitary
+from conftest import (
+    DegenerateLeadingCoefficient,
+    poly_roots,
+    random_complex,
+    random_unitary,
+    w2_tensor_jordan,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -515,6 +521,29 @@ def test_max_operator_norm_non_finite(rng):
     for norm in (matcore.max_operator_norm, full_max_norm):
         with pytest.raises(np.linalg.LinAlgError):
             norm(stack)
+
+
+def inner_deviation_stack():
+    """Phi* Phi - I over W2's 32^3 torus grid, the stack behind its
+    ``inner_deviation``."""
+    r = rz.build_generating_unitary(*w2_tensor_jordan())
+    phi = np.concatenate([phi for _, phi, _ in rz.transfer_eval_grid(r, rz.unit_circle(32))])
+    return adj(phi) @ phi - np.eye(r.dim_e)
+
+
+def test_max_operator_norm_floor_keeps_the_running_maximum(rng):
+    # a floor at the true maximum, one ulp and far on either side of it, and
+    # at 0 and inf: taking the floor into the maximum gives the unscreened
+    # maximum with the floor, bit for bit
+    stacks = screened_stacks(rng)
+    stacks["w2_inner"] = inner_deviation_stack()
+    for name, stack in stacks.items():
+        top = full_max_norm(stack)
+        floors = [0.0, 0.5 * top, np.nextafter(top, 0.0), top, np.nextafter(top, np.inf),
+                  2.0 * top, np.inf]
+        for floor in floors:
+            screened = max(floor, matcore.max_operator_norm(stack, floor))
+            assert screened.hex() == max(floor, top).hex(), (name, floor)
 
 
 def test_operator_norms_within_at_the_threshold(rng):

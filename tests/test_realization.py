@@ -13,6 +13,7 @@ from conftest import (
     diagonal_triple,
     random_complex,
     random_unitary,
+    transfer_eval_many,
     transfer_taylor,
     truncated_lifting,
     truncated_strict_multiplier,
@@ -164,13 +165,16 @@ def test_inner_product_triple(triple22):
 
 
 def test_inner_check_matches_full_svd_oracle(monkeypatch):
-    # 32^3 torus points: the screened maximum and regular mask against an SVD
-    # of every deviation and every resolvent residual
+    # 32^3 torus points: the screened maximum against an SVD of every
+    # deviation, and the grid path's regular mask against the direct path's
+    # with an SVD of every resolvent residual
     t, cert = w2_tensor_jordan()
     r = rz.build_generating_unitary(t, cert)
     report = rz.inner_check(r, 32)
+    axis = rz.unit_circle(32)
+    grid_regular = np.concatenate([regular for _, _, regular in rz.transfer_eval_grid(r, axis)])
 
-    def full_max(a):
+    def full_max(a, floor=0.0):
         return float(np.max(matcore.operator_norm(a), initial=0.0))
 
     def full_within(a, tol):
@@ -183,6 +187,9 @@ def test_inner_check_matches_full_svd_oracle(monkeypatch):
     assert report.max_deviation.hex() == oracle.max_deviation.hex()
     assert report == oracle
     assert report.grid_points == 32**3 and 0.0 < report.max_deviation < 1e-12
+    points = rz.grid_points(axis, len(r.partition))
+    direct_regular = np.concatenate([regular for _, _, regular in transfer_eval_many(r, points)])
+    assert np.array_equal(grid_regular, direct_regular) and grid_regular.all()
 
 
 # ---------------------------------------------------------------------------

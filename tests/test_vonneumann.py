@@ -13,6 +13,7 @@ from conftest import (
     random_complex,
     random_unitary,
     svd_torus_sup,
+    transfer_eval_many,
     w2_tensor_jordan,
     w3_nonnormal,
     zero_triple,
@@ -246,7 +247,7 @@ def test_split_mixed_blocks(rng):
     h0, h1 = split.h0_frame, split.h1_frame
     radii = [0.31, -0.22, 0.47, 0.11, -0.38]
     points = [[x * np.exp(2j * np.pi * (j + a) / 7) for a in range(2)] for j, x in enumerate(radii)]
-    _, phi, regular = next(rz.transfer_eval_many(r, points))
+    _, phi, regular = next(transfer_eval_many(r, points))
     assert regular.all()
     assert matcore.max_operator_norm(adj(h0) @ phi @ h1) < 1e-10
     assert matcore.max_operator_norm(adj(h1) @ phi @ h0) < 1e-10
@@ -288,7 +289,7 @@ def test_transfer_eval_many_matches_one_point(which, triple22, rng):
     radii = 0.95 * np.sqrt(rng.uniform(size=(count, 2)))
     points = radii * np.exp(2j * np.pi * rng.uniform(size=(count, 2)))
     covered = 0
-    for rows, phi, regular in rz.transfer_eval_many(r, points):
+    for rows, phi, regular in transfer_eval_many(r, points):
         assert rows.start == covered and regular.all()
         for z, value in zip(points[rows], phi):
             assert matcore.operator_norm(value - one_point_phi(r, z)) < 1e-14
@@ -315,7 +316,7 @@ def disc_axis(grid_per_axis, radius=0.95):
 
 
 def assert_grid_matches_direct(r, axis, stride):
-    """``rz.transfer_eval_grid(r, axis)`` against ``rz.transfer_eval_many``
+    """``rz.transfer_eval_grid(r, axis)`` against ``transfer_eval_many``
     on ``grid_points(axis, m)``: rows in grid order, each point once, the
     same regular mask, Phi within 1e-14 everywhere and, at every
     ``stride``-th regular point, within 1e-14 of the dense one-point
@@ -323,7 +324,7 @@ def assert_grid_matches_direct(r, axis, stride):
     points = rz.grid_points(axis, len(r.partition))
     direct_phi = np.empty((len(points), r.dim_e, r.dim_e), dtype=complex)
     direct_regular = np.empty(len(points), dtype=bool)
-    for rows, phi, regular in rz.transfer_eval_many(r, points):
+    for rows, phi, regular in transfer_eval_many(r, points):
         direct_phi[rows], direct_regular[rows] = phi, regular
     covered = 0
     for rows, phi, regular in rz.transfer_eval_grid(r, axis):
@@ -403,18 +404,103 @@ def test_grid_fallback_takes_the_direct_verdict(which, grid, triple22):
     assert len(cache.points) == grid**m - grid ** (m - 1) and np.all(cache.points[:, 0] != 1.0)
 
 
-def test_grid_fallback_solves_regular_points_over_a_singular_base():
-    # D* = [[1, 1], [1, 0]] is not a contraction: M_RR = 1 - z_1 vanishes at
-    # z_1 = 1, while the full system there, of determinant -z_2, is regular
-    r = rz.TransferRealization(
+def non_contractive_singular_base():
+    """D* = [[1, 1], [1, 0]] is not a contraction: M_RR = 1 - z_1 vanishes at
+    z_1 = 1, while the full system there, of determinant -z_2, is regular."""
+    return rz.TransferRealization(
         a=np.array([[0.5]], dtype=complex),
         b=np.array([[1.0, 0.5]], dtype=complex),
         c=np.array([[1.0], [0.25]], dtype=complex),
         d=np.array([[1.0, 1.0], [1.0, 0.0]], dtype=complex),
         partition=(1, 1),
     )
+
+
+def test_grid_fallback_solves_regular_points_over_a_singular_base():
+    r = non_contractive_singular_base()
     assert assert_grid_matches_direct(r, rz.unit_circle(8), 1).all()
     assert rz.inner_check(r, 8).singular_points == 0
+
+
+def assembled_against_bounds(r, axis):
+    """At every point of ``grid_points(axis, m)``: the grid path's bounds on
+    ||Y||_F and on the full residual, and the values they bound, from
+    Y = (Y0 + lambda G w, w) assembled out of its base and fiber solves and
+    the residual (I - D* E) Y - B* taken explicitly, its norm by an SVD."""
+    e, p = r.dim_e, r.partition[-1]
+    bases = rz._block_diagonals(r.partition[:-1], rz.grid_points(axis, len(r.partition) - 1))
+    bounds, values = [], []
+    for zr in np.array_split(bases, -(-len(bases) // 32)):
+        h, _, top, low, norms = rz._base_colligation(r, zr)
+        w, _, _, y_bound, res_bound = rz._fiber_eval(top, low, norms, axis)
+        y = np.concatenate(
+            [h[:, None, :, :e] + axis[:, None, None] * (h[:, None, :, e:] @ w), w], axis=-2
+        )
+        zeta = np.empty(y.shape[:2] + (r.dim_f,), dtype=complex)  # the diagonals of E
+        zeta[..., : r.dim_f - p], zeta[..., r.dim_f - p :] = zr[:, None], axis[:, None]
+        resid = y - (adj(r.d) * zeta[..., None, :]) @ y - adj(r.b)
+        bounds.append(np.stack([y_bound, res_bound]).reshape(2, -1))
+        values.append(
+            np.stack([np.linalg.norm(y, axis=(-2, -1)), matcore.operator_norm(resid)]).reshape(2, -1)
+        )
+    return np.concatenate(bounds, axis=1), np.concatenate(values, axis=1)
+
+
+def inexact_solves(monkeypatch, which, e):
+    """Make one of the grid path's solves inexact by 1e-7 complex noise: the
+    Y0 or the G columns of the base solve, or the whole fiber solve."""
+    exact, noise = matcore.solve_stack, np.random.default_rng(7)
+
+    def solve(m, b):
+        x, solved = exact(m, b)
+        base = m.ndim == 3  # the base solve stacks bases, the fiber solve (base, fiber)
+        columns = {"y0": slice(None, e), "g": slice(e, None)}.get(which, slice(None))
+        if base == (which != "fiber"):
+            x = x.copy()
+            x[..., columns] += 1e-7 * random_complex(noise, *x[..., columns].shape)
+        return x, solved
+
+    monkeypatch.setattr(matcore, "solve_stack", solve)
+
+
+@pytest.mark.parametrize("inexact", [None, "y0", "g", "fiber"])
+@pytest.mark.parametrize(
+    "which, axis",
+    [
+        ("w1", rz.unit_circle(32)),
+        ("w2", rz.unit_circle(32)),
+        ("w3", rz.unit_circle(32)),
+        ("w1", disc_axis(9)),
+        ("w2", disc_axis(5)),
+        ("w3", disc_axis(9)),
+        ("m1", rz.unit_circle(64)),
+        ("reducing", rz.unit_circle(32)),
+        ("reducing_w2", rz.unit_circle(8)),
+        ("non_contractive", rz.unit_circle(8)),
+    ],
+)
+def test_grid_bounds_hold_at_every_point(which, axis, inexact, triple22, monkeypatch):
+    # the grid path's regular-point rule rests on these bounds.  They hold
+    # for any Y0, G and w, so solves made inexact far above rounding give
+    # every term of the residual bound a part to play; the slack covers the
+    # rounding of both sides, which exact solves leave at the same level
+    if which == "m1":
+        r = one_variable(rz.build_generating_unitary(*triple22))
+    elif which == "reducing":
+        r = with_reducing_unimodular_coordinate(rz.build_generating_unitary(*triple22))
+    elif which == "reducing_w2":
+        r = with_reducing_unimodular_coordinate(rz.build_generating_unitary(*w2_tensor_jordan()))
+    elif which == "non_contractive":
+        r = non_contractive_singular_base()
+    else:
+        r = rz.build_generating_unitary(*WORKLOAD_INPUTS[which]())
+    if inexact is not None:
+        inexact_solves(monkeypatch, inexact, r.dim_e)
+    bounds, values = assembled_against_bounds(r, axis)
+    assert bounds.shape == values.shape == (2, len(axis) ** len(r.partition))
+    assert np.all(np.isfinite(values))
+    slack = 1e-14 * (1.0 + values[0])
+    assert np.all(bounds >= values - slack)
 
 
 @pytest.mark.parametrize("grid", [8, rz.CHUNK + 8])
