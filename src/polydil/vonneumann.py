@@ -314,13 +314,53 @@ def torus_sup(p: MultiPoly, cache: TorusCache) -> float:
     return _fiber_sup(p, cache.points, cache.eigs)
 
 
+def _circle_sup(coeffs: np.ndarray, circle_pows: np.ndarray) -> float:
+    """max of |sum_j c_gj lambda^j| over the rows g of a (G, deg_n+1)
+    coefficient array and the circle points lambda, whose powers are the
+    rows of circle_pows; the sum accumulates in the order of ``_fiber_sup``."""
+    vals = np.zeros((len(coeffs), circle_pows.shape[1]), dtype=complex)
+    for j, power in enumerate(circle_pows):
+        vals += coeffs[:, j, None] * power
+    return np.max(np.abs(vals), initial=0.0)
+
+
 def polydisc_grid_sup(p: MultiPoly, grid: int) -> float:
     """max of |P| over the full torus grid, a lower bound for the polydisc
     supremum: the circle is the fiber over each point of the grid^(n-1)
-    base, so the grid^n points are never built."""
+    base, so the grid^n points are never built.
+
+    A screened scan.  With c_j(zeta') the base coefficients, every value on
+    the row of zeta' is at most the bound sum_j |c_j(zeta')|, as |lambda| = 1.
+    The row with the largest bound is scanned first; then only the rows whose
+    bound times (1 + 1e-8) reaches that row's maximum can hold the grid
+    maximum, and they are scanned CHUNK rows at a time.  The slack covers the
+    rounding of the bounds and of the values, which is relative while that
+    maximum is a normal float.  A NaN, zero or subnormal maximum screens
+    nothing, so a NaN anywhere on the grid still gives NaN, under the same
+    warnings: a NaN bound is the largest to ``np.argmax`` and makes its row
+    NaN, and an infinite maximum keeps the rows whose bound overflows, the
+    only rows that can overflow.  The circle's powers are formed once, by the
+    repeated products the unscreened scan forms in every row, and each value
+    is summed in the same order, so the result is the maximum over all
+    grid^n points bit for bit.
+    """
+    if p.nvars < 1:
+        raise ArityMismatch("a polynomial on the polydisc needs at least one variable")
     circle = rz.unit_circle(grid)
-    base = rz.grid_points(circle, p.nvars - 1)
-    return _fiber_sup(p, base, np.broadcast_to(circle, (len(base), grid)))
+    coeffs = _base_coefficients(p, rz.grid_points(circle, p.nvars - 1))
+    circle_pows = np.ones((coeffs.shape[1], grid), dtype=complex)
+    for j in range(1, len(circle_pows)):
+        circle_pows[j] = circle_pows[j - 1] * circle
+    with np.errstate(over="ignore", invalid="ignore"):  # only the scan warns, as on the full grid
+        bound = np.sum(np.abs(coeffs), axis=1) * (1.0 + 1e-8)
+    top = int(np.argmax(bound))
+    best = _circle_sup(coeffs[top : top + 1], circle_pows)
+    rows = np.arange(len(coeffs))
+    if best >= np.finfo(float).tiny:  # not NaN, zero or subnormal
+        rows = rows[bound >= best]
+    for r0 in range(0, len(rows), rz.CHUNK):
+        best = np.maximum(best, _circle_sup(coeffs[rows[r0 : r0 + rz.CHUNK]], circle_pows))
+    return float(best)
 
 
 # ---------------------------------------------------------------------------
@@ -414,8 +454,8 @@ def variety_sample(
     if split.cnu_part is not None:
         for rows, phi, regular_rows in rz.transfer_eval_grid(split.cnu_part, axis):
             lam[rows] = matcore.eigvals(phi)
-            shifted = lam[rows, :, None, None] * np.eye(e1) - phi[:, None]
-            res[rows] = np.abs(matcore.det(shifted))
+            for j in range(e1):  # one (k, e, e) stack per fiber index, not (k, e, e, e)
+                res[rows, j] = np.abs(matcore.det(lam[rows, j, None, None] * np.eye(e1) - phi))
             worst = np.fmax.reduce(res[rows], axis=1)  # a NaN residual fails nowhere
             fails[rows] = _fiber_bound_fails(worst, phi, root_tol)
             regular[rows] = regular_rows

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -194,6 +195,98 @@ def test_polydisc_grid_sup_one_variable():
     assert vn.polydisc_grid_sup(p, 8) == pytest.approx(2.0, abs=1e-15)  # at z = +-1
     assert vn.polydisc_grid_sup(p, 8) == full_grid_sup(p, 8)
     assert vn.polydisc_grid_sup(vn.multipoly(1, {}), 8) == 0.0
+
+
+def test_sups_without_variables_are_an_arity_mismatch(rng):
+    p = vn.multipoly(0, {(): 1.0})
+    with pytest.raises(ArityMismatch):
+        vn.polydisc_grid_sup(p, 8)
+    with pytest.raises(ArityMismatch):
+        vn.torus_sup(p, vn.precompute_torus(constant_realization(random_unitary(rng, 3)), 8))
+
+
+@pytest.fixture
+def scanned_rows(monkeypatch):
+    """The number of base rows ``polydisc_grid_sup`` scans, summed over its
+    calls of ``_circle_sup`` (the top row counts again in the screened pass)."""
+    count = [0]
+    scan = vn._circle_sup
+
+    def counting(coeffs, circle_pows):
+        count[0] += len(coeffs)
+        return scan(coeffs, circle_pows)
+
+    monkeypatch.setattr(vn, "_circle_sup", counting)
+    return count
+
+
+def test_polydisc_grid_screen_drops_most_rows(scanned_rows):
+    # the bound |1 + zeta_1 + zeta_2| + 1 reaches the maximum 4 only at (1, 1)
+    p = vn.multipoly(3, {(0, 0, 0): 1.0, (1, 0, 0): 1.0, (0, 1, 0): 1.0, (0, 0, 1): 1.0})
+    assert vn.polydisc_grid_sup(p, 32).hex() == full_grid_sup(p, 32).hex()
+    assert scanned_rows[0] == 2  # the top row, then the rows reaching its maximum
+
+
+@pytest.mark.parametrize("terms", [
+    {(2, 1, 3): 0.3 + 0.7j},  # a monomial: every row has the same bound, up to rounding
+    {(0, 0, 2): 1.0, (0, 0, 1): -2.0},  # terms only in z_n: the bounds tie exactly
+    {(1, 3, 0, 2): -1.5j},  # n = 4, more rows than one CHUNK
+])
+def test_polydisc_grid_screen_keeps_every_tied_row(terms, scanned_rows):
+    p = vn.multipoly(len(next(iter(terms))), terms)
+    grid = 32 if p.nvars < 4 else 12
+    assert vn.polydisc_grid_sup(p, grid).hex() == full_grid_sup(p, grid).hex()
+    assert scanned_rows[0] == 1 + grid ** (p.nvars - 1)
+
+
+def test_polydisc_grid_screen_keeps_a_row_whose_bound_meets_the_maximum(scanned_rows):
+    # at grid 2, P = 1 + 5e-9 z_1 has the bounds 1 + 5e-9 at z_1 = 1 and
+    # (1 - 5e-9)(1 + 1e-8) at z_1 = -1, which rounds to exactly 1 + 5e-9
+    p = vn.multipoly(2, {(0, 0): 1.0, (1, 0): 5e-9})
+    coeffs = vn._base_coefficients(p, rz.grid_points(rz.unit_circle(2), 1))[:, 0]
+    assert abs(coeffs[1]) * (1.0 + 1e-8) == abs(coeffs[0]) == vn.polydisc_grid_sup(p, 2)
+    assert scanned_rows[0] == 3
+
+
+@pytest.mark.parametrize("nvars, grid", [(1, 32), (4, 16)])  # n = 4: 4,096 rows, 16 CHUNKs
+def test_polydisc_grid_sup_of_zero_and_of_random_polynomials(nvars, grid, rng):
+    assert vn.polydisc_grid_sup(vn.multipoly(nvars, {}), grid) == 0.0
+    for _ in range(5):
+        terms = {tuple(rng.integers(0, 4, nvars)): complex(*rng.standard_normal(2))
+                 for _ in range(int(rng.integers(1, 7)))}
+        p = vn.multipoly(nvars, terms)
+        assert vn.polydisc_grid_sup(p, grid).hex() == full_grid_sup(p, grid).hex(), p.terms
+
+
+def _sup_and_warnings(sup, p, grid):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        value = sup(p, grid)
+    return value.hex(), {(w.category, str(w.message)) for w in caught}
+
+
+_BIG = 1.7e308
+
+
+@pytest.mark.parametrize("terms, grid", [
+    ({(1, 0): 1e308, (0, 1): 1e308}, 8),  # inf where the two phases align
+    ({(0, 0): 1e308, (1, 0): 1e308, (0, 1): -1e308, (1, 1): -1e308}, 8),  # inf - inf
+    ({(1, 0): complex(_BIG, _BIG), (0, 3): 1.0}, 8),  # c_0 overflows in the base coefficients
+    # the base coefficients are NaN at the top row, and other rows overflow
+    # only in the scan: a screen that stopped there would miss their warnings
+    ({(2, 2): complex(-_BIG, _BIG), (1, 2): complex(-_BIG, _BIG), (1, 0): complex(-_BIG, _BIG)}, 8),
+    ({(1, 1): complex(_BIG, -_BIG), (1, 0): complex(-_BIG, _BIG), (2, 0): complex(0, _BIG)}, 8),
+    # the top row reaches inf and a later row NaN, which the maximum keeps
+    ({(0, 0): complex(1e308, 1e308), (1, 0): -_BIG}, 8),
+    ({(0, 0, 0): 1e300, (1, 1, 1): 1e300}, 16),  # large and finite: screened
+    # subnormal values round by more than the slack: no screen
+    ({(0, 2, 2): -1e-323j, (0, 0, 0): 1e-323, (1, 1, 0): -1e-323j,
+      (2, 0, 1): complex(-1.5e-323, -1.5e-323)}, 16),
+])
+def test_polydisc_grid_sup_at_extreme_scales_matches_the_full_grid(terms, grid):
+    p = vn.multipoly(len(next(iter(terms))), terms)
+    value, caught = _sup_and_warnings(vn.polydisc_grid_sup, p, grid)
+    assert (value, caught) == _sup_and_warnings(full_grid_sup, p, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -586,11 +679,14 @@ def test_variety_sample_matches_point_oracle(which, grid, count, triple22):
 def test_variety_max_residual_skips_nan(triple22, monkeypatch):
     r = rz.build_generating_unitary(*triple22)
     det = matcore.det
+    v1_calls = []
 
     def nan_det(a):
         d = det(a)
-        if np.ndim(d) == 2:  # the (G, e) residual stack of the V1 fibers
-            d[0, 1] = np.nan
+        if np.shape(a)[-1] == r.dim_e:  # V1 residuals of one fiber index (h0 = 0 here)
+            v1_calls.append(None)
+            if len(v1_calls) == 2:  # fiber 1 of the first base point
+                d[0] = np.nan
         return d
 
     monkeypatch.setattr(matcore, "det", nan_det)
