@@ -88,7 +88,7 @@ class RunConfig:
 # default is its field's default, preset by POLYDIL_<FLAG>, e.g.
 # POLYDIL_TOL_CERT for --tol-cert.
 CONFIG_FLAGS = (
-    ("--cap", "cap", "per-variable degree cap of the Hardy-row box"),
+    ("--cap", "cap", "degree cap of pi_isometry_defect's box, 2^25 entries at most"),
     ("--grid", "grid", "torus grid size"),
     ("--variety-grid", "variety_grid", "interior grid points per real axis"),
     ("--radius", "radius", "interior grid radius"),

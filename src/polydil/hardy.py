@@ -2,15 +2,15 @@
 
 An element of H^2_{C^e}(D^m) truncated to the box [0, N]^m is an array of
 shape (N+1,)*m + (e,) whose entry at the multi-index k is its k-th Taylor
-coefficient.  A map h -> sum_k z^k (M T*^k h) into that space is held as its
-coefficient tensor of shape (N+1,)*m + (out, d), so every basis vector is
-handled at once: M_{z_i}* and the block shift E(z) are slices along axis i,
-and the adjoint sends z^k c to T^k M* c, the conjugate transpose of the k-th
-coefficient applied to c.  Multiplication operators drop anything pushed
-past the cap while adjoints are exact on the box.  With that convention the
-adjoint-side intertwining identities below hold exactly on the box, for any
-pure tuple, and each is one array expression over the tensors.  What the box
-drops of the dilation isometry's norm is known exactly too: ``box_gap``.
+coefficient.  The dilation isometry h -> sum_k z^k (frame* D T*^k h) is held
+as its coefficient tensor of shape (N+1,)*m + (e, d), so every basis vector
+is handled at once.  One row of the identity suite reads the box:
+``pi_isometry_defect`` compares the norm the box loses with its exact value,
+``box_gap``.  The other rows are finite identities with no box.  The box has
+(cap+1)^m e d complex entries, at most ``MAX_BOX_ENTRIES``.
+
+The defect block maps and block ranges of a certificate, from which the
+generating unitary is built, live here too.
 """
 
 from __future__ import annotations
@@ -25,6 +25,9 @@ from .matcore import adj, operator_norm
 from .tuples import OperatorTuple, DilationCertificate, is_pure, spectral_radius
 
 DEFAULT_CAP = 12
+# Largest coefficient tensor the identity suite builds: 2^25 complex entries
+# are 512 MiB.
+MAX_BOX_ENTRIES = 2**25
 
 
 def nilpotency_order(m) -> int | None:
@@ -47,7 +50,7 @@ def effective_cap(t: OperatorTuple, cap: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# coefficient embeddings: the dilation isometry and the companion map J
+# coefficient embeddings and the dilation isometry
 
 
 class CoefficientEmbedding:
@@ -55,9 +58,9 @@ class CoefficientEmbedding:
 
     ``coeffs`` has shape (cap+1,)*m + (out, d) and holds M T*^k at k, built
     by one cumulative product per axis.  With M = frame* D this is the
-    canonical dilation isometry; with M = I it is the plain embedding J,
-    whose coefficients are the powers T*^k.  The forward powers T^k M* that
-    the adjoint needs are the conjugate transposes of the coefficients.
+    canonical dilation isometry; with M = I its coefficients are the powers
+    T*^k.  The adjoint sends z^k c to T^k M* c, the conjugate transpose of
+    the k-th coefficient applied to c.
     """
 
     def __init__(self, t: OperatorTuple, out_map, cap: int):
@@ -96,13 +99,6 @@ def canonical_isometry(t: OperatorTuple, defect, frame, cap: int) -> Coefficient
     defect = matcore.as_matrix(defect)
     frame = matcore.as_matrix(frame)
     return CoefficientEmbedding(t, adj(frame) @ defect, cap)
-
-
-def tuple_embedding(t: OperatorTuple, cap: int) -> CoefficientEmbedding:
-    """The plain embedding h -> sum z^k (x) T*^k h (no defect weighting)."""
-    if not is_pure(t):
-        raise NotPure(max(spectral_radius(m) for m in t.ops))
-    return CoefficientEmbedding(t, np.eye(t.dim, dtype=complex), cap)
 
 
 def box_gap(t: OperatorTuple, cap: int) -> np.ndarray:
@@ -153,123 +149,3 @@ def block_slices(partition: Sequence[int]) -> list[slice]:
     """The coordinate range of each block; block i is driven by variable i."""
     ends = np.cumsum(partition, dtype=int)
     return [slice(int(end) - int(size), int(end)) for size, end in zip(partition, ends)]
-
-
-# ---------------------------------------------------------------------------
-# identity residuals for the block maps (the realization module adds the ones
-# that need transfer-function data).  Each compares two coefficient tensors:
-# in the pullbacks row r at index p is the residual of the monomial
-# z^p (x) e_r, in the embedding identities column r is that of the vector e_r.
-
-
-def _lower(m: int, cap: int, axis: int | None = None) -> tuple[slice, ...]:
-    """The indices p + e_axis (p when axis is None) for p in [0, cap-1]^m."""
-    return tuple(slice(1, cap + 1) if b == axis else slice(0, cap) for b in range(m))
-
-
-def _max_row_norm(diff: np.ndarray) -> float:
-    return float(np.max(np.linalg.norm(diff, axis=-1), initial=0.0))
-
-
-def _shifted_coefficients(
-    j_map: CoefficientEmbedding, left: np.ndarray, partition: Sequence[int], cap: int
-) -> np.ndarray:
-    """For p in [0, cap-1]^m, the conjugate transpose of the map
-    xi -> J* (I (x) left*) E(z) (z^p (x) xi): block a of its rows is
-    left_a T*^(p+e_a), because E(z) moves block a up variable a."""
-    m = j_map.tuple.n
-    return np.concatenate(
-        [
-            left[sl] @ j_map.coeffs[_lower(m, cap, a)]
-            for a, sl in enumerate(block_slices(partition))
-        ],
-        axis=-2,
-    )
-
-
-def block_pullback_residuals(
-    hat_t: OperatorTuple,
-    cert: DilationCertificate,
-    j_map: CoefficientEmbedding,
-    cap: int,
-) -> tuple[float, float]:
-    """How well the embedding adjoint pulls block monomials back to the tuple.
-
-    Pushing a monomial (optionally through the block shift) into the
-    coefficientwise block-column adjoint and then through the embedding
-    adjoint must land on T^p applied to the matching block map's adjoint.
-    Returns (shifted residual, plain residual) over all monomials with shift
-    room inside the cap.
-    """
-    col_plain, col_shift = defect_block_maps(cert, hat_t)
-    powers = j_map.coeffs[_lower(hat_t.n, cap)]
-    shifted = _shifted_coefficients(j_map, col_plain, cert.ranks, cap)
-    res_shifted = _max_row_norm(shifted - col_shift @ powers)
-    plain = CoefficientEmbedding(hat_t, col_plain, cap).coeffs[_lower(hat_t.n, cap)]
-    return res_shifted, _max_row_norm(col_plain @ powers - plain)
-
-
-def adjoint_monomial_residual(
-    pi_map: CoefficientEmbedding, cert: DilationCertificate, cap: int
-) -> float:
-    """Residual of  Pi*(z^p (x) m) = T^p D* m  over the full box.
-
-    Pi*(z^p (x) m) is the conjugate transpose of Pi's p-th coefficient
-    applied to m, so the identity compares Pi with the embedding whose
-    output map is (D* frame)*.
-    """
-    target = cert.defect @ cert.d_frame  # D* restricted to the frame coordinates
-    box = (slice(0, cap + 1),) * pi_map.tuple.n
-    other = CoefficientEmbedding(pi_map.tuple, adj(target), cap)
-    return _max_row_norm(pi_map.coeffs[box] - other.coeffs)
-
-
-def colligation_pullback_residual(
-    hat_t: OperatorTuple,
-    cert: DilationCertificate,
-    pi_map: CoefficientEmbedding,
-    j_map: CoefficientEmbedding,
-    c_block: np.ndarray,
-    d_block: np.ndarray,
-    cap: int,
-) -> float:
-    """Pullback of one resolvent step through the colligation's lower row.
-
-    The embedding-adjoint pullback of (identity minus block-shifted D*-block)
-    must equal the dilation-isometry adjoint composed with the C*-block,
-    coefficientwise on monomials.
-    """
-    col_plain, _ = defect_block_maps(cert, hat_t)
-    lower = _lower(hat_t.n, cap)
-    lhs = col_plain @ j_map.coeffs[lower] - d_block @ _shifted_coefficients(
-        j_map, col_plain, cert.ranks, cap
-    )
-    return _max_row_norm(lhs - c_block @ pi_map.coeffs[lower])
-
-
-def defect_embedding_residual(
-    pi_map: CoefficientEmbedding, j_map: CoefficientEmbedding, cert: DilationCertificate
-) -> float:
-    """Residual of  (I (x) D) J = Pi, in the norm of the whole image of each
-    basis vector."""
-    proj = adj(cert.d_frame) @ cert.defect
-    diff = proj @ j_map.coeffs - pi_map.coeffs
-    d = pi_map.tuple.dim
-    return float(np.max(np.linalg.norm(diff.reshape(-1, d), axis=0), initial=0.0))
-
-
-def intertwine_mz_residual(pi_map: CoefficientEmbedding, hat_t: OperatorTuple) -> float:
-    """Residual of  Pi T_i* = M_{z_i}* Pi  on comparable coefficients.
-
-    Both sides' k-th coefficient equals frame* D T*^k T_i*; the comparison
-    runs over k with k + e_i inside the cap, which is everything the
-    truncated right-hand side determines.  Columns are basis vectors h.
-    """
-    m, cap = hat_t.n, pi_map.cap
-    res = 0.0
-    for a, op in enumerate(hat_t.ops):
-        low = tuple(slice(0, cap) if b == a else slice(None) for b in range(m))
-        high = tuple(slice(1, None) if b == a else slice(None) for b in range(m))
-        diff = pi_map.coeffs[low] @ adj(op) - pi_map.coeffs[high]
-        res = max(res, float(np.max(np.linalg.norm(diff, axis=-2), initial=0.0)))
-    return res

@@ -35,6 +35,7 @@ from .errors import (
     IsometryDefect,
     NotContraction,
     NotIsometric,
+    ParseError,
     SingularResolvent,
 )
 from .matcore import adj, operator_norm
@@ -452,13 +453,17 @@ def run_identity_suite(
 ) -> VerificationReport:
     """Evaluate every intertwining identity the dilation construction asserts.
 
-    The Hardy-side rows compare coefficient tensors over the box [0, cap]^m;
-    ``taylor_cap`` reports m * cap, the highest total degree in it.  The box
-    rows are exact on the box, so every bound is an absolute floor.
-    ``pi_isometry_defect`` checks the box's loss of norm against its exact
-    value, ``-<gap h, h>`` with ``gap = hardy.box_gap(hat T, cap)``, and
-    ``lifting`` and ``strict_multiplier`` are finite identities with no box
-    (``_lifting_residuals``).
+    Every row but one is a finite identity: the generating unitary, its
+    unitarity, the commutant lifting and its strict part
+    (``_lifting_residuals``), the Schur identity at seeded interior points
+    and innerness on the torus grid.  ``pi_isometry_defect`` alone reads
+    the coefficient box [0, cap]^m of the dilation isometry: it compares the
+    box's loss of norm with its exact value, ``-<gap h, h>`` with
+    ``gap = hardy.box_gap(hat T, cap)``.  ``cap`` is first raised to the
+    tuple's nilpotency order (``hardy.effective_cap``), and ``taylor_cap``
+    reports m * cap, the highest total degree in the box.  A box of more
+    than ``hardy.MAX_BOX_ENTRIES`` entries is refused with ParseError
+    before it is built.
     """
     if r is None:
         r = build_generating_unitary(t, cert)
@@ -467,9 +472,10 @@ def run_identity_suite(
     m_vars = hat_t.n
     taylor_cap = m_vars * cap
     rho = max(spectral_radius(m) for m in hat_t.ops)
+    if (cap + 1) ** m_vars * cert.rank_d * t.dim > hardy.MAX_BOX_ENTRIES:
+        raise ParseError(f"degree cap {cap} needs over {hardy.MAX_BOX_ENTRIES} box entries")
 
     pi = hardy.canonical_isometry(hat_t, cert.defect, cert.d_frame, cap)
-    j_map = hardy.tuple_embedding(hat_t, cap)
 
     rows: list[CheckRow] = []
     rows.append(CheckRow("generating_identity", generating_residual(t, cert, r), 1e-9))
@@ -478,18 +484,6 @@ def run_identity_suite(
     gap = hardy.box_gap(hat_t, cap).diagonal().real
     defect_max = max(abs(pi.isometry_defect(h) + float(g)) for h, g in zip(np.eye(t.dim), gap))
     rows.append(CheckRow("pi_isometry_defect", defect_max, 1e-10))
-
-    rows.append(CheckRow("intertwine_mz", hardy.intertwine_mz_residual(pi, hat_t), 1e-12))
-    rows.append(
-        CheckRow("defect_embedding", hardy.defect_embedding_residual(pi, j_map, cert), 1e-10)
-    )
-
-    shifted, plain = hardy.block_pullback_residuals(hat_t, cert, j_map, cap)
-    rows.append(CheckRow("block_pullback_shifted", shifted, 1e-10))
-    rows.append(CheckRow("block_pullback_plain", plain, 1e-10))
-    rows.append(CheckRow("adjoint_monomial", hardy.adjoint_monomial_residual(pi, cert, cap), 1e-10))
-    colligation = hardy.colligation_pullback_residual(hat_t, cert, pi, j_map, r.c, r.d, cap)
-    rows.append(CheckRow("colligation_pullback", colligation, 1e-10))
 
     strict, lifting = _lifting_residuals(t, cert, r)
     rows.append(CheckRow("strict_multiplier", strict, 1e-10))

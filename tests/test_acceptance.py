@@ -103,14 +103,19 @@ def test_criterion_02_generating_identity(fixtures):
 def test_criterion_03_dilation_identities(fixtures):
     worst_inter = worst_defect = 0.0
     for fx in fixtures:
-        inter = fx.report.row("intertwine_mz").residual
-        assert inter <= 1e-13, (fx.label, inter)
-        worst_inter = max(worst_inter, inter)
-
         hat_t = tuples.hat(fx.t, 3)
         orders = [hardy.nilpotency_order(m) or CAP for m in hat_t.ops]
         cap = max(orders) if fx.r_scale == 1.0 else CAP
         pi = hardy.canonical_isometry(hat_t, fx.cert.defect, fx.cert.d_frame, cap)
+        # Pi_{k+e_i} = Pi_k T_i*, per coefficient and basis vector; Pi is built
+        # one axis at a time, so this reads commutativity on all but the last
+        for i, op in enumerate(hat_t.ops):
+            low = np.take(pi.coeffs, range(cap), axis=i)
+            high = np.take(pi.coeffs, range(1, cap + 1), axis=i)
+            inter = float(np.max(np.linalg.norm(low @ matcore.adj(op) - high, axis=-2)))
+            assert inter <= 1e-13, (fx.label, i, inter)
+            worst_inter = max(worst_inter, inter)
+
         gap = hardy.box_gap(hat_t, cap)
         for idx in range(fx.t.dim):
             h = np.zeros(fx.t.dim)
@@ -147,18 +152,14 @@ def test_criterion_04_commutant_lifting(fixtures):
 
 def test_criterion_05_identity_suite(fixtures):
     worst = 0.0
-    worst_strict = 0.0
     for fx in fixtures:
-        for name in ("block_pullback_shifted", "block_pullback_plain", "adjoint_monomial", "colligation_pullback", "defect_embedding"):
-            res = fx.report.row(name).residual
-            assert res <= 1e-10, (fx.label, name, res)
-            worst = max(worst, res)
-        strict_row = fx.report.row("strict_multiplier")
-        assert strict_row.residual <= strict_row.bound, (fx.label, strict_row.residual, strict_row.bound)
-        worst_strict = max(worst_strict, strict_row.residual)
+        for row in fx.report.rows:
+            assert row.residual <= row.bound, (fx.label, row.name, row.residual, row.bound)
+            worst = max(worst, row.residual / row.bound)
     _passline(
-        "criterion 5 (exact identity suite)",
-        f"max exact-identity residual {worst:.2e}, max strict-multiplier residual {worst_strict:.2e}",
+        "criterion 5 (identity suite)",
+        f"all {len(fixtures[0].report.rows)} rows within their bounds, "
+        f"largest residual/bound {worst:.2e}",
     )
 
 

@@ -240,24 +240,42 @@ def test_verify_product_triple(triple_doc, tmp_path):
     doc = json.loads(out.read_text())
     assert doc["ok"] is True
     names = {row["name"] for row in doc["checks"]}
-    assert {
+    assert names == {
         "generating_identity",
         "unitarity",
         "pi_isometry_defect",
-        "intertwine_mz",
-        "defect_embedding",
-        "block_pullback_shifted",
-        "block_pullback_plain",
-        "adjoint_monomial",
-        "colligation_pullback",
         "strict_multiplier",
         "lifting",
         "schur_identity",
         "inner_deviation",
         "inner_singular_fraction",
-    } <= names
+    }
     for row in doc["checks"]:
         assert row["ok"] is True, row
+
+
+class BoxBuilt(Exception):
+    pass
+
+
+def test_verify_refuses_a_box_past_the_limit(triple_doc, tmp_path, monkeypatch):
+    # the box has (cap+1)^m e d complex entries; past the limit verify exits 2
+    # before the box is built, and just within it the box would be built
+    t, g = cli.tuple_from_doc(cli.load_document(str(triple_doc)))
+    per_index = tuples.verify_certificate(t, g).rank_d * t.dim
+    within = 1
+    while (within + 2) ** (t.n - 1) * per_index <= hardy.MAX_BOX_ENTRIES:
+        within += 1
+
+    def boom(*args):
+        raise BoxBuilt
+
+    monkeypatch.setattr(hardy, "canonical_isometry", boom)
+    out = tmp_path / "v.json"
+    assert run(["verify", str(triple_doc), "--cap", str(within + 1), "--out", str(out)]) == 2
+    assert not out.exists()
+    with pytest.raises(BoxBuilt):
+        run(["verify", str(triple_doc), "--cap", str(within), "--out", str(out)])
 
 
 def test_verify_deterministic(triple_doc, tmp_path):

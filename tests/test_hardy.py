@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from polydil import generators, hardy, matcore, realization as rz, tuples
+from polydil import generators, hardy, matcore, tuples
 from polydil.errors import NotPure
 from polydil.matcore import adj
 
@@ -55,15 +55,9 @@ def test_kernel_single_variable_half():
     # for a scalar contraction t the embedding maps 1 to the Szego kernel
     # k_t, so (J 1)(t) = 1 / (1 - |t|^2), here 4/3 up to the tail 0.25^(N+1)
     cap = 30
-    j = hardy.tuple_embedding(tuples.make_tuple([[[0.5]]]), cap)
+    j = hardy.CoefficientEmbedding(tuples.make_tuple([[[0.5]]]), np.eye(1), cap)
     coeffs = j.apply([1.0])[:, 0]
     assert np.sum(coeffs * 0.5 ** np.arange(cap + 1)) == pytest.approx(4.0 / 3.0, abs=1e-15)
-
-
-def test_kernel_outside_disc():
-    # k_t exists only for |t| < 1: the unimodular scalar is not pure
-    with pytest.raises(NotPure):
-        hardy.tuple_embedding(tuples.make_tuple([[[1.0]], [[0.0]]]), 3)
 
 
 def test_reproducing_property_general_element(rng, jordan22):
@@ -170,19 +164,23 @@ def test_canonical_isometry_requires_purity():
 
 
 def test_intertwining_exact(jordan22):
+    # Pi T_i* = M_{z_i}* Pi: the coefficient at k + e_i is the one at k times T_i*
     defect = matcore.psd_sqrt(tuples.szego_defect(jordan22))
     frame = matcore.range_onb(defect)
     pi = hardy.canonical_isometry(jordan22, defect, frame, 3)
-    assert hardy.intertwine_mz_residual(pi, jordan22) == 0.0
+    for i, op in enumerate(jordan22.ops):
+        low = np.take(pi.coeffs, range(3), axis=i)
+        high = np.take(pi.coeffs, range(1, 4), axis=i)
+        assert np.array_equal(low @ adj(op), high)
 
 
 # ---------------------------------------------------------------------------
-# the tuple embedding and the defect-embedding identity
+# the tuple embedding J, the coefficient embedding with M = I
 
 
 def test_tuple_embedding_zero_tuple(rng):
     t = zero_pair(2)
-    j = hardy.tuple_embedding(t, 3)
+    j = hardy.CoefficientEmbedding(t, np.eye(2), 3)
     h = random_complex(rng, 2)
     out = j.apply(h)
     assert support(out) == {(0, 0)}
@@ -190,17 +188,20 @@ def test_tuple_embedding_zero_tuple(rng):
 
 
 def test_tuple_embedding_finite_support(jordan22):
-    j = hardy.tuple_embedding(jordan22, 6)
+    j = hardy.CoefficientEmbedding(jordan22, np.eye(jordan22.dim), 6)
     h = np.ones(jordan22.dim)
     assert support(j.apply(h)) == {(0, 0), (0, 1), (1, 0), (1, 1)}
 
 
 def test_id4_identity(triple22):
+    # (I (x) frame* D) J = Pi
     t, cert = triple22
     hat_t = tuples.hat(t, 3)
     pi = hardy.canonical_isometry(hat_t, cert.defect, cert.d_frame, 4)
-    j = hardy.tuple_embedding(hat_t, 4)
-    assert hardy.defect_embedding_residual(pi, j, cert) < 1e-12
+    j = hardy.CoefficientEmbedding(hat_t, np.eye(hat_t.dim), 4)
+    diff = adj(cert.d_frame) @ cert.defect @ j.coeffs - pi.coeffs
+    # the norm of the whole image of each basis vector
+    assert np.max(np.linalg.norm(diff.reshape(-1, t.dim), axis=0)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -238,14 +239,12 @@ def test_block_map_norm_identity(triple22):
 
 def test_block_shift_constant_block(rng):
     # E(z) moves block a of a constant up variable a, so the J-pullback of the
-    # shifted constants is F_a T_a* on the rows of block a
+    # shifted constants is F_a T_a* on the rows of block a: J's coefficient at e_a
     t = diag_pair(rng)
     left = random_complex(rng, 3, 3)
-    j = hardy.tuple_embedding(t, 2)
-    shifted = hardy._shifted_coefficients(j, left, [2, 1], 2)
-    assert shifted.shape == (2, 2, 3, 3)
-    assert np.allclose(shifted[0, 0, :2], left[:2] @ adj(t.op(1)), atol=1e-15)
-    assert np.allclose(shifted[0, 0, 2:], left[2:] @ adj(t.op(2)), atol=1e-15)
+    j = hardy.CoefficientEmbedding(t, np.eye(3), 2)
+    assert np.allclose(left[:2] @ j.coeffs[1, 0], left[:2] @ adj(t.op(1)), atol=1e-15)
+    assert np.allclose(left[2:] @ j.coeffs[0, 1], left[2:] @ adj(t.op(2)), atol=1e-15)
 
 
 def test_block_slices_skip_empty_blocks():
@@ -253,7 +252,7 @@ def test_block_slices_skip_empty_blocks():
 
 
 # ---------------------------------------------------------------------------
-# caps and pullback residuals
+# caps
 
 
 def test_nilpotency_order():
@@ -266,37 +265,3 @@ def test_effective_cap_raises_to_order():
     pair = generators.jordan_pair(5, 2)
     assert hardy.effective_cap(pair, 3) == 5
     assert hardy.effective_cap(pair, 12) == 12
-
-
-def test_pullback_residuals_nilpotent(triple32):
-    t, cert = triple32
-    hat_t = tuples.hat(t, 3)
-    cap = hardy.effective_cap(hat_t, 4)
-    pi = hardy.canonical_isometry(hat_t, cert.defect, cert.d_frame, cap)
-    j = hardy.tuple_embedding(hat_t, cap)
-    r5, r6 = hardy.block_pullback_residuals(hat_t, cert, j, cap)
-    assert r5 < 1e-12 and r6 < 1e-12
-    assert hardy.adjoint_monomial_residual(pi, cert, cap) < 1e-12
-
-
-def test_pullback_residuals_non_nilpotent(rng):
-    # pure non-nilpotent triple via the zero-padded certificate
-    u = np.diag(np.exp(2j * np.pi * rng.uniform(size=3)))
-    t1 = 0.55 * u
-    t2 = 0.45 * u @ u
-    t3 = 0.3 * u
-    t = tuples.make_tuple([t1, t2, t3])
-    cert = tuples.last_defect_certificate(t)
-    hat_t = tuples.hat(t, 3)
-    cap = 10
-    pi = hardy.canonical_isometry(hat_t, cert.defect, cert.d_frame, cap)
-    j = hardy.tuple_embedding(hat_t, cap)
-    r5, r6 = hardy.block_pullback_residuals(hat_t, cert, j, cap)
-    # identities are exact on stored monomials regardless of purity decay,
-    # so a slice off by one index would show here
-    assert r5 < 1e-12 and r6 < 1e-12
-    real = rz.build_generating_unitary(t, cert)
-    assert hardy.colligation_pullback_residual(hat_t, cert, pi, j, real.c, real.d, cap) < 1e-12
-    assert hardy.adjoint_monomial_residual(pi, cert, cap) < 1e-12
-    assert hardy.intertwine_mz_residual(pi, hat_t) < 1e-12
-    assert hardy.defect_embedding_residual(pi, j, cert) < 1e-12

@@ -4,8 +4,8 @@ import itertools
 import numpy as np
 import pytest
 
-from polydil import hardy, matcore, realization as rz, tuples
-from polydil.errors import IsometryDefect, NotContraction
+from polydil import generators, hardy, matcore, realization as rz, tuples
+from polydil.errors import IsometryDefect, NotCommuting, NotContraction
 from polydil.matcore import adj
 
 from conftest import (
@@ -479,6 +479,71 @@ def test_strict_multiplier_blind_to_a_and_b(block, moves):
     r = rz.build_generating_unitary(t, cert)
     res = suite_row(t, cert, perturbed(r, block), 8, "strict_multiplier").residual
     assert (res > 1e-8) if moves else (res < 1e-13), res
+
+
+# The rows of the identity suite's report; a corrupted certificate must fail
+# one of them.
+KEPT_ROWS = {
+    "generating_identity",
+    "unitarity",
+    "pi_isometry_defect",
+    "strict_multiplier",
+    "lifting",
+    "schur_identity",
+    "inner_deviation",
+    "inner_singular_fraction",
+}
+# (tuple and certificate, cap).  The suite reads F_i and its frame only
+# through the frame's coordinates Q_i* F_i, so the mutations skip W3's
+# second block, whose frame has rank 0.
+CERT_FIXTURES = {
+    "w1": (lambda: generators.product_triple(generators.jordan_pair(3, 3, 0.9, 0.9), 2, 3), 12),
+    "w2": (w2_tensor_jordan, 8),
+    "w3": (w3_nonnormal, 12),
+}
+CERT_MUTATIONS = [
+    (name, field, index)
+    for name, blocks in (("w1", 2), ("w2", 3), ("w3", 1))
+    for field, index in [("defect", "hermitian"), ("defect", None), ("d_frame", None)]
+    + [(field, i) for field in ("f", "f_frames") for i in range(blocks)]
+]
+
+
+def noise(shape):
+    rng = np.random.default_rng(15)
+    return 1e-6 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+
+@pytest.mark.parametrize("name, field, index", CERT_MUTATIONS)
+def test_suite_sees_certificate_noise(name, field, index):
+    # U is built from the clean certificate; 1e-6 noise on one certificate
+    # block must fail a row of the suite
+    build, cap = CERT_FIXTURES[name]
+    t, cert = build()
+    r = rz.build_generating_unitary(t, cert)
+    value = getattr(cert, field)
+    if field == "defect":
+        bump = noise(value.shape)
+        value = value + (bump + adj(bump) if index == "hermitian" else bump)
+    elif index is None:
+        value = value + noise(value.shape)
+    else:
+        assert cert.ranks[index] > 0
+        value = tuple(v + noise(v.shape) if i == index else v for i, v in enumerate(value))
+    bad = dataclasses.replace(cert, **{field: value})
+    report = rz.run_identity_suite(t, bad, r, cap=cap, schur_points=4, inner_grid=8)
+    failed = {row.name for row in report.rows if not row.ok}
+    assert failed & KEPT_ROWS, failed
+
+
+def test_noise_on_a_zero_coordinate_breaks_commutativity():
+    # W3's T_2 = 0 enters no row of the suite; the same noise there makes the
+    # tuple fail make_tuple's commutator check
+    t, _ = w3_nonnormal()
+    ops = list(t.ops)
+    ops[1] = ops[1] + noise(ops[1].shape)
+    with pytest.raises(NotCommuting):
+        tuples.make_tuple(ops)
 
 
 def test_lifting_rows_fail_on_a_zero_pivot(monkeypatch):
