@@ -12,6 +12,10 @@ variety document's points are written from their structured array chunk by
 chunk, from values the standard library's encoder writes, in the bytes one
 ``json.dumps`` of the whole document would give.
 
+The parser is built once per process.  Config flags can be preset by
+``POLYDIL_*`` environment variables, read on every call of ``main`` before
+the arguments, so a bad preset exits 2 whatever the command line says.
+
 Exit codes: 0 success, 2 parse failure, 3 certification failure, 4 dilation
 failure, 5 verification failure, 6 von Neumann margin violation, 7 variety
 fiber residual check failure.
@@ -20,6 +24,7 @@ fiber residual check failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -84,9 +89,9 @@ class RunConfig:
             raise ParseError("seed must be non-negative")
 
 
-# The flags every command takes: (flag, RunConfig field, help).  A flag's
-# default is its field's default, preset by POLYDIL_<FLAG>, e.g.
-# POLYDIL_TOL_CERT for --tol-cert.
+# The flags every command takes: (flag, RunConfig field, help).  A flag left
+# off the command line takes its preset POLYDIL_<FLAG>, e.g. POLYDIL_TOL_CERT
+# for --tol-cert, else its field's default.
 CONFIG_FLAGS = (
     ("--cap", "cap", "degree cap of pi_isometry_defect's box, 2^25 entries at most"),
     ("--grid", "grid", "torus grid size"),
@@ -100,15 +105,19 @@ CONFIG_FLAGS = (
 )
 
 
-def _env(flag: str, default):
-    name = ENV_PREFIX + flag[2:].upper().replace("-", "_")
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    try:
-        return type(default)(raw)
-    except ValueError as exc:
-        raise ParseError(f"bad value for {name}: {raw!r}") from exc
+def _presets() -> argparse.Namespace:
+    """Each config flag's POLYDIL_<FLAG> preset, else its field's default,
+    under the flag's argparse name (--tol-cert: tol_cert)."""
+    presets = argparse.Namespace()
+    for flag, field, _ in CONFIG_FLAGS:
+        dest, default = flag[2:].replace("-", "_"), getattr(RunConfig, field)
+        name = ENV_PREFIX + dest.upper()
+        raw = os.environ.get(name)
+        try:
+            setattr(presets, dest, default if raw is None else type(default)(raw))
+        except ValueError as exc:
+            raise ParseError(f"bad value for {name}: {raw!r}") from exc
+    return presets
 
 
 def _config_from(args: argparse.Namespace) -> RunConfig:
@@ -215,38 +224,34 @@ def load_document(path: str) -> dict:
     return doc
 
 
-def complex_from_doc(doc) -> complex:
-    if (
-        not isinstance(doc, (list, tuple))
-        or len(doc) != 2
-        or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in doc)
-    ):
-        raise ParseError(f"complex scalar must be [re, im], got {doc!r}")
-    z = complex(float(doc[0]), float(doc[1]))
-    if not (np.isfinite(z.real) and np.isfinite(z.imag)):
-        raise ParseError("non-finite scalar in document")
-    return z
-
-
 def matrix_to_doc(m: np.ndarray) -> list:
     m = np.asarray(m, dtype=complex)
     return np.stack([m.real, m.imag], -1).tolist()
 
 
+def _is_real(v) -> bool:
+    return isinstance(v, (int, float)) and type(v) is not bool
+
+
 def matrix_from_doc(doc) -> np.ndarray:
+    # types and shape checked entry by entry, values converted in one call
     if not isinstance(doc, list) or not doc:
         raise ParseError("matrix must be a non-empty nested array")
-    rows = []
-    width = None
+    width = len(doc[0]) if isinstance(doc[0], list) else None
     for row in doc:
         if not isinstance(row, list):
             raise ParseError("matrix rows must be arrays")
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
+        if len(row) != width:
             raise ParseError("ragged matrix rows")
-        rows.append([complex_from_doc(x) for x in row])
-    return np.asarray(rows, dtype=complex)
+        for x in row:
+            pair = isinstance(x, (list, tuple)) and len(x) == 2
+            if not (pair and _is_real(x[0]) and _is_real(x[1])):
+                raise ParseError(f"complex scalar must be [re, im], got {x!r}")
+    # pairs viewed as complex: re + 1j*im would flip a -0.0 real part
+    m = np.array(doc, dtype=float).reshape(-1, 2).view(complex).reshape(len(doc), width)
+    if not np.isfinite(m).all():
+        raise ParseError("non-finite scalar in document")
+    return m
 
 
 def tuple_to_doc(t: tuples.OperatorTuple, g=None) -> dict:
@@ -471,14 +476,14 @@ def build_parser() -> argparse.ArgumentParser:
         "dilations and check variety von Neumann bounds",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    defaults = RunConfig()
 
     def command(name: str, run, text: str) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=text)
         p.set_defaults(run=run)
         for flag, field, flag_help in CONFIG_FLAGS:
-            default = getattr(defaults, field)
-            p.add_argument(flag, type=type(default), default=_env(flag, default), help=flag_help)
+            # no default: a flag left off keeps the preset that main parses into
+            kind = type(getattr(RunConfig, field))
+            p.add_argument(flag, type=kind, default=argparse.SUPPRESS, help=flag_help)
         return p
 
     p = command("generate", cmd_generate, "emit example tuples in the document format")
@@ -503,9 +508,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# One parser per process: it holds no preset, so it can be reused.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv, _presets())
         return args.run(args, _config_from(args))
     except PolydilError as exc:
         print(f"error: {exc}", file=sys.stderr)

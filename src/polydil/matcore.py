@@ -6,9 +6,9 @@ package relies on, with explicit tolerance semantics:
 
 * rank / kernel decisions use the hybrid threshold ``tol * max(1, scale)``
   so they behave sensibly for both tiny and O(1) matrices;
-* the unitary completion follows a fixed, deterministic rule (modified
-  Gram-Schmidt over the standard basis in index order) so repeated runs
-  produce identical completions;
+* the unitary completion follows a fixed, deterministic rule (two
+  classical Gram-Schmidt passes over the standard basis in index order) so
+  repeated runs produce identical completions;
 * a stack of operator norms that only feeds a maximum or a ``<= tol`` test
   is screened before any SVD runs (``max_operator_norm``,
   ``operator_norms_within``).  Every matrix satisfies L <= ||A|| <= F, with
@@ -190,21 +190,35 @@ def range_onb(vectors, tol: float = EIG_TOL) -> np.ndarray:
     return u[:, :rank]
 
 
-def _mgs_append(basis: list[np.ndarray], v: np.ndarray, thr: float) -> np.ndarray | None:
-    """Orthogonalize v against ``basis`` (two passes) and normalize.
+def _orthogonalize(q: np.ndarray, v: np.ndarray, c: np.ndarray | None = None):
+    """v minus its components along the orthonormal columns of q by two
+    classical Gram-Schmidt passes, which keep it orthogonal to machine level
+    however small it is ("twice is enough": Giraud, Langou & Rozloznik,
+    2005); with the summed coefficients q* v and its norm.  ``c``: the first
+    pass's coefficients when they are known."""
+    if c is None:
+        c = (v.conj() @ q).conj()
+    v = v - q @ c
+    c2 = (v.conj() @ q).conj()
+    v = v - q @ c2
+    return v, c + c2, float(np.vdot(v, v).real) ** 0.5
 
-    Returns the new unit vector, or None when v is numerically dependent.
-    Two projection passes keep the orthonormality error at machine level
-    even when the accepted residual is small.
-    """
-    w = v.astype(complex, copy=True)
-    for _ in range(2):
-        for q in basis:
-            w = w - np.vdot(q, w) * q
-    r = float(np.linalg.norm(w))
-    if r <= thr:
-        return None
-    return w / r
+
+def _complete(q: np.ndarray, k: int, order: Sequence[int], thr: float = 1e-10) -> list[int]:
+    """Extend the orthonormal columns q[:, :k] in place by each standard
+    basis vector e_idx, idx in ``order``, whose residual off the columns so
+    far has norm above ``thr`` (the first pass's coefficients are
+    conj(q[idx, :k])); returns the indices taken."""
+    eye, taken = np.eye(len(q), dtype=complex), []
+    for idx in order:
+        if k == q.shape[1]:
+            break
+        v, _, r = _orthogonalize(q[:, :k], eye[idx], q[idx, :k].conj())
+        if r > thr:
+            q[:, k] = v / r
+            k += 1
+            taken.append(idx)
+    return taken
 
 
 def unitary_completion(
@@ -219,10 +233,10 @@ def unitary_completion(
     The columns need not be orthonormal; they only have to induce an isometry
     on their span, which is certified by comparing the two Gram matrices.
     The completion rule is deterministic: the domain columns are
-    orthonormalized by modified Gram-Schmidt in order (the same coefficients
-    are applied to the image columns), and both partial bases are completed
-    with standard basis vectors tried in ``completion_order`` (index order by
-    default), i-th completion vector mapping to i-th.
+    orthonormalized in order by two classical Gram-Schmidt passes (the same
+    coefficients are applied to the image columns), and both partial bases
+    are completed with standard basis vectors tried in ``completion_order``
+    (index order by default), i-th completion vector mapping to i-th.
     """
     dom = as_matrix(domain_frame)
     img = as_matrix(image_frame)
@@ -238,60 +252,36 @@ def unitary_completion(
     if gram_res > tol * max(1.0, operator_norm(gram_d)):
         raise NotIsometric(gram_res)
 
-    col_scale = 1.0
-    if dom.shape[1]:
-        col_scale = max(1.0, float(np.max(np.linalg.norm(dom, axis=0))))
+    col_scale = max(1.0, float(np.max(np.linalg.norm(dom, axis=0), initial=0.0)))
     thr = tol * col_scale
 
-    q_dom: list[np.ndarray] = []
-    q_img: list[np.ndarray] = []
+    # accepted columns: q_d[:, :k] orthonormal, q_i[:, :k] their images
+    q_d = np.zeros((ambient_dim, ambient_dim), dtype=complex)
+    q_i = np.zeros_like(q_d)
+    k = 0
     for j in range(dom.shape[1]):
-        v = dom[:, j].copy()
-        w = img[:, j].copy()
-        # project with the domain-side coefficients so the pairing is preserved
-        for _ in range(2):
-            for qd, qi in zip(q_dom, q_img):
-                c = np.vdot(qd, v)
-                v = v - c * qd
-                w = w - c * qi
-        r = float(np.linalg.norm(v))
-        if r <= thr:
-            continue
-        q_dom.append(v / r)
-        q_img.append(w / r)
+        if k == ambient_dim:
+            break
+        v, c, r = _orthogonalize(q_d[:, :k], dom[:, j])
+        if r > thr:
+            # the domain-side coefficients keep the pairing
+            q_d[:, k] = v / r
+            q_i[:, k] = (img[:, j] - q_i[:, :k] @ c) / r
+            k += 1
 
     order = list(range(ambient_dim)) if completion_order is None else list(completion_order)
     if sorted(order) != list(range(ambient_dim)):
         raise DimensionMismatch("completion_order must be a permutation of the ambient indices")
-
-    dep_thr = 1e-10
-    comp_dom = list(q_dom)
-    comp_img = list(q_img)
-    for idx in order:
-        e = np.zeros(ambient_dim, dtype=complex)
-        e[idx] = 1.0
-        nd = _mgs_append(comp_dom, e, dep_thr)
-        if nd is not None:
-            comp_dom.append(nd)
-    for idx in order:
-        e = np.zeros(ambient_dim, dtype=complex)
-        e[idx] = 1.0
-        ni = _mgs_append(comp_img, e, dep_thr)
-        if ni is not None:
-            comp_img.append(ni)
-    if len(comp_dom) != ambient_dim or len(comp_img) != ambient_dim:
+    taken = [_complete(q, k, order) for q in (q_d, q_i)]
+    if any(k + len(t) != ambient_dim for t in taken):
         raise NotIsometric(gram_res)  # pragma: no cover - cannot happen for consistent frames
 
-    # polish the image basis: the mapped part inherits the (tiny) Gram error
-    polished: list[np.ndarray] = []
-    for w in comp_img:
-        nw = _mgs_append(polished, w, 0.5)
-        if nw is None:  # pragma: no cover - only with a badly violated Gram test
+    # polish the image basis in place: the mapped part inherits the (tiny) Gram error
+    for j in range(ambient_dim):
+        w, _, r = _orthogonalize(q_i[:, :j], q_i[:, j])
+        if r <= 0.5:  # pragma: no cover - only with a badly violated Gram test
             raise NotIsometric(gram_res)
-        polished.append(nw)
-
-    q_d = np.column_stack(comp_dom)
-    q_i = np.column_stack(polished)
+        q_i[:, j] = w / r
     u = q_i @ adj(q_d)
 
     unit_res = operator_norm(adj(u) @ u - np.eye(ambient_dim))

@@ -137,6 +137,53 @@ def w3_nonnormal():
 
 
 # ---------------------------------------------------------------------------
+# modified Gram-Schmidt oracle for matcore.unitary_completion
+
+
+def _mgs_append(basis, v, thr):
+    """v orthogonalized against ``basis`` by two modified Gram-Schmidt
+    passes and normalized, or None when its residual is at most thr."""
+    w = v.astype(complex, copy=True)
+    for _ in range(2):
+        for q in basis:
+            w = w - np.vdot(q, w) * q
+    r = float(np.linalg.norm(w))
+    return None if r <= thr else w / r
+
+
+def mgs_unitary_completion(dom, img, ambient_dim, tol=1e-8, completion_order=None):
+    """The completion rule of ``matcore.unitary_completion`` by vector-at-a-time
+    modified Gram-Schmidt, without its checks: returns U and, for the domain
+    and the image basis, the standard basis indices the completion took."""
+    dom, img = np.asarray(dom, dtype=complex), np.asarray(img, dtype=complex)
+    col_scale = max([1.0] + list(np.linalg.norm(dom, axis=0)))
+    q_dom, q_img = [], []
+    for j in range(dom.shape[1]):
+        v, w = dom[:, j].copy(), img[:, j].copy()
+        for _ in range(2):
+            for qd, qi in zip(q_dom, q_img):
+                c = np.vdot(qd, v)
+                v, w = v - c * qd, w - c * qi
+        r = float(np.linalg.norm(v))
+        if r > tol * col_scale:
+            q_dom.append(v / r)
+            q_img.append(w / r)
+    order = range(ambient_dim) if completion_order is None else completion_order
+    taken = []
+    for basis in (q_dom, q_img):
+        taken.append([])
+        for idx in order:
+            q = _mgs_append(basis, np.eye(ambient_dim)[idx], 1e-10)
+            if q is not None:
+                basis.append(q)
+                taken[-1].append(idx)
+    polished = []
+    for w in q_img:
+        polished.append(_mgs_append(polished, w, 0.5))
+    return np.column_stack(polished) @ adj(np.column_stack(q_dom)), taken[0], taken[1]
+
+
+# ---------------------------------------------------------------------------
 # truncated Taylor oracles for the closed lifting rows of the identity suite
 
 

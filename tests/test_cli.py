@@ -83,10 +83,65 @@ def test_writer_refuses_unserializable(value, tmp_path):
     assert not out.exists()
 
 
-def test_complex_from_doc_rejects_junk():
-    for bad in ([1.0], [1.0, 2.0, 3.0], ["a", "b"], 7, [True, 0.0]):
-        with pytest.raises(cli.ParseError):
-            cli.complex_from_doc(bad)
+def assert_refused(doc_text, message, tmp_path, capsys):
+    """tuple_from_doc raises ParseError(message), and certify exits 2 with it."""
+    with pytest.raises(cli.ParseError) as info:
+        cli.tuple_from_doc(json.loads(doc_text))
+    assert str(info.value) == message
+    bad = tmp_path / "bad.json"
+    bad.write_text(doc_text)
+    assert run(["certify", str(bad), "--out", "-"]) == cli.EXIT_PARSE
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+# id -> (JSON text of one matrix entry, the message it is refused with)
+MALFORMED_ENTRIES = {
+    "true": ("true", "complex scalar must be [re, im], got True"),
+    "false": ("false", "complex scalar must be [re, im], got False"),
+    "bool-re": ("[true, 0.0]", "complex scalar must be [re, im], got [True, 0.0]"),
+    "bool-im": ("[0.0, false]", "complex scalar must be [re, im], got [0.0, False]"),
+    "string": ('"1.5"', "complex scalar must be [re, im], got '1.5'"),
+    "string-re": ('["1.5", 0.0]', "complex scalar must be [re, im], got ['1.5', 0.0]"),
+    "strings": ('["a", "b"]', "complex scalar must be [re, im], got ['a', 'b']"),
+    "null": ("null", "complex scalar must be [re, im], got None"),
+    "null-im": ("[0.0, null]", "complex scalar must be [re, im], got [0.0, None]"),
+    "number": ("7", "complex scalar must be [re, im], got 7"),
+    "pair-of-1": ("[1.0]", "complex scalar must be [re, im], got [1.0]"),
+    "pair-of-3": ("[1.0, 0.0, 2.0]", "complex scalar must be [re, im], got [1.0, 0.0, 2.0]"),
+    "inf-re": ("[Infinity, 0.0]", "non-finite scalar in document"),
+    "inf-im": ("[0.0, -Infinity]", "non-finite scalar in document"),
+    "nan": ("[NaN, 0.0]", "non-finite scalar in document"),
+    "too-large": (f"[{10**400}, 0.0]", "malformed tuple document: int too large to convert to float"),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_ENTRIES))
+def test_malformed_matrix_entry_exit2(case, triple_doc, tmp_path, capsys):
+    entry, message = MALFORMED_ENTRIES[case]
+    doc = json.loads(triple_doc.read_text())
+    doc["operators"][1][2][1] = "@"
+    assert_refused(json.dumps(doc).replace('"@"', entry), message, tmp_path, capsys)
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (lambda doc: doc["operators"][0][1].pop(), "ragged matrix rows"),
+        (lambda doc: doc["certificate"]["G"][1][3].append([0.0, 0.0]), "ragged matrix rows"),
+        (lambda doc: doc["operators"][2].__setitem__(0, []), "ragged matrix rows"),
+        (
+            lambda doc: doc["operators"].__setitem__(0, [[] for _ in range(doc["dim"])]),
+            "operator blocks do not match dim",
+        ),
+        (lambda doc: doc["operators"].__setitem__(1, []), "matrix must be a non-empty nested array"),
+        (lambda doc: doc["operators"][0].__setitem__(1, 5), "matrix rows must be arrays"),
+    ],
+    ids=["short-row", "long-row", "empty-row", "empty-rows", "no-rows", "row-not-array"],
+)
+def test_malformed_matrix_shape_exit2(change, message, triple_doc, tmp_path, capsys):
+    doc = json.loads(triple_doc.read_text())
+    change(doc)
+    assert_refused(json.dumps(doc), message, tmp_path, capsys)
 
 
 # ---------------------------------------------------------------------------
@@ -614,9 +669,34 @@ def test_env_override(monkeypatch, triple_doc, tmp_path):
     assert run(["verify", str(triple_doc), "--cap", "3", "--out", str(out)]) == 0
 
 
-def test_env_override_bad_value(monkeypatch, triple_doc):
+def test_env_override_bad_value(monkeypatch, triple_doc, tmp_path, capsys):
+    out = str(tmp_path / "c.json")
+    assert run(["certify", str(triple_doc), "--out", out]) == 0  # the parser is built by now
     monkeypatch.setenv("POLYDIL_SEED", "not-an-int")
-    assert run(["certify", str(triple_doc), "--out", "-"]) == cli.EXIT_PARSE
+    # the presets are read before the arguments, so a flag does not mask a bad one
+    for argv in ([], ["--seed", "1"], ["--help"]):
+        assert run(["certify", str(triple_doc), "--out", out] + argv) == cli.EXIT_PARSE
+    assert capsys.readouterr().err.count("bad value for POLYDIL_SEED") == 3
+    monkeypatch.delenv("POLYDIL_SEED")
+    assert run(["certify", str(triple_doc), "--seed", "1", "--out", out]) == 0
+
+
+@pytest.mark.parametrize(
+    "command",
+    [[], ["generate"], ["certify"], ["dilate"], ["verify"], ["vn"], ["variety"]],
+    ids=lambda command: command[0] if command else "top",
+)
+def test_cached_parser_help_matches_a_fresh_one(command, triple_doc, capsys):
+    assert run(["certify", str(triple_doc), "--out", "-"]) == 0
+    assert cli._parser() is cli._parser()
+    texts = []
+    for parse in (run, cli.build_parser().parse_args):
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as info:
+            parse(command + ["--help"])
+        assert info.value.code == 0
+        texts.append(capsys.readouterr().out)
+    assert texts[0] == texts[1] != ""
 
 
 def test_generate_random_has_no_certificate(tmp_path):

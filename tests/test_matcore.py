@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from polydil import matcore, realization as rz
+from polydil import generators, matcore, realization as rz
 from polydil.errors import (
     DimensionMismatch,
     NotHermitian,
@@ -13,10 +13,12 @@ from polydil.matcore import adj
 
 from conftest import (
     DegenerateLeadingCoefficient,
+    mgs_unitary_completion,
     poly_roots,
     random_complex,
     random_unitary,
     w2_tensor_jordan,
+    w3_nonnormal,
 )
 
 
@@ -279,6 +281,44 @@ def test_unitary_completion_rejects_gram_mismatch():
 def test_unitary_completion_rejects_bad_dims():
     with pytest.raises(DimensionMismatch):
         matcore.unitary_completion(np.eye(2), np.eye(2), 3)
+
+
+def completion_frame(name):
+    """(domain, image) frames: the generating frames of W1-W3, a random
+    full-rank pair, a rank-deficient pair, and a pair whose first standard
+    basis vector is taken with a residual of about 1e-9, which one
+    classical Gram-Schmidt pass loses to cancellation."""
+    rng = np.random.default_rng(20240811)
+    if name in ("W1", "W2", "W3"):
+        pair = generators.jordan_pair(3, 3, 0.9, 0.9)
+        t, cert = {
+            "W1": lambda: generators.product_triple(pair, 2, 3),
+            "W2": w2_tensor_jordan,
+            "W3": w3_nonnormal,
+        }[name]()
+        return rz._domain_image_frames(t, cert)[:2]
+    dom = {
+        "full-rank": lambda: random_complex(rng, 7, 4),
+        "rank-deficient": lambda: random_complex(rng, 7, 3) @ random_complex(rng, 3, 5),
+        "near-threshold": lambda: np.array([[1.0], [1e-9], [0.0]]),
+    }[name]()
+    return dom, random_unitary(rng, len(dom)) @ dom
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["index-order", "reversed"])
+@pytest.mark.parametrize(
+    "name", ["W1", "W2", "W3", "full-rank", "rank-deficient", "near-threshold"]
+)
+def test_unitary_completion_matches_the_mgs_oracle(name, reverse, monkeypatch):
+    dom, img = completion_frame(name)
+    order = list(range(len(dom)))[::-1] if reverse else None
+    taken = []
+    complete = matcore._complete
+    monkeypatch.setattr(matcore, "_complete", lambda *a: taken.append(complete(*a)) or taken[-1])
+    u = matcore.unitary_completion(dom, img, len(dom), completion_order=order)
+    u_mgs, taken_dom, taken_img = mgs_unitary_completion(dom, img, len(dom), completion_order=order)
+    assert taken == [taken_dom, taken_img]
+    assert matcore.operator_norm(u - u_mgs) <= 1e-13
 
 
 # ---------------------------------------------------------------------------
