@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import os
@@ -233,11 +234,9 @@ def _is_real(v) -> bool:
     return isinstance(v, (int, float)) and type(v) is not bool
 
 
-def matrix_from_doc(doc) -> np.ndarray:
-    # types and shape checked entry by entry, values converted in one call
-    if not isinstance(doc, list) or not doc:
-        raise ParseError("matrix must be a non-empty nested array")
-    width = len(doc[0]) if isinstance(doc[0], list) else None
+def _check_entries(doc: list, width) -> None:
+    """Raise ParseError naming the first row or entry of ``doc`` that is not
+    a row of ``width`` complex scalars [re, im]."""
     for row in doc:
         if not isinstance(row, list):
             raise ParseError("matrix rows must be arrays")
@@ -247,6 +246,23 @@ def matrix_from_doc(doc) -> np.ndarray:
             pair = isinstance(x, (list, tuple)) and len(x) == 2
             if not (pair and _is_real(x[0]) and _is_real(x[1])):
                 raise ParseError(f"complex scalar must be [re, im], got {x!r}")
+
+
+def matrix_from_doc(doc) -> np.ndarray:
+    # the types checked by set passes over the rows, entries and reals; the
+    # entry loop runs only to name what those passes rejected
+    if not isinstance(doc, list) or not doc:
+        raise ParseError("matrix must be a non-empty nested array")
+    width = len(doc[0]) if isinstance(doc[0], list) else None
+    rows = set(map(type, doc)) == {list} and set(map(len, doc)) == {width}
+    entries = list(itertools.chain.from_iterable(doc)) if rows else None
+    if not (
+        rows
+        and set(map(type, entries)) <= {list}
+        and set(map(len, entries)) <= {2}
+        and set(map(type, itertools.chain.from_iterable(entries))) <= {int, float}
+    ):
+        _check_entries(doc, width)
     # pairs viewed as complex: re + 1j*im would flip a -0.0 real part
     m = np.array(doc, dtype=float).reshape(-1, 2).view(complex).reshape(len(doc), width)
     if not np.isfinite(m).all():

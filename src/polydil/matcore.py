@@ -23,7 +23,17 @@ package relies on, with explicit tolerance semantics:
   pass's answer, bit for bit.  The screen is skipped when its threshold
   (the largest L, or tol/2) is NaN or outside [2^-450, 2^450], where
   squares could underflow or overflow, and a matrix with an infinite or
-  NaN entry always gets its SVD.
+  NaN entry always gets its SVD;
+* the same tol/2 rule settles the Hermitian test of ``herm_eig``,
+  ``herm_eigs`` and ``psd_sqrt`` without either of its two SVDs (the
+  threshold ``tol * max(1, ||A||)`` is at least tol), and
+  ``tuples.make_tuple`` screens its commutators with
+  ``operator_norms_within``; a single matrix's Frobenius norm is one BLAS
+  dot, whose squares overflow to inf and so fail the screen;
+* a stack of Hermitian eigendecompositions or SVDs is one call
+  (``herm_eigs``, ``range_onbs``, ``operator_norm`` of a stack); numpy
+  runs the same LAPACK routine on each matrix, so every matrix gets the
+  bits of its own call, which the tests check.
 """
 
 from __future__ import annotations
@@ -51,7 +61,7 @@ def as_matrix(a) -> np.ndarray:
     m = np.asarray(a, dtype=complex)
     if m.ndim != 2:
         raise DimensionMismatch(f"expected a matrix, got ndim={m.ndim}")
-    if m.size and not (np.all(np.isfinite(m.real)) and np.all(np.isfinite(m.imag))):
+    if not np.isfinite(m).all():
         raise ValueError("matrix has non-finite entries")
     return m
 
@@ -64,12 +74,9 @@ def adj(a: np.ndarray) -> np.ndarray:
 def operator_norm(a):
     """Largest singular value (sqrt of the top eigenvalue of A*A); for a
     stack (..., p, q), the array of them."""
-    m = np.asarray(a, dtype=complex)
-    if m.ndim > 2:
-        return np.linalg.norm(m, 2, axis=(-2, -1))
-    if m.size == 0:
-        return 0.0
-    return float(np.linalg.norm(m, 2))
+    # np.linalg.norm(m, 2) computes exactly this, after argument checks
+    norms = np.linalg.svd(np.asarray(a, dtype=complex), compute_uv=False).max(axis=-1, initial=0.0)
+    return float(norms) if norms.ndim == 0 else norms
 
 
 # Norms in this range have squares, and sums of squares, that neither
@@ -107,23 +114,45 @@ def max_operator_norm(a, floor: float = 0.0) -> float:
     return float(np.max(operator_norm(m), initial=0.0))
 
 
+def _frobenius_within(m: np.ndarray, tol: float) -> np.ndarray:
+    """The mask ``||A_g||_F <= tol/2`` over a stack (..., p, q), all False
+    when tol/2 is outside the screen's range; each matrix it passes has
+    ``operator_norm(A_g) <= tol``."""
+    if not _SCREEN_RANGE[0] <= 0.5 * tol <= _SCREEN_RANGE[1]:
+        return np.zeros(m.shape[:-2], dtype=bool)
+    if m.ndim == 2:  # one BLAS dot; its squares overflow to inf, not past it
+        flat = m.reshape(-1)
+        return np.sqrt(np.vdot(flat, flat).real) <= 0.5 * tol
+    return norm_bounds(m)[1] <= 0.5 * tol
+
+
 def operator_norms_within(a, tol: float) -> np.ndarray:
     """The mask ``operator_norm(A_g) <= tol`` over a stack (..., p, q), False
     where the norm is not finite; a matrix whose Frobenius norm is at most
     tol/2 passes without an SVD."""
     m = np.asarray(a, dtype=complex)
-    within = np.zeros(m.shape[:-2], dtype=bool)
-    if _SCREEN_RANGE[0] <= 0.5 * tol <= _SCREEN_RANGE[1]:
-        within = norm_bounds(m)[1] <= 0.5 * tol
+    within = _frobenius_within(m, tol)
     rest = ~within
-    norms = operator_norm(m[rest])
-    within[rest] = np.isfinite(norms) & (norms <= tol)
+    if rest.any():
+        norms = operator_norm(m[rest])
+        within[rest] = np.isfinite(norms) & (norms <= tol)
     return within
 
 
 class HermEig(NamedTuple):
     eigenvalues: np.ndarray  # real, ascending
     eigenvectors: np.ndarray  # orthonormal columns
+
+
+def _check_hermitian(m: np.ndarray, tol: float) -> None:
+    """Raise NotHermitian when ``||M - M*|| > tol * max(1, ||M||)``; both
+    norms are skipped when ``||M - M*||_F <= tol/2`` already decides it."""
+    skew = m - adj(m)
+    if _frobenius_within(skew, tol):
+        return
+    herm_res = operator_norm(skew)
+    if herm_res > tol * max(1.0, operator_norm(m)):
+        raise NotHermitian(f"||A - A*|| = {herm_res:.3e} exceeds tolerance")
 
 
 def herm_eig(a, tol: float = EIG_TOL) -> HermEig:
@@ -135,10 +164,7 @@ def herm_eig(a, tol: float = EIG_TOL) -> HermEig:
     m = as_matrix(a)
     if m.shape[0] != m.shape[1]:
         raise DimensionMismatch("herm_eig needs a square matrix")
-    scale = operator_norm(m)
-    herm_res = operator_norm(m - adj(m))
-    if herm_res > tol * max(1.0, scale):
-        raise NotHermitian(f"||A - A*|| = {herm_res:.3e} exceeds tolerance")
+    _check_hermitian(m, tol)
     try:
         w, v = np.linalg.eigh((m + adj(m)) / 2.0)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - numpy rarely fails here
@@ -146,13 +172,43 @@ def herm_eig(a, tol: float = EIG_TOL) -> HermEig:
     return HermEig(w, v)
 
 
-def psd_sqrt(a, tol: float = PSD_CLAMP_TOL) -> np.ndarray:
+def herm_eigs(stack, tol: float = EIG_TOL):
+    """``herm_eig(a, tol)`` of each matrix a of a stack (k, n, n), yielded in
+    order, each after its own checks, so the first matrix that fails raises
+    what ``herm_eig`` raises for it.  The eigendecompositions come from one
+    stacked LAPACK call, which gives each matrix the bits of its own call;
+    if a symmetrized matrix is not finite or that call fails, each matrix
+    gets its own ``herm_eig``."""
+    m = np.asarray(stack, dtype=complex)
+    if m.shape[-1] != m.shape[-2]:
+        raise DimensionMismatch("herm_eig needs a square matrix")
+    sym = (m + adj(m)) / 2.0
+    w = v = None
+    if np.isfinite(sym).all():
+        try:
+            w, v = np.linalg.eigh(sym)
+        except np.linalg.LinAlgError:  # pragma: no cover - numpy rarely fails here
+            pass
+    for k, a in enumerate(m):
+        if w is None:
+            yield herm_eig(a, tol)
+        else:
+            _check_hermitian(as_matrix(a), tol)
+            yield HermEig(w[k], v[k])
+
+
+def psd_sqrt(a, tol: float = PSD_CLAMP_TOL, eig: HermEig | None = None) -> np.ndarray:
     """Hermitian psd square root.
 
     Eigenvalues in ``[-tol, 0)`` are clamped to zero; anything below ``-tol``
-    raises NotPsd.
+    raises NotPsd.  ``eig``: ``herm_eig(a, t)`` for some t when the caller
+    has it; A must still pass the Hermitian test at ``EIG_TOL``.
     """
-    w, v = herm_eig(a)
+    if eig is None:
+        eig = herm_eig(a)
+    else:
+        _check_hermitian(as_matrix(a), EIG_TOL)
+    w, v = eig
     if w.size and w[0] < -tol:
         raise NotPsd(float(w[0]))
     w = np.clip(w, 0.0, None)
@@ -181,13 +237,21 @@ def range_onb(vectors, tol: float = EIG_TOL) -> np.ndarray:
 
     Rank is decided at ``tol * max(1, sigma_0)``.
     """
-    m = as_matrix(vectors)
-    if m.shape[1] == 0 or m.shape[0] == 0:
-        return np.zeros((m.shape[0], 0), dtype=complex)
+    return range_onbs(as_matrix(vectors)[None], tol)[0]
+
+
+def range_onbs(stack, tol: float = EIG_TOL) -> list[np.ndarray]:
+    """``range_onb`` of each matrix of a stack (k, p, q), from one stacked
+    SVD, which gives each matrix the bits of its own SVD."""
+    m = np.asarray(stack, dtype=complex)
+    if not np.isfinite(m).all():
+        raise ValueError("matrix has non-finite entries")
+    k, p, q = m.shape
+    if p == 0 or q == 0:
+        return [np.zeros((p, 0), dtype=complex)] * k
     u, s, _ = np.linalg.svd(m, full_matrices=False)
-    thr = tol * max(1.0, s[0])
-    rank = int(np.sum(s > thr))
-    return u[:, :rank]
+    ranks = np.sum(s > tol * np.maximum(1.0, s[:, :1]), axis=1)
+    return [u[i, :, :rank] for i, rank in enumerate(ranks.tolist())]
 
 
 def _orthogonalize(q: np.ndarray, v: np.ndarray, c: np.ndarray | None = None):

@@ -328,7 +328,9 @@ def cnu_decomposition(a) -> CnuDecomposition:
 
     H0 is the intersection of the kernels of I - A*^m A^m and I - A^m A*^m
     for m = 1..dim; the compression of A to H0 is unitary, the H1
-    compression has no unimodular eigenvalues, and H0 reduces A.  Norm and
+    compression has no unimodular eigenvalues, and H0 reduces A.  For a
+    contraction both operators grow with m in the psd order, so their
+    kernels shrink, and H0 is the kernel of the pair at m = dim.  Norm and
     kernel decisions use the tolerance 1e-9.
     """
     tol = 1e-9
@@ -340,14 +342,8 @@ def cnu_decomposition(a) -> CnuDecomposition:
         raise NotContraction(f"norm {norm:.6f} exceeds 1")
     d = m.shape[0]
     eye = np.eye(d, dtype=complex)
-    stack_rows = []
-    power = eye
-    for _ in range(d):
-        power = power @ m
-        stack_rows.append(eye - adj(power) @ power)
-        stack_rows.append(eye - power @ adj(power))
-    stacked = np.vstack(stack_rows) if stack_rows else np.zeros((0, d), dtype=complex)
-    h0 = matcore.kernel_basis(stacked, tol)
+    power = np.linalg.matrix_power(m, d)
+    h0 = matcore.kernel_basis(np.vstack([eye - adj(power) @ power, eye - power @ adj(power)]), tol)
     h1 = matcore.kernel_basis(adj(h0), tol)
     return CnuDecomposition(
         h0_frame=h0,

@@ -61,7 +61,12 @@ class OperatorTuple:
 
 
 def make_tuple(matrices: Sequence) -> OperatorTuple:
-    """Validate and build an OperatorTuple."""
+    """Validate and build an OperatorTuple.
+
+    The norms come from one stacked SVD, and a commutator is normed by an
+    SVD only when its Frobenius norm does not already put it within
+    ``COMMUTE_TOL`` (``matcore.operator_norms_within``).
+    """
     ops = tuple(matcore.as_matrix(m) for m in matrices)
     if not ops:
         raise DimensionMismatch("a tuple needs at least one operator")
@@ -69,14 +74,16 @@ def make_tuple(matrices: Sequence) -> OperatorTuple:
     for m in ops:
         if m.shape != (d, d):
             raise DimensionMismatch(f"expected {d}x{d} blocks, got {m.shape}")
-    for i, m in enumerate(ops):
-        norm = operator_norm(m)
+    for i, norm in enumerate(operator_norm(np.stack(ops)).tolist()):
         if norm > 1.0 + CONTRACT_TOL:
             raise NotContractive(i + 1, norm)
-    for i, j in itertools.combinations(range(len(ops)), 2):
-        res = operator_norm(ops[i] @ ops[j] - ops[j] @ ops[i])
-        if res > COMMUTE_TOL:
-            raise NotCommuting(i + 1, j + 1, res)
+    pairs = list(itertools.combinations(range(len(ops)), 2))
+    if pairs:
+        comms = np.stack([ops[i] @ ops[j] - ops[j] @ ops[i] for i, j in pairs])
+        for k in np.flatnonzero(~matcore.operator_norms_within(comms, COMMUTE_TOL)).tolist():
+            res = operator_norm(comms[k])
+            if res > COMMUTE_TOL:
+                raise NotCommuting(pairs[k][0] + 1, pairs[k][1] + 1, res)
     return OperatorTuple(ops=ops, dim=d)
 
 
@@ -127,10 +134,22 @@ class SzegoCheck(NamedTuple):
     min_eig: float
 
 
+class _Szego(NamedTuple):
+    check: SzegoCheck
+    defect: np.ndarray  # the Szego defect operator, checked
+    eig: matcore.HermEig  # and its eigendecomposition
+
+
+def _szego(t: OperatorTuple, tol: float) -> _Szego:
+    defect = szego_defect(t)
+    eig = matcore.herm_eig(defect, 1e-8)
+    min_eig = _min_eig(eig)
+    return _Szego(SzegoCheck(min_eig >= -tol, min_eig), defect, eig)
+
+
 def is_szego(t: OperatorTuple, tol: float = CERT_TOL) -> SzegoCheck:
     """Positivity of the Szego defect, reported with its smallest eigenvalue."""
-    min_eig = _min_eig(szego_defect(t))
-    return SzegoCheck(min_eig >= -tol, min_eig)
+    return _szego(t, tol).check
 
 
 def spectral_radius(m) -> float:
@@ -157,8 +176,26 @@ def spectral_radius(m) -> float:
 
 
 def is_pure(t: OperatorTuple) -> bool:
-    """True when every coordinate has spectral radius below 1 - PURE_TOL."""
-    return all(spectral_radius(m) < 1.0 - PURE_TOL for m in t.ops)
+    """True when every coordinate has spectral radius below 1 - PURE_TOL,
+    that is, when one of its ``spectral_radius`` iterates is.  The first
+    iterates, the norms, come from one stacked SVD; the doubling loop runs
+    only for a coordinate whose norm does not settle it, and stops at its
+    first iterate below the limit."""
+    limit = 1.0 - PURE_TOL
+    ops = [matcore.as_matrix(m) for m in t.ops]
+    if not ops:
+        return True
+    for b, norm in zip(ops, operator_norm(np.stack(ops)).tolist()):
+        if norm < limit:
+            continue
+        for k in range(1, 9):
+            b = b @ b
+            norm = operator_norm(b)
+            if norm == 0.0 or norm ** (1.0 / 2.0**k) < limit:
+                break
+        else:
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -190,8 +227,8 @@ class DilationCertificate:
         return tuple(q.shape[1] for q in self.f_frames)
 
 
-def _min_eig(m: np.ndarray) -> float:
-    w, _ = matcore.herm_eig(m, 1e-8)
+def _min_eig(eig: matcore.HermEig) -> float:
+    w = eig.eigenvalues
     return float(w[0]) if w.size else 0.0
 
 
@@ -215,15 +252,23 @@ def verify_certificate(
             raise DimensionMismatch("G_i blocks must match the tuple dimension")
 
     hat_n = hat(t, t.n)
-    szego = is_szego(hat_n, tol)
-    if not szego.ok:
-        raise NotSzego(szego.min_eig)
+    szego = _szego(hat_n, tol)
+    if not szego.check.ok:
+        raise NotSzego(szego.check.min_eig)
     if not is_pure(hat_n):
         raise NotPure(max(spectral_radius(m) for m in hat_n.ops))
+    return _certificate(t, g, tol, szego)
 
+
+def _certificate(
+    t: OperatorTuple, g: tuple[np.ndarray, ...], tol: float, szego: _Szego
+) -> DilationCertificate:
+    """``verify_certificate`` after its Szego and purity checks, given the
+    validated G_i and ``_szego`` of the deleted-last tuple.  Each Hermitian
+    operator is eigendecomposed once, each stage in one stacked call."""
     g_margins = []
-    for i, gi in enumerate(g):
-        me = _min_eig(gi)
+    for i, eig in enumerate(matcore.herm_eigs(np.stack(g), 1e-8)):
+        me = _min_eig(eig)
         if me < -tol:
             raise GNotPsd(i + 1, me)
         g_margins.append(me)
@@ -234,30 +279,31 @@ def verify_certificate(
     if sum_res > tol:
         raise SumMismatch(sum_res)
 
+    hat_ops = t.ops[:-1]
+    prods = np.stack(
+        [conjugacy_product(hat_ops[:i] + hat_ops[i + 1 :], gi) for i, gi in enumerate(g)]
+    )
     f = []
     product_margins = []
-    for i, gi in enumerate(g):
-        others = [t.ops[j] for j in range(t.n - 1) if j != i]
-        prod = conjugacy_product(others, gi)
-        me = _min_eig(prod)
+    for i, eig in enumerate(matcore.herm_eigs(prods, 1e-8)):
+        me = _min_eig(eig)
         if me < -tol:
             raise ProductNotPsd(i + 1, me)
         product_margins.append(me)
-        f.append(matcore.psd_sqrt(prod, tol))
+        f.append(matcore.psd_sqrt(prods[i], tol, eig))
 
-    defect = matcore.psd_sqrt(szego_defect(hat_n), tol)
-    f_frames = tuple(matcore.range_onb(fi, tol) for fi in f)
-    d_frame = matcore.range_onb(defect, tol)
+    defect = matcore.psd_sqrt(szego.defect, tol, szego.eig)
+    *f_frames, d_frame = matcore.range_onbs(np.stack(f + [defect]), tol)
     return DilationCertificate(
         g=g,
         f=tuple(f),
         defect=defect,
-        f_frames=f_frames,
+        f_frames=tuple(f_frames),
         d_frame=d_frame,
         sum_residual=float(sum_res),
         g_margins=tuple(g_margins),
         product_margins=tuple(product_margins),
-        szego_min_eig=szego.min_eig,
+        szego_min_eig=szego.check.min_eig,
     )
 
 
@@ -266,22 +312,23 @@ def last_defect_certificate(t: OperatorTuple, tol: float = CERT_TOL) -> Dilation
 
     Valid whenever both deleted-first and deleted-last tuples are Szego and
     the deleted-last tuple is pure; these hypotheses are checked explicitly
-    before the standard validation runs.
+    before the standard validation runs, which reuses the deleted-last
+    tuple's Szego defect and does not test it again.
     """
     if t.n < 3:
         raise DimensionMismatch("membership certification needs n >= 3")
     hat_n = hat(t, t.n)
-    chk_n = is_szego(hat_n, tol)
-    if not chk_n.ok:
-        raise HypothesisFailed(f"deleted-last tuple is not Szego (min eig {chk_n.min_eig:.3e})")
+    szego = _szego(hat_n, tol)
+    if not szego.check.ok:
+        raise HypothesisFailed(
+            f"deleted-last tuple is not Szego (min eig {szego.check.min_eig:.3e})"
+        )
     if not is_pure(hat_n):
         raise HypothesisFailed("deleted-last tuple is not pure")
-    hat_1 = hat(t, 1)
-    chk_1 = is_szego(hat_1, tol)
+    chk_1 = is_szego(hat(t, 1), tol)
     if not chk_1.ok:
         raise HypothesisFailed(f"deleted-first tuple is not Szego (min eig {chk_1.min_eig:.3e})")
     t_n = t.op(t.n)
     g1 = np.eye(t.dim, dtype=complex) - t_n @ adj(t_n)
     zeros = np.zeros((t.dim, t.dim), dtype=complex)
-    g = [g1] + [zeros] * (t.n - 2)
-    return verify_certificate(t, g, tol)
+    return _certificate(t, (g1,) + (zeros,) * (t.n - 2), tol, szego)

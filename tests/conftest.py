@@ -1,8 +1,23 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from polydil import generators, hardy, matcore, realization as rz, tuples
-from polydil.errors import PolydilError
+from polydil.errors import (
+    DimensionMismatch,
+    GNotPsd,
+    HypothesisFailed,
+    NotCommuting,
+    NotContractive,
+    NotHermitian,
+    NotPsd,
+    NotPure,
+    NotSzego,
+    PolydilError,
+    ProductNotPsd,
+    SumMismatch,
+)
 from polydil.matcore import adj
 
 
@@ -262,6 +277,172 @@ def truncated_strict_multiplier(t, cert, r, cap):
     phi[(0,) * hat_t.n] = 0.0
     rhs = adj(pi.coeffs.reshape(-1, hat_t.dim)) @ phi.reshape(-1, r.dim_e)
     return float(np.max(np.linalg.norm(lhs - rhs, axis=0), initial=0.0))
+
+
+# ---------------------------------------------------------------------------
+# certification oracles: every norm by its own SVD, every Hermitian test by
+# two, every operator eigendecomposed where it is tested, the Szego defect
+# built twice and the deleted-last tuple checked twice by the last-defect
+# certificate
+
+
+def _svd_norm(a) -> float:
+    m = np.asarray(a, dtype=complex)
+    return 0.0 if m.size == 0 else float(np.linalg.norm(m, 2))
+
+
+def oracle_herm_eig(a, tol=matcore.EIG_TOL):
+    m = matcore.as_matrix(a)
+    if m.shape[0] != m.shape[1]:
+        raise DimensionMismatch("herm_eig needs a square matrix")
+    scale = _svd_norm(m)
+    herm_res = _svd_norm(m - adj(m))
+    if herm_res > tol * max(1.0, scale):
+        raise NotHermitian(f"||A - A*|| = {herm_res:.3e} exceeds tolerance")
+    w, v = np.linalg.eigh((m + adj(m)) / 2.0)
+    return matcore.HermEig(w, v)
+
+
+def _oracle_psd_sqrt(a, tol):
+    w, v = oracle_herm_eig(a)
+    if w.size and w[0] < -tol:
+        raise NotPsd(float(w[0]))
+    w = np.clip(w, 0.0, None)
+    r = (v * np.sqrt(w)) @ adj(v)
+    return (r + adj(r)) / 2.0
+
+
+def oracle_range_onb(a, tol):
+    m = matcore.as_matrix(a)
+    if m.shape[1] == 0 or m.shape[0] == 0:
+        return np.zeros((m.shape[0], 0), dtype=complex)
+    u, s, _ = np.linalg.svd(m, full_matrices=False)
+    return u[:, : int(np.sum(s > tol * max(1.0, s[0])))]
+
+
+def oracle_make_tuple(matrices):
+    ops = tuple(matcore.as_matrix(m) for m in matrices)
+    if not ops:
+        raise DimensionMismatch("a tuple needs at least one operator")
+    d = ops[0].shape[0]
+    for m in ops:
+        if m.shape != (d, d):
+            raise DimensionMismatch(f"expected {d}x{d} blocks, got {m.shape}")
+    for i, m in enumerate(ops):
+        norm = _svd_norm(m)
+        if norm > 1.0 + tuples.CONTRACT_TOL:
+            raise NotContractive(i + 1, norm)
+    for i, j in itertools.combinations(range(len(ops)), 2):
+        res = _svd_norm(ops[i] @ ops[j] - ops[j] @ ops[i])
+        if res > tuples.COMMUTE_TOL:
+            raise NotCommuting(i + 1, j + 1, res)
+    return tuples.OperatorTuple(ops=ops, dim=d)
+
+
+def oracle_spectral_radius(m) -> float:
+    b = matcore.as_matrix(m)
+    if b.shape[0] == 0:
+        return 0.0
+    best = _svd_norm(b)
+    for k in range(1, 9):
+        b = b @ b
+        norm = _svd_norm(b)
+        if norm == 0.0:
+            return 0.0
+        best = min(best, norm ** (1.0 / 2.0**k))
+    return best
+
+
+def oracle_is_pure(t) -> bool:
+    return all(oracle_spectral_radius(m) < 1.0 - tuples.PURE_TOL for m in t.ops)
+
+
+def _oracle_min_eig(m) -> float:
+    w, _ = oracle_herm_eig(m, 1e-8)
+    return float(w[0]) if w.size else 0.0
+
+
+def _oracle_is_szego(t, tol):
+    min_eig = _oracle_min_eig(tuples.szego_defect(t))
+    return tuples.SzegoCheck(min_eig >= -tol, min_eig)
+
+
+def oracle_verify_certificate(t, g_list, tol=tuples.CERT_TOL):
+    if t.n < 3:
+        raise DimensionMismatch("membership certification needs n >= 3")
+    if len(g_list) != t.n - 1:
+        raise DimensionMismatch(f"expected {t.n - 1} operators G_i, got {len(g_list)}")
+    g = tuple(matcore.as_matrix(m) for m in g_list)
+    for m in g:
+        if m.shape != (t.dim, t.dim):
+            raise DimensionMismatch("G_i blocks must match the tuple dimension")
+    hat_n = tuples.hat(t, t.n)
+    szego = _oracle_is_szego(hat_n, tol)
+    if not szego.ok:
+        raise NotSzego(szego.min_eig)
+    if not oracle_is_pure(hat_n):
+        raise NotPure(max(oracle_spectral_radius(m) for m in hat_n.ops))
+    g_margins = []
+    for i, gi in enumerate(g):
+        me = _oracle_min_eig(gi)
+        if me < -tol:
+            raise GNotPsd(i + 1, me)
+        g_margins.append(me)
+    t_n = t.op(t.n)
+    sum_res = _svd_norm(np.eye(t.dim, dtype=complex) - t_n @ adj(t_n) - sum(g))
+    if sum_res > tol:
+        raise SumMismatch(sum_res)
+    f, product_margins = [], []
+    for i, gi in enumerate(g):
+        prod = tuples.conjugacy_product([t.ops[j] for j in range(t.n - 1) if j != i], gi)
+        me = _oracle_min_eig(prod)
+        if me < -tol:
+            raise ProductNotPsd(i + 1, me)
+        product_margins.append(me)
+        f.append(_oracle_psd_sqrt(prod, tol))
+    defect = _oracle_psd_sqrt(tuples.szego_defect(hat_n), tol)
+    return tuples.DilationCertificate(
+        g=g,
+        f=tuple(f),
+        defect=defect,
+        f_frames=tuple(oracle_range_onb(fi, tol) for fi in f),
+        d_frame=oracle_range_onb(defect, tol),
+        sum_residual=float(sum_res),
+        g_margins=tuple(g_margins),
+        product_margins=tuple(product_margins),
+        szego_min_eig=szego.min_eig,
+    )
+
+
+def oracle_last_defect_certificate(t, tol=tuples.CERT_TOL):
+    if t.n < 3:
+        raise DimensionMismatch("membership certification needs n >= 3")
+    chk_n = _oracle_is_szego(tuples.hat(t, t.n), tol)
+    if not chk_n.ok:
+        raise HypothesisFailed(f"deleted-last tuple is not Szego (min eig {chk_n.min_eig:.3e})")
+    if not oracle_is_pure(tuples.hat(t, t.n)):
+        raise HypothesisFailed("deleted-last tuple is not pure")
+    chk_1 = _oracle_is_szego(tuples.hat(t, 1), tol)
+    if not chk_1.ok:
+        raise HypothesisFailed(f"deleted-first tuple is not Szego (min eig {chk_1.min_eig:.3e})")
+    t_n = t.op(t.n)
+    zeros = np.zeros((t.dim, t.dim), dtype=complex)
+    g = [np.eye(t.dim, dtype=complex) - t_n @ adj(t_n)] + [zeros] * (t.n - 2)
+    return oracle_verify_certificate(t, g, tol)
+
+
+def stacked_cnu_h0(a):
+    """H0 of ``rz.cnu_decomposition`` from the kernel of the (2 d^2) x d stack
+    of I - A*^m A^m and I - A^m A*^m over m = 1..d."""
+    m = matcore.as_matrix(a)
+    d = m.shape[0]
+    eye = np.eye(d, dtype=complex)
+    rows, power = [], eye
+    for _ in range(d):
+        power = power @ m
+        rows += [eye - adj(power) @ power, eye - power @ adj(power)]
+    stacked = np.vstack(rows) if rows else np.zeros((0, d), dtype=complex)
+    return matcore.kernel_basis(stacked, 1e-9)
 
 
 @pytest.fixture

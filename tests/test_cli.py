@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from polydil import cli, hardy, matcore, realization as rz, tuples, vonneumann as vn
-from polydil.errors import IsometryDefect
+from polydil.errors import IsometryDefect, ParseError
 
 from conftest import direct_sum_constant, w3_nonnormal, zero_triple
 
@@ -142,6 +142,16 @@ def test_malformed_matrix_shape_exit2(change, message, triple_doc, tmp_path, cap
     doc = json.loads(triple_doc.read_text())
     change(doc)
     assert_refused(json.dumps(doc), message, tmp_path, capsys)
+
+
+def test_matrix_entries_outside_the_json_types_take_the_entry_loop():
+    # the set passes accept list pairs of int and float only; the entry loop
+    # accepts the rest as before, and names the first bad entry of a matrix
+    # with several faults
+    m = cli.matrix_from_doc([[(np.float64(1.5), 0), [2, -0.0]]])
+    assert np.array_equal(m.view(np.uint64), np.array([[1.5, complex(2, -0.0)]]).view(np.uint64))
+    with pytest.raises(ParseError, match=r"^complex scalar must be \[re, im\], got \[True, 0.0\]$"):
+        cli.matrix_from_doc([[[0.0, 0.0], [True, 0.0]], [[0.0, 0.0], "x"], [[0.0, 0.0]], 5])
 
 
 # ---------------------------------------------------------------------------
