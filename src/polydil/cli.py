@@ -17,8 +17,8 @@ The parser is built once per process.  Config flags can be preset by
 the arguments, so a bad preset exits 2 whatever the command line says.
 
 Exit codes: 0 success, 2 parse failure, 3 certification failure, 4 dilation
-failure, 5 verification failure, 6 von Neumann margin violation, 7 variety
-fiber residual check failure.
+failure, 5 verification failure, 6 von Neumann bound not confirmed at this
+grid, 7 variety fiber residual check failure.
 """
 
 from __future__ import annotations
@@ -94,7 +94,7 @@ class RunConfig:
 # off the command line takes its preset POLYDIL_<FLAG>, e.g. POLYDIL_TOL_CERT
 # for --tol-cert, else its field's default.
 CONFIG_FLAGS = (
-    ("--cap", "cap", "degree cap of pi_isometry_defect's box, 2^25 entries at most"),
+    ("--cap", "cap", "degree cap of pi_isometry_defect's box"),
     ("--grid", "grid", "torus grid size"),
     ("--variety-grid", "variety_grid", "interior grid points per real axis"),
     ("--radius", "radius", "interior grid radius"),

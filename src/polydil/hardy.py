@@ -1,16 +1,13 @@
-"""Truncated vector-valued Hardy space over the polydisc, as dense tensors.
+"""The dilation isometry on the truncated polydisc box, and the defect
+block maps of a certificate.
 
-An element of H^2_{C^e}(D^m) truncated to the box [0, N]^m is an array of
-shape (N+1,)*m + (e,) whose entry at the multi-index k is its k-th Taylor
-coefficient.  The dilation isometry h -> sum_k z^k (frame* D T*^k h) is held
-as its coefficient tensor of shape (N+1,)*m + (e, d), so every basis vector
-is handled at once.  One row of the identity suite reads the box:
-``pi_isometry_defect`` compares the norm the box loses with its exact value,
-``box_gap``.  The other rows are finite identities with no box.  The box has
-(cap+1)^m e d complex entries, at most ``MAX_BOX_ENTRIES``.
-
-The defect block maps and block ranges of a certificate, from which the
-generating unitary is built, live here too.
+One row of the identity suite reads the dilation isometry
+Pi h = sum_k z^k (frame* D T*^k h) on the box [0, cap]^m, and only through
+||Pi h||^2: ``pi_isometry_defect`` compares the norm the box loses with its
+exact value, ``box_gap``.  So the box is held as its d x d Gram operator,
+built in O(log cap) products, and no coefficient is stored.  The defect
+block maps and block ranges, from which the generating unitary is built,
+live here too.
 """
 
 from __future__ import annotations
@@ -21,75 +18,51 @@ import numpy as np
 
 from . import matcore
 from .errors import DimensionMismatch, NotPure
-from .matcore import adj, operator_norm
+from .matcore import adj, operator_norm  # noqa: F401 (perfbench traces hardy.operator_norm)
 from .tuples import OperatorTuple, DilationCertificate, is_pure, spectral_radius
 
 DEFAULT_CAP = 12
-# Largest coefficient tensor the identity suite builds: 2^25 complex entries
-# are 512 MiB.
-MAX_BOX_ENTRIES = 2**25
-
-
-def nilpotency_order(m) -> int | None:
-    """Smallest p <= dim with ||M^p|| <= 1e-14, or None if M is not nilpotent."""
-    m = matcore.as_matrix(m)
-    p = np.eye(m.shape[0], dtype=complex)
-    for order in range(1, m.shape[0] + 1):
-        p = p @ m
-        if operator_norm(p) <= 1e-14:
-            return order
-    return None
-
-
-def effective_cap(t: OperatorTuple, cap: int) -> int:
-    """Raise the cap to the tuple's nilpotency order when that is larger."""
-    orders = [nilpotency_order(m) for m in t.ops]
-    if any(o is None for o in orders):
-        return cap
-    return max(cap, max(orders))
 
 
 # ---------------------------------------------------------------------------
-# coefficient embeddings and the dilation isometry
+# the dilation isometry on the box
+
+
+def _power_sum(a: np.ndarray, y: np.ndarray, count: int) -> np.ndarray:
+    """sum_{j < count} A^j Y A*^j for count >= 1, by doubling over the
+    binary digits of count: S_2c = S_c + A^c S_c A*^c and
+    S_(c+1) = Y + A S_c A*, at most six products per digit."""
+    total, power = y, a
+    for bit in bin(count)[3:]:
+        total = total + power @ total @ adj(power)
+        power = power @ power
+        if bit == "1":
+            total = y + a @ total @ adj(a)
+            power = a @ power
+    return total
 
 
 class CoefficientEmbedding:
-    """Map h -> sum_k z^k (M T*^k h) over the truncated multi-index box.
-
-    ``coeffs`` has shape (cap+1,)*m + (out, d) and holds M T*^k at k, built
-    by one cumulative product per axis.  With M = frame* D this is the
-    canonical dilation isometry; with M = I its coefficients are the powers
-    T*^k.  The adjoint sends z^k c to T^k M* c, the conjugate transpose of
-    the k-th coefficient applied to c.
+    """Map h -> sum_k z^k (M T*^k h) over the box [0, cap]^m, held as its
+    Gram operator ``gram`` = sum_k T^k M* M T*^k, summed one axis at a time.
+    With M = frame* D this is the canonical dilation isometry.
     """
 
     def __init__(self, t: OperatorTuple, out_map, cap: int):
-        self.tuple = t
-        self.cap = int(cap)
-        coeffs = matcore.as_matrix(out_map)
-        if coeffs.shape[1] != t.dim:
+        out_map = matcore.as_matrix(out_map)
+        if out_map.shape[1] != t.dim:
             raise DimensionMismatch("output map must act on the tuple's space")
-        for axis, op in enumerate(t.ops):
-            op_adj = adj(op)
-            pows = [coeffs]
-            for _ in range(self.cap):
-                pows.append(pows[-1] @ op_adj)
-            coeffs = np.stack(pows, axis=axis)
-        self.coeffs = coeffs
-
-    def apply(self, h) -> np.ndarray:
-        """The coefficients of the image of h, shape (cap+1,)*m + (out,)."""
-        h = np.asarray(h, dtype=complex).reshape(-1)
-        if h.size != self.tuple.dim:
-            raise DimensionMismatch("vector dimension mismatch")
-        return self.coeffs @ h
+        self.gram = adj(out_map) @ out_map
+        for op in t.ops:
+            self.gram = _power_sum(op, self.gram, int(cap) + 1)
 
     def isometry_defect(self, h) -> float:
-        """||Pi h||^2 - ||h||^2; nonpositive, and zero once the cap swallows
-        every nonzero coefficient."""
+        """||Pi h||^2 - ||h||^2 = <gram h, h> - <h, h>; nonpositive up to
+        rounding, and zero once the cap swallows every nonzero coefficient."""
         h = np.asarray(h, dtype=complex).reshape(-1)
-        image = self.apply(h)
-        return float(np.vdot(image, image).real - np.vdot(h, h).real)
+        if h.size != self.gram.shape[0]:
+            raise DimensionMismatch("vector dimension mismatch")
+        return float(np.vdot(h, self.gram @ h).real - np.vdot(h, h).real)
 
 
 def canonical_isometry(t: OperatorTuple, defect, frame, cap: int) -> CoefficientEmbedding:

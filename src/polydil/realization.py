@@ -35,7 +35,6 @@ from .errors import (
     IsometryDefect,
     NotContraction,
     NotIsometric,
-    ParseError,
     SingularResolvent,
 )
 from .matcore import adj, operator_norm
@@ -247,7 +246,8 @@ def _fiber_eval(top: np.ndarray, low: np.ndarray, norms: np.ndarray, lam: np.nda
         w, solved = matcore.solve_stack(n, np.broadcast_to(gamma[:, None], (nb, nl, p, e)))
         # lambda w with the fiber index inside the columns: one GEMM per base
         lw = (lam[:, None, None] * w).transpose(0, 2, 1, 3).reshape(nb, p, nl * e)
-        phi = top[:, None, :, :e] + (top[..., e:] @ lw).reshape(nb, e, nl, e).transpose(0, 2, 1, 3)
+        prod = (top[..., e:] @ lw).reshape(nb, e, nl, e).transpose(0, 2, 1, 3)
+        phi = np.add(top[:, None, :, :e], prod, order="C")  # so the (k, e, e) reshape is a view
         fiber_res = w - gamma[:, None] - (delta @ lw).reshape(nb, p, nl, e).transpose(0, 2, 1, 3)
         sq = np.stack([w, fiber_res])
         w_norm, fiber_norm = np.sqrt((sq.real**2 + sq.imag**2).sum(axis=(-2, -1)))
@@ -300,11 +300,21 @@ def inner_check(r: TransferRealization, grid: int) -> InnerReport:
     eye = np.eye(r.dim_e)
     max_dev = 0.0
     singular = 0
+    total = grid ** len(r.partition)
+    # buffers for conj(Phi) and Phi* Phi - I: fresh chunk-sized arrays make
+    # glibc trim and regrow its heap, one page fault per page, every chunk
+    conj = np.empty((min(CHUNK, total), r.dim_e, r.dim_e), dtype=complex)
+    gram = np.empty_like(conj)
     for _, phi, regular in transfer_eval_grid(r, unit_circle(grid)):
-        singular += int(np.count_nonzero(~regular))
-        phi = phi[regular]
-        max_dev = max(max_dev, matcore.max_operator_norm(adj(phi) @ phi - eye, max_dev))
-    return InnerReport(max_dev, singular, grid ** len(r.partition))
+        if not regular.all():
+            singular += int(np.count_nonzero(~regular))
+            phi = phi[regular]
+        k = len(phi)
+        np.conjugate(phi, out=conj[:k])
+        np.matmul(conj[:k].swapaxes(-1, -2), phi, out=gram[:k])
+        gram[:k] -= eye
+        max_dev = max(max_dev, matcore.max_operator_norm(gram[:k], max_dev))
+    return InnerReport(max_dev, singular, total)
 
 
 # ---------------------------------------------------------------------------
@@ -452,24 +462,20 @@ def run_identity_suite(
     Every row but one is a finite identity: the generating unitary, its
     unitarity, the commutant lifting and its strict part
     (``_lifting_residuals``), the Schur identity at seeded interior points
-    and innerness on the torus grid.  ``pi_isometry_defect`` alone reads
-    the coefficient box [0, cap]^m of the dilation isometry: it compares the
-    box's loss of norm with its exact value, ``-<gap h, h>`` with
-    ``gap = hardy.box_gap(hat T, cap)``.  ``cap`` is first raised to the
-    tuple's nilpotency order (``hardy.effective_cap``), and ``taylor_cap``
-    reports m * cap, the highest total degree in the box.  A box of more
-    than ``hardy.MAX_BOX_ENTRIES`` entries is refused with ParseError
-    before it is built.
+    and innerness on the torus.  ``pi_isometry_defect`` alone reads the
+    box [0, cap]^m of the dilation isometry, through its Gram operator
+    (``hardy.CoefficientEmbedding``): it compares the box's loss of norm
+    with its exact value, ``-<gap h, h>`` with
+    ``gap = hardy.box_gap(hat T, cap)``.  Both take O(log cap) products and
+    are exact at every cap, so the cap is used as given, and ``taylor_cap``
+    reports m * cap, the highest total degree in the box.
     """
     if r is None:
         r = build_generating_unitary(t, cert)
     hat_t = hat(t, t.n)
-    cap = hardy.effective_cap(hat_t, cap)
     m_vars = hat_t.n
     taylor_cap = m_vars * cap
     rho = max(spectral_radius(m) for m in hat_t.ops)
-    if (cap + 1) ** m_vars * cert.rank_d * t.dim > hardy.MAX_BOX_ENTRIES:
-        raise ParseError(f"degree cap {cap} needs over {hardy.MAX_BOX_ENTRIES} box entries")
 
     pi = hardy.canonical_isometry(hat_t, cert.defect, cert.d_frame, cap)
 

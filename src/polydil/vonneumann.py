@@ -9,8 +9,8 @@ Splitting the constant term of Phi into unitary and completely-non-unitary
 parts carves the relevant variety into a product component (unit-circle
 spectrum of the unitary part) and the zero set of det(z_n I - Phi_1(z)) over
 the polydisc.  Grid suprema are lower bounds of the true ones, so the
-inequality check is one-sided: a failure beyond the tolerance indicates a
-bug, not grid coarseness.
+inequality check is one-sided: a pass proves the bound, and a margin below
+the tolerance means only that the bound is not confirmed at this grid.
 """
 
 from __future__ import annotations

@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import numpy as np
@@ -120,20 +121,32 @@ def svd_torus_sup(p, r, points):
     return float(np.max(matcore.operator_norm(acc), initial=0.0))
 
 
-def w2_tensor_jordan():
-    """T_i = 0.9 J_2 on factor i of C^2 (x) C^2 (x) C^2, T_4 = T_1 T_2 T_3,
+def w1_product_triple():
+    """W1, the (3,3) product triple at r = 0.9 with (j,k) = (2,3)."""
+    return generators.product_triple(generators.jordan_pair(3, 3, 0.9, 0.9), 2, 3)
+
+
+def telescoping(n):
+    """T_i = 0.9 J_2 on factor i of (C^2)^(x)(n-1), T_n = T_1 ... T_{n-1},
     with the telescoping certificate G_i = P_i (I - T_i T_i*) P_i*,
-    P_i = T_1 ... T_{i-1}."""
+    P_i = T_1 ... T_{i-1}: d = 2^(n-1), every hat coordinate of order 2."""
     shift, eye2 = 0.9 * generators.lower_shift(2), np.eye(2)
-    factors = [np.kron(np.kron(shift, eye2), eye2), np.kron(np.kron(eye2, shift), eye2),
-               np.kron(np.kron(eye2, eye2), shift)]
-    eye = np.eye(8)
+    factors = [
+        functools.reduce(np.kron, [shift if j == i else eye2 for j in range(n - 1)])
+        for i in range(n - 1)
+    ]
+    eye = np.eye(2 ** (n - 1))
     g, prefix = [], eye
     for ti in factors:
         g.append(prefix @ (eye - ti @ adj(ti)) @ adj(prefix))
         prefix = prefix @ ti
     t = tuples.make_tuple(factors + [prefix])
     return t, tuples.verify_certificate(t, g)
+
+
+def w2_tensor_jordan():
+    """W2, the n = 4 telescoping tuple of dimension 8."""
+    return telescoping(4)
 
 
 def diagonal_triple(rng):
@@ -236,9 +249,30 @@ def transfer_taylor(r, cap):
     return phi
 
 
+def box_coefficients(t, out_map, cap):
+    """The coefficients M T*^k of h -> sum_k z^k (M T*^k h) over the box
+    [0, cap]^m, as an array of shape (cap+1,)*m + (out, d), built by one
+    cumulative right-multiplication per axis: the box oracle for the Gram
+    operator of ``hardy.CoefficientEmbedding``."""
+    coeffs = matcore.as_matrix(out_map)
+    for axis, op in enumerate(t.ops):
+        op_adj = adj(op)
+        pows = [coeffs]
+        for _ in range(cap):
+            pows.append(pows[-1] @ op_adj)
+        coeffs = np.stack(pows, axis=axis)
+    return coeffs
+
+
+def box_isometry_defect(coeffs, h):
+    """||Pi h||^2 - ||h||^2 summed over the coefficients of the box."""
+    image = coeffs @ h
+    return float(np.vdot(image, image).real - np.vdot(h, h).real)
+
+
 def _box_data(t, cert, r, cap):
     hat_t = tuples.hat(t, t.n)
-    pi = hardy.canonical_isometry(hat_t, cert.defect, cert.d_frame, cap)
+    pi = box_coefficients(hat_t, adj(cert.d_frame) @ cert.defect, cap)
     return hat_t, pi, transfer_taylor(r, cap)
 
 
@@ -252,14 +286,14 @@ def truncated_lifting(t, cert, r, cap):
     A shift whose slice of Pi is exactly zero adds exact zeros and is skipped.
     """
     _, pi, phi = _box_data(t, cert, r, cap)
-    rhs = np.zeros_like(pi.coeffs)
-    nonzero = pi.coeffs.any(axis=(-2, -1))
+    rhs = np.zeros_like(pi)
+    nonzero = pi.any(axis=(-2, -1))
     for j in np.ndindex(*phi.shape[:-2]):
         head = tuple(slice(0, cap + 1 - x) for x in j)
         tail = tuple(slice(x, cap + 1) for x in j)
         if nonzero[tail].any():
-            rhs[head] += adj(phi[j]) @ pi.coeffs[tail]
-    lhs = pi.coeffs @ adj(t.op(t.n))
+            rhs[head] += adj(phi[j]) @ pi[tail]
+    lhs = pi @ adj(t.op(t.n))
     return matcore.max_operator_norm(lhs - rhs)
 
 
@@ -275,7 +309,7 @@ def truncated_strict_multiplier(t, cert, r, cap):
         for op, sl in zip(hat_t.ops, hardy.block_slices(cert.ranks))
     )
     phi[(0,) * hat_t.n] = 0.0
-    rhs = adj(pi.coeffs.reshape(-1, hat_t.dim)) @ phi.reshape(-1, r.dim_e)
+    rhs = adj(pi.reshape(-1, hat_t.dim)) @ phi.reshape(-1, r.dim_e)
     return float(np.max(np.linalg.norm(lhs - rhs, axis=0), initial=0.0))
 
 

@@ -15,7 +15,7 @@ import pytest
 
 from polydil import generators, hardy, matcore, realization as rz, tuples, vonneumann as vn
 
-from conftest import diagonal_triple, poly_roots, svd_torus_sup, w3_nonnormal
+from conftest import box_coefficients, diagonal_triple, poly_roots, svd_torus_sup, w3_nonnormal
 
 DIMS = [(2, 2), (3, 2), (3, 3)]
 SCALES = [1.0, 0.9]
@@ -101,17 +101,27 @@ def test_criterion_02_generating_identity(fixtures):
 
 
 def test_criterion_03_dilation_identities(fixtures):
+    def nilpotency_order(m):
+        """Smallest p <= dim with ||M^p|| <= 1e-14, or None."""
+        p = np.eye(m.shape[0], dtype=complex)
+        for order in range(1, m.shape[0] + 1):
+            p = p @ m
+            if matcore.operator_norm(p) <= 1e-14:
+                return order
+        return None
+
     worst_inter = worst_defect = 0.0
     for fx in fixtures:
         hat_t = tuples.hat(fx.t, 3)
-        orders = [hardy.nilpotency_order(m) or CAP for m in hat_t.ops]
+        orders = [nilpotency_order(m) or CAP for m in hat_t.ops]
         cap = max(orders) if fx.r_scale == 1.0 else CAP
         pi = hardy.canonical_isometry(hat_t, fx.cert.defect, fx.cert.d_frame, cap)
-        # Pi_{k+e_i} = Pi_k T_i*, per coefficient and basis vector; Pi is built
-        # one axis at a time, so this reads commutativity on all but the last
+        coeffs = box_coefficients(hat_t, matcore.adj(fx.cert.d_frame) @ fx.cert.defect, cap)
+        # Pi_{k+e_i} = Pi_k T_i*, per coefficient and basis vector; the box is
+        # built one axis at a time, so this reads commutativity on all but the last
         for i, op in enumerate(hat_t.ops):
-            low = np.take(pi.coeffs, range(cap), axis=i)
-            high = np.take(pi.coeffs, range(1, cap + 1), axis=i)
+            low = np.take(coeffs, range(cap), axis=i)
+            high = np.take(coeffs, range(1, cap + 1), axis=i)
             inter = float(np.max(np.linalg.norm(low @ matcore.adj(op) - high, axis=-2)))
             assert inter <= 1e-13, (fx.label, i, inter)
             worst_inter = max(worst_inter, inter)

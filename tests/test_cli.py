@@ -9,7 +9,13 @@ import pytest
 from polydil import cli, hardy, matcore, realization as rz, tuples, vonneumann as vn
 from polydil.errors import IsometryDefect, ParseError
 
-from conftest import direct_sum_constant, w3_nonnormal, zero_triple
+from conftest import (
+    direct_sum_constant,
+    telescoping,
+    w1_product_triple,
+    w3_nonnormal,
+    zero_triple,
+)
 
 
 def run(argv):
@@ -319,28 +325,31 @@ def test_verify_product_triple(triple_doc, tmp_path):
         assert row["ok"] is True, row
 
 
-class BoxBuilt(Exception):
-    pass
+def test_verify_reads_a_32_dimensional_box_at_the_default_cap(tmp_path):
+    # n = 6 telescoping tuple: five hat coordinates, d = 32; its box at cap
+    # 12 would hold 13^5 e d coefficients, the Gram operator is 32 x 32
+    t, cert = telescoping(6)
+    path = tmp_path / "t6.json"
+    cli.write_document(cli.tuple_to_doc(t, cert.g), str(path))
+    out = tmp_path / "verify.json"
+    assert run(["verify", str(path), "--grid", "4", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["ok"] is True and doc["cap"] == hardy.DEFAULT_CAP and doc["taylor_cap"] == 60
 
 
-def test_verify_refuses_a_box_past_the_limit(triple_doc, tmp_path, monkeypatch):
-    # the box has (cap+1)^m e d complex entries; past the limit verify exits 2
-    # before the box is built, and just within it the box would be built
-    t, g = cli.tuple_from_doc(cli.load_document(str(triple_doc)))
-    per_index = tuples.verify_certificate(t, g).rank_d * t.dim
-    within = 1
-    while (within + 2) ** (t.n - 1) * per_index <= hardy.MAX_BOX_ENTRIES:
-        within += 1
-
-    def boom(*args):
-        raise BoxBuilt
-
-    monkeypatch.setattr(hardy, "canonical_isometry", boom)
-    out = tmp_path / "v.json"
-    assert run(["verify", str(triple_doc), "--cap", str(within + 1), "--out", str(out)]) == 2
-    assert not out.exists()
-    with pytest.raises(BoxBuilt):
-        run(["verify", str(triple_doc), "--cap", str(within), "--out", str(out)])
+@pytest.mark.parametrize("build", [w1_product_triple, w3_nonnormal])
+def test_verify_at_a_billion_cap(build, tmp_path):
+    # the Gram sum and the box gap take O(log cap) products
+    t, cert = build()
+    path = tmp_path / "t.json"
+    cli.write_document(cli.tuple_to_doc(t, cert.g), str(path))
+    out = tmp_path / "verify.json"
+    cap = 10**9
+    assert run(["verify", str(path), "--cap", str(cap), "--grid", "8", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["cap"] == cap and doc["taylor_cap"] == 2 * cap
+    row = next(row for row in doc["checks"] if row["name"] == "pi_isometry_defect")
+    assert row["ok"] is True and row["residual"] <= row["bound"]
 
 
 def test_verify_deterministic(triple_doc, tmp_path):

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from polydil import generators, matcore, realization as rz, tuples, vonneumann as vn
+from polydil import matcore, realization as rz, tuples, vonneumann as vn
 from polydil.errors import ArityMismatch, ParseError
 from polydil.matcore import adj
 
@@ -15,6 +15,7 @@ from conftest import (
     random_unitary,
     svd_torus_sup,
     transfer_eval_many,
+    w1_product_triple,
     w2_tensor_jordan,
     w3_nonnormal,
     zero_triple,
@@ -389,11 +390,6 @@ def test_transfer_eval_many_matches_one_point(which, triple22, rng):
             assert matcore.operator_norm(value - rz.transfer_eval(r, tuple(z))) < 1e-14
         covered += len(phi)
     assert covered == count
-
-
-def w1_product_triple():
-    """The (3,3) product triple at r = 0.9 with (j,k) = (2,3)."""
-    return generators.product_triple(generators.jordan_pair(3, 3, 0.9, 0.9), 2, 3)
 
 
 # the benchmark's W1, the n = 4 tensor-Jordan tuple and the non-normal triple
