@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import generators, hardy, matcore, realization as rz, tuples, vonneumann as vn
-from .errors import CertificationError, DilationError, NotIsometric, ParseError, PolydilError
+from .errors import CertificationError, DilationError, ParseError, PolydilError
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -48,7 +48,6 @@ EXIT_VARIETY = 7
 # Exit code per error family; any other PolydilError is a parse failure.
 EXIT_CODES = {
     DilationError: EXIT_DILATE,
-    NotIsometric: EXIT_DILATE,
     CertificationError: EXIT_CERTIFY,
 }
 
@@ -379,8 +378,8 @@ def _realize(args: argparse.Namespace, config: RunConfig):
 
 
 def cmd_certify(args: argparse.Namespace, config: RunConfig) -> int:
-    t, g = tuple_from_doc(load_document(args.input))
     try:
+        t, g = tuple_from_doc(load_document(args.input))
         cert = _certificate_for(t, g, config)
     except CertificationError as exc:
         write_document({"accepted": False, "error": error_to_doc(exc)}, config.out)

@@ -38,12 +38,6 @@ class NotPsd(PolydilError):
         super().__init__(f"matrix is not positive semidefinite (min eigenvalue {min_eig:.3e})")
 
 
-class NotIsometric(PolydilError):
-    def __init__(self, residual: float):
-        self.residual = residual
-        super().__init__(f"frames do not define an isometry (Gram mismatch {residual:.3e})")
-
-
 class SingularResolvent(PolydilError):
     pass
 
@@ -122,14 +116,10 @@ class DilationError(PolydilError):
     pass
 
 
-class IsometryDefect(DilationError):
+class NotIsometric(DilationError):
     def __init__(self, residual: float):
         self.residual = residual
-        super().__init__(f"generating map is not isometric (residual {residual:.3e})")
-
-
-class NotContraction(PolydilError):
-    pass
+        super().__init__(f"generating frames are not isometric (residual {residual:.3e})")
 
 
 # ---------------------------------------------------------------------------

@@ -24,16 +24,18 @@ package relies on, with explicit tolerance semantics:
   (the largest L, or tol/2) is NaN or outside [2^-450, 2^450], where
   squares could underflow or overflow, and a matrix with an infinite or
   NaN entry always gets its SVD;
-* the same tol/2 rule settles the Hermitian test of ``herm_eig``,
-  ``herm_eigs`` and ``psd_sqrt`` without either of its two SVDs (the
-  threshold ``tol * max(1, ||A||)`` is at least tol), and
-  ``tuples.make_tuple`` screens its commutators with
-  ``operator_norms_within``; a single matrix's Frobenius norm is one BLAS
-  dot, whose squares overflow to inf and so fail the screen;
-* a stack of Hermitian eigendecompositions or SVDs is one call
-  (``herm_eigs``, ``range_onbs``, ``operator_norm`` of a stack); numpy
-  runs the same LAPACK routine on each matrix, so every matrix gets the
-  bits of its own call, which the tests check.
+* the same tol/2 rule settles the Hermitian test of ``herm_eigs`` and
+  ``psd_sqrt`` without either of its two SVDs (the threshold
+  ``tol * max(1, ||A||)`` is at least tol), and ``tuples.make_tuple``
+  screens its commutators with ``operator_norms_within``; a single
+  matrix's Frobenius norm is one BLAS dot, whose squares overflow to inf
+  and so fail the screen;
+* each decomposition has one path, for a stack: Hermitian
+  eigendecompositions are ``herm_eigs`` (``herm_eig`` is its one-matrix
+  case), range bases ``range_onbs``, and a stack of SVD norms is one
+  ``operator_norm`` call.  numpy runs the same LAPACK routine on each
+  matrix of a stack, so every matrix gets the bits of its own call, which
+  the tests check.
 """
 
 from __future__ import annotations
@@ -156,45 +158,39 @@ def _check_hermitian(m: np.ndarray, tol: float) -> None:
 
 
 def herm_eig(a, tol: float = EIG_TOL) -> HermEig:
-    """Eigendecomposition of a Hermitian matrix.
+    """Eigendecomposition of a Hermitian matrix: the one-matrix case of
+    ``herm_eigs``.
 
     Raises NotHermitian when ``||A - A*|| > tol * max(1, ||A||)`` and
     NoConvergence if the underlying iteration fails.
     """
-    m = as_matrix(a)
-    if m.shape[0] != m.shape[1]:
-        raise DimensionMismatch("herm_eig needs a square matrix")
-    _check_hermitian(m, tol)
+    return next(herm_eigs(as_matrix(a)[None], tol))
+
+
+def _eigh(sym: np.ndarray) -> HermEig:
     try:
-        w, v = np.linalg.eigh((m + adj(m)) / 2.0)
+        return HermEig(*np.linalg.eigh(sym))
     except np.linalg.LinAlgError as exc:  # pragma: no cover - numpy rarely fails here
         raise NoConvergence(str(exc)) from exc
-    return HermEig(w, v)
 
 
 def herm_eigs(stack, tol: float = EIG_TOL):
-    """``herm_eig(a, tol)`` of each matrix a of a stack (k, n, n), yielded in
-    order, each after its own checks, so the first matrix that fails raises
-    what ``herm_eig`` raises for it.  The eigendecompositions come from one
-    stacked LAPACK call, which gives each matrix the bits of its own call;
-    if a symmetrized matrix is not finite or that call fails, each matrix
-    gets its own ``herm_eig``."""
+    """The eigendecomposition of each matrix A of a stack (k, n, n), yielded
+    in order, each after its own checks, so the first matrix that fails
+    raises what it raises alone: ValueError for a non-finite entry, else
+    NotHermitian when ``||A - A*|| > tol * max(1, ||A||)``.  The
+    eigendecompositions are of the symmetrized (A + A*)/2, from one stacked
+    LAPACK call when every one of them is finite, which gives each matrix
+    the bits of its own call, and from one call per matrix otherwise."""
     m = np.asarray(stack, dtype=complex)
     if m.shape[-1] != m.shape[-2]:
         raise DimensionMismatch("herm_eig needs a square matrix")
-    sym = (m + adj(m)) / 2.0
-    w = v = None
-    if np.isfinite(sym).all():
-        try:
-            w, v = np.linalg.eigh(sym)
-        except np.linalg.LinAlgError:  # pragma: no cover - numpy rarely fails here
-            pass
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sum is decided below
+        sym = (m + adj(m)) / 2.0
+    stacked = _eigh(sym) if np.isfinite(sym).all() else None
     for k, a in enumerate(m):
-        if w is None:
-            yield herm_eig(a, tol)
-        else:
-            _check_hermitian(as_matrix(a), tol)
-            yield HermEig(w[k], v[k])
+        _check_hermitian(as_matrix(a), tol)
+        yield _eigh(sym[k]) if stacked is None else HermEig(stacked[0][k], stacked[1][k])
 
 
 def psd_sqrt(a, tol: float = PSD_CLAMP_TOL, eig: HermEig | None = None) -> np.ndarray:
@@ -232,17 +228,11 @@ def kernel_basis(a, tol: float = EIG_TOL) -> np.ndarray:
     return adj(vh[keep, :]) if keep else np.zeros((cols, 0), dtype=complex)
 
 
-def range_onb(vectors, tol: float = EIG_TOL) -> np.ndarray:
-    """Orthonormal basis of the numerical span of the columns of a matrix.
-
-    Rank is decided at ``tol * max(1, sigma_0)``.
-    """
-    return range_onbs(as_matrix(vectors)[None], tol)[0]
-
-
 def range_onbs(stack, tol: float = EIG_TOL) -> list[np.ndarray]:
-    """``range_onb`` of each matrix of a stack (k, p, q), from one stacked
-    SVD, which gives each matrix the bits of its own SVD."""
+    """An orthonormal basis of the numerical range of each matrix of a stack
+    (k, p, q), as the leading left singular vectors: the rank is decided at
+    ``tol * max(1, sigma_0)``.  One stacked SVD gives each matrix the bits
+    of its own SVD."""
     m = np.asarray(stack, dtype=complex)
     if not np.isfinite(m).all():
         raise ValueError("matrix has non-finite entries")

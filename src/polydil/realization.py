@@ -30,13 +30,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import hardy, matcore
-from .errors import (
-    DimensionMismatch,
-    IsometryDefect,
-    NotContraction,
-    NotIsometric,
-    SingularResolvent,
-)
+from .errors import DimensionMismatch, NotContractive, SingularResolvent
 from .matcore import adj, operator_norm
 from .tuples import OperatorTuple, DilationCertificate, hat, spectral_radius
 
@@ -101,13 +95,10 @@ def build_generating_unitary(
 
     The frames are collected over the standard basis of the underlying space
     and extended by the deterministic completion rule; a Gram mismatch
-    between the two frames signals an invalid certificate.
+    between the two frames signals an invalid certificate (NotIsometric).
     """
     domain, image, e, f = _domain_image_frames(t, cert)
-    try:
-        u = matcore.unitary_completion(domain, image, e + f, tol, completion_order)
-    except NotIsometric as exc:
-        raise IsometryDefect(exc.residual) from exc
+    u = matcore.unitary_completion(domain, image, e + f, tol, completion_order)
     return TransferRealization(
         a=u[:e, :e],
         b=u[:e, e:],
@@ -349,7 +340,7 @@ def cnu_decomposition(a) -> CnuDecomposition:
         raise DimensionMismatch("canonical decomposition needs a square matrix")
     norm = operator_norm(m)
     if norm > 1.0 + tol:
-        raise NotContraction(f"norm {norm:.6f} exceeds 1")
+        raise NotContractive(1, norm)
     d = m.shape[0]
     eye = np.eye(d, dtype=complex)
     power = np.linalg.matrix_power(m, d)
@@ -377,40 +368,42 @@ def _lifting_residuals(
     Pi_k = M T*^k over the hat coordinates.  Those commute, so the lifting
     holds at every k once it holds at k = 0:  T_n M* = sum_j T^j M* Phi_j.
     The Taylor coefficients of Phi = A* + C* E (I - D* E)^{-1} B* turn the
-    right side into  M* A* + sum_a T_a Z_a B*,  where Z_a solves the Stein
-    system  Z - sum_b T_b Z D* P_b = M* C* P_a  and P_b selects block b.  The
-    m systems share one dense matrix of size d f, solved once; a zero pivot
-    makes both residuals inf.
+    right side into  M* A* + Y B*,  where Y = sum_a T_a Z_a and Z_a solves
+    the Stein system  Z - L(Z) = M* C* P_a  with  L(Z) = sum_b T_b Z D* P_b
+    and P_b the selector of block b.  L commutes with left multiplication
+    by each T_a, so Y solves the one system
+    Y - L(Y) = G = sum_a T_a M* C* P_a,  column block a of G being
+    T_a (M* C*)[:, a].  Its dense matrix, of size d f, is solved once for
+    that one right side; a zero pivot makes both residuals inf.
 
     The strict-part row compares sum_a T_a F_a* B*_a, a constant fed through
-    the B*-block and the block-column pullback, with the same
-    sum_a T_a Z_a B* (the multiplier by the strictly-positive-degree part of
-    Phi).  It reads only the lower colligation row: it is blind to A and B,
-    which the lifting row and ``generating_identity`` read.
+    the B*-block and the block-column pullback, with the same Y B* (the
+    multiplier by the strictly-positive-degree part of Phi): in frames
+    sum_a T_a F_a* P_a is S* = adj(col_shift), so the row is the largest
+    column norm of (S* - Y) B*.  It reads only the lower colligation row:
+    it is blind to A and B, which the lifting row  T_n M* - M* A* - Y B*
+    and ``generating_identity`` read.
     """
     hat_t = hat(t, t.n)
-    dim, f, m = t.dim, r.dim_f, hat_t.n
+    dim, f = t.dim, r.dim_f
     m_adj = adj(adj(cert.d_frame) @ cert.defect)
-    d_adj, c_adj, b_adj = adj(r.d), adj(r.c), adj(r.b)
-    blocks = hardy.block_slices(r.partition)
-    # row-major vec(T Z K) = (T (x) K^T) vec(Z)
+    d_adj, b_adj, mc = adj(r.d), adj(r.b), m_adj @ adj(r.c)
+    # row-major vec(T Y K) = (T (x) K^T) vec(Y)
     system = np.eye(dim * f, dtype=complex)
-    rhs = np.zeros((m, dim, f), dtype=complex)
-    for a, (op, sl) in enumerate(zip(hat_t.ops, blocks)):
+    rhs = np.zeros((dim, f), dtype=complex)
+    for op, sl in zip(hat_t.ops, hardy.block_slices(r.partition)):
         block = np.zeros((f, f), dtype=complex)
         block[:, sl] = d_adj[:, sl]
         system -= np.kron(op, block.T)
-        rhs[a][:, sl] = m_adj @ c_adj[:, sl]
-    z, solved = matcore.solve_stack(system, rhs.reshape(m, dim * f).T)
+        rhs[:, sl] = op @ mc[:, sl]
+    y, solved = matcore.solve_stack(system, rhs.reshape(dim * f, 1))
     if not solved:
         return float("inf"), float("inf")
-    z = z.T.reshape(m, dim, f)
-    strict = sum(op @ z_a @ b_adj for op, z_a in zip(hat_t.ops, z))
-    col_plain, _ = hardy.defect_block_maps(cert, hat_t)
-    fed = sum(op @ adj(col_plain[sl]) @ b_adj[sl] for op, sl in zip(hat_t.ops, blocks))
-    strict_res = float(np.max(np.linalg.norm(fed - strict, axis=0), initial=0.0))
-    lifting = t.op(t.n) @ m_adj - m_adj @ adj(r.a) - strict
-    return strict_res, float(operator_norm(lifting))
+    y = y.reshape(dim, f)
+    _, col_shift = hardy.defect_block_maps(cert, hat_t)
+    strict = (adj(col_shift) - y) @ b_adj
+    lifting = t.op(t.n) @ m_adj - m_adj @ adj(r.a) - y @ b_adj
+    return float(np.max(np.linalg.norm(strict, axis=0), initial=0.0)), operator_norm(lifting)
 
 
 # ---------------------------------------------------------------------------

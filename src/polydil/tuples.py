@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -152,48 +152,46 @@ def is_szego(t: OperatorTuple, tol: float = CERT_TOL) -> SzegoCheck:
     return _szego(t, tol).check
 
 
-def spectral_radius(m) -> float:
-    """Upper estimate of the spectral radius via ||M^(2^k)||^(1/2^k), k <= 8.
+def _radius_iterates(m: np.ndarray) -> Iterator[float]:
+    """||M^(2^k)||^(1/2^k) for k = 1..8, each an upper bound for the
+    spectral radius of M, by repeated squaring; an exact zero power, after
+    which every iterate is zero, ends them."""
+    for k in range(1, 9):
+        m = m @ m
+        norm = operator_norm(m)
+        yield norm ** (1.0 / 2.0**k)
+        if norm == 0.0:
+            return
 
-    Every iterate is an upper bound for the spectral radius, so the smallest
-    one keeps purity tests and tail bounds on the safe side.  The doubling
-    loop always runs to the end (short of an exact zero power): stopping on
-    consecutive agreement would misread nilpotent shifts, whose estimates sit
-    at 1 for several rounds before collapsing.
+
+def spectral_radius(m) -> float:
+    """Upper estimate of the spectral radius: the smallest of ||M|| and the
+    ``_radius_iterates``.
+
+    Every iterate is an upper bound, so the smallest one keeps purity tests
+    and tail bounds on the safe side.  All of them are taken (short of an
+    exact zero power): stopping on consecutive agreement would misread
+    nilpotent shifts, whose estimates sit at 1 for several rounds before
+    collapsing.
     """
     m = matcore.as_matrix(m)
     if m.shape[0] == 0:
         return 0.0
-    b = m
-    best = operator_norm(b)
-    for k in range(1, 9):
-        b = b @ b
-        norm = operator_norm(b)
-        if norm == 0.0:
-            return 0.0
-        best = min(best, norm ** (1.0 / 2.0**k))
-    return best
+    return min(operator_norm(m), *_radius_iterates(m))
 
 
 def is_pure(t: OperatorTuple) -> bool:
     """True when every coordinate has spectral radius below 1 - PURE_TOL,
-    that is, when one of its ``spectral_radius`` iterates is.  The first
-    iterates, the norms, come from one stacked SVD; the doubling loop runs
-    only for a coordinate whose norm does not settle it, and stops at its
-    first iterate below the limit."""
+    that is, when its norm or one of its ``_radius_iterates`` is.  The
+    norms come from one stacked SVD; the iterates are taken only for a
+    coordinate whose norm does not settle it, up to the first below the
+    limit."""
     limit = 1.0 - PURE_TOL
     ops = [matcore.as_matrix(m) for m in t.ops]
     if not ops:
         return True
     for b, norm in zip(ops, operator_norm(np.stack(ops)).tolist()):
-        if norm < limit:
-            continue
-        for k in range(1, 9):
-            b = b @ b
-            norm = operator_norm(b)
-            if norm == 0.0 or norm ** (1.0 / 2.0**k) < limit:
-                break
-        else:
+        if not (norm < limit or any(x < limit for x in _radius_iterates(b))):
             return False
     return True
 

@@ -286,12 +286,13 @@ def _base_coefficients(p: MultiPoly, points: np.ndarray) -> np.ndarray:
     return out
 
 
-def _fiber_sup(p: MultiPoly, points: np.ndarray, fibers: np.ndarray) -> float:
-    """max of |P(zeta, lambda)| over the rows zeta of a (G, n-1) point array
-    and the last coordinates lambda in the same row of a (G, k) fiber array."""
-    coeffs = _base_coefficients(p, points)
+def _fiber_max(coeffs: np.ndarray, fibers: np.ndarray) -> float:
+    """max of |sum_j c_gj lambda^j| over the rows g of a (G, deg_n+1)
+    coefficient array and the lambda in row g of a (G, k) fiber array, or in
+    its one row when it is (1, k) and shared by every g.  The powers of
+    lambda are repeated products, and each sum accumulates from j = 0."""
     deg_n = coeffs.shape[1] - 1
-    vals = np.zeros(fibers.shape, dtype=complex)
+    vals = np.zeros((len(coeffs), fibers.shape[1]), dtype=complex)
     fiber_pow = np.ones(fibers.shape, dtype=complex)
     for j in range(deg_n + 1):
         vals += coeffs[:, j, None] * fiber_pow
@@ -311,17 +312,7 @@ def torus_sup(p: MultiPoly, cache: TorusCache) -> float:
     m_vars = cache.points.shape[1]
     if p.nvars != m_vars + 1:
         raise ArityMismatch(f"polynomial has {p.nvars} variables, expected {m_vars + 1}")
-    return _fiber_sup(p, cache.points, cache.eigs)
-
-
-def _circle_sup(coeffs: np.ndarray, circle_pows: np.ndarray) -> float:
-    """max of |sum_j c_gj lambda^j| over the rows g of a (G, deg_n+1)
-    coefficient array and the circle points lambda, whose powers are the
-    rows of circle_pows; the sum accumulates in the order of ``_fiber_sup``."""
-    vals = np.zeros((len(coeffs), circle_pows.shape[1]), dtype=complex)
-    for j, power in enumerate(circle_pows):
-        vals += coeffs[:, j, None] * power
-    return np.max(np.abs(vals), initial=0.0)
+    return _fiber_max(_base_coefficients(p, cache.points), cache.eigs)
 
 
 def polydisc_grid_sup(p: MultiPoly, grid: int) -> float:
@@ -339,27 +330,25 @@ def polydisc_grid_sup(p: MultiPoly, grid: int) -> float:
     nothing, so a NaN anywhere on the grid still gives NaN, under the same
     warnings: a NaN bound is the largest to ``np.argmax`` and makes its row
     NaN, and an infinite maximum keeps the rows whose bound overflows, the
-    only rows that can overflow.  The circle's powers are formed once, by the
-    repeated products the unscreened scan forms in every row, and each value
-    is summed in the same order, so the result is the maximum over all
-    grid^n points bit for bit.
+    only rows that can overflow.  Each scan is one ``_fiber_max`` call with
+    the circle as the shared fiber row: it forms the circle's powers again,
+    by the repeated products the unscreened scan forms in every row, and
+    sums each value in the same order, so the result is the maximum over
+    all grid^n points bit for bit.
     """
     if p.nvars < 1:
         raise ArityMismatch("a polynomial on the polydisc needs at least one variable")
     circle = rz.unit_circle(grid)
     coeffs = _base_coefficients(p, rz.grid_points(circle, p.nvars - 1))
-    circle_pows = np.ones((coeffs.shape[1], grid), dtype=complex)
-    for j in range(1, len(circle_pows)):
-        circle_pows[j] = circle_pows[j - 1] * circle
     with np.errstate(over="ignore", invalid="ignore"):  # only the scan warns, as on the full grid
         bound = np.sum(np.abs(coeffs), axis=1) * (1.0 + 1e-8)
     top = int(np.argmax(bound))
-    best = _circle_sup(coeffs[top : top + 1], circle_pows)
+    best = _fiber_max(coeffs[top : top + 1], circle[None])
     rows = np.arange(len(coeffs))
     if best >= np.finfo(float).tiny:  # not NaN, zero or subnormal
         rows = rows[bound >= best]
     for r0 in range(0, len(rows), rz.CHUNK):
-        best = np.maximum(best, _circle_sup(coeffs[rows[r0 : r0 + rz.CHUNK]], circle_pows))
+        best = np.maximum(best, _fiber_max(coeffs[rows[r0 : r0 + rz.CHUNK]], circle[None]))
     return float(best)
 
 

@@ -313,6 +313,34 @@ def truncated_strict_multiplier(t, cert, r, cap):
     return float(np.max(np.linalg.norm(lhs - rhs, axis=0), initial=0.0))
 
 
+def oracle_lifting_residuals(t, cert, r):
+    """The strict-part and lifting rows of ``rz._lifting_residuals`` from
+    the m Stein systems  Z_a - sum_b T_b Z_a D* P_b = M* C* P_a,  one right
+    side per hat coordinate, summed as Y = sum_a T_a Z_a afterwards; the
+    strict side sum_a T_a F_a* B*_a is summed block by block from the plain
+    block column.  No commutation is used, so on a commuting tuple it is an
+    independent route to the one-system solve."""
+    hat_t = tuples.hat(t, t.n)
+    dim, f, m = t.dim, r.dim_f, hat_t.n
+    m_adj = adj(adj(cert.d_frame) @ cert.defect)
+    d_adj, c_adj, b_adj = adj(r.d), adj(r.c), adj(r.b)
+    blocks = hardy.block_slices(r.partition)
+    system = np.eye(dim * f, dtype=complex)
+    rhs = np.zeros((m, dim, f), dtype=complex)
+    for a, (op, sl) in enumerate(zip(hat_t.ops, blocks)):
+        block = np.zeros((f, f), dtype=complex)
+        block[:, sl] = d_adj[:, sl]
+        system -= np.kron(op, block.T)
+        rhs[a][:, sl] = m_adj @ c_adj[:, sl]
+    z = np.linalg.solve(system, rhs.reshape(m, dim * f).T).T.reshape(m, dim, f)
+    strict = sum(op @ z_a @ b_adj for op, z_a in zip(hat_t.ops, z))
+    col_plain, _ = hardy.defect_block_maps(cert, hat_t)
+    fed = sum(op @ adj(col_plain[sl]) @ b_adj[sl] for op, sl in zip(hat_t.ops, blocks))
+    strict_res = float(np.max(np.linalg.norm(fed - strict, axis=0), initial=0.0))
+    lifting = t.op(t.n) @ m_adj - m_adj @ adj(r.a) - strict
+    return strict_res, matcore.operator_norm(lifting)
+
+
 # ---------------------------------------------------------------------------
 # certification oracles: every norm by its own SVD, every Hermitian test by
 # two, every operator eigendecomposed where it is tested, the Szego defect

@@ -242,8 +242,8 @@ def test_purity_matches_the_oracle_at_its_threshold():
 
 
 def test_stacked_decompositions_give_each_matrix_its_own_bits(rng):
-    """range_onbs and herm_eigs against range_onb and herm_eig one by one,
-    on a stack of matrices with different scales and near-threshold ranks."""
+    """range_onbs and herm_eigs on a stack against each matrix alone and
+    its oracle, on matrices with different scales and near-threshold ranks."""
     stack = []
     for scale in (1e3, 1.0, 1e-3):
         thr = 1e-10 * max(1.0, scale)
@@ -253,10 +253,12 @@ def test_stacked_decompositions_give_each_matrix_its_own_bits(rng):
     frames = matcore.range_onbs(stack, 1e-10)
     assert [q.shape[1] for q in frames] == [3, 3, 3]
     for a, q in zip(stack, frames):
-        assert _bits(q) == _bits(oracle_range_onb(a, 1e-10)) == _bits(matcore.range_onb(a, 1e-10))
+        alone = matcore.range_onbs(a[None], 1e-10)[0]
+        assert _bits(q) == _bits(oracle_range_onb(a, 1e-10)) == _bits(alone)
     hermitian = stack @ adj(stack)
     for a, eig in zip(hermitian, matcore.herm_eigs(hermitian, 1e-8)):
-        assert _bits(tuple(eig)) == _bits(tuple(oracle_herm_eig(a, 1e-8)))
+        alone = matcore.herm_eig(a, 1e-8)
+        assert _bits(tuple(eig)) == _bits(tuple(oracle_herm_eig(a, 1e-8))) == _bits(tuple(alone))
 
 
 def test_warm_certify_makes_few_lapack_calls(tmp_path, monkeypatch):

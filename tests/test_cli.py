@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from polydil import cli, hardy, matcore, realization as rz, tuples, vonneumann as vn
-from polydil.errors import IsometryDefect, ParseError
+from polydil.errors import NotIsometric, ParseError
 
 from conftest import (
     direct_sum_constant,
@@ -187,6 +187,30 @@ def test_certify_sum_mismatch_exit3(triple_doc, tmp_path):
     assert report["error"]["residual"] > 0
 
 
+@pytest.mark.parametrize(
+    "ops, error",
+    [
+        # T_2 = 2, T_3 = 3: the first coordinate that is not a contraction
+        ([[[0.5]], [[2.0]], [[3.0]]], {"type": "NotContractive", "i": 2, "norm": 2.0}),
+        # T_1 = 0.5 E_21 and T_2 = 0.5 E_12: T_1 T_2 - T_2 T_1 = 0.25 diag(-1, 1)
+        (
+            [[[0.0, 0.0], [0.5, 0.0]], [[0.0, 0.5], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]],
+            {"type": "NotCommuting", "i": 1, "j": 2, "residual": 0.25},
+        ),
+    ],
+)
+def test_certify_documents_a_tuple_refused_while_it_is_read(ops, error, tmp_path):
+    # make_tuple's certification errors write the rejection document too
+    doc = {"dim": len(ops[0]), "n": 3, "operators": [cli.matrix_to_doc(np.array(m)) for m in ops]}
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    out = tmp_path / "cert.json"
+    assert run(["certify", str(bad), "--out", str(out)]) == cli.EXIT_CERTIFY
+    report = json.loads(out.read_text())
+    assert report["accepted"] is False
+    assert {key: report["error"][key] for key in error} == error
+
+
 def test_certify_malformed_json_exit2(tmp_path):
     bad = tmp_path / "garbage.json"
     bad.write_text("{not json")
@@ -296,7 +320,7 @@ def test_dilate_semantic_rejection_exit3(triple_doc, tmp_path):
 
 def test_isometry_defect_maps_to_exit4(triple_doc, monkeypatch, tmp_path):
     def boom(*args, **kwargs):
-        raise IsometryDefect(0.5)
+        raise NotIsometric(0.5)
 
     monkeypatch.setattr(rz, "build_generating_unitary", boom)
     assert run(["dilate", str(triple_doc), "--out", "-"]) == cli.EXIT_DILATE

@@ -11,6 +11,7 @@ from conftest import (
     box_coefficients,
     box_isometry_defect,
     diagonal_triple,
+    oracle_range_onb,
     random_complex,
     telescoping,
     w1_product_triple,
@@ -117,7 +118,7 @@ def test_coefficients_match_matrix_powers(rng):
 def test_canonical_isometry_zero_tuple(rng):
     t = zero_pair(3)
     defect = matcore.psd_sqrt(tuples.szego_defect(t))
-    frame = matcore.range_onb(defect)
+    frame = oracle_range_onb(defect, matcore.EIG_TOL)
     pi = hardy.canonical_isometry(t, defect, frame, 4)
     h = random_complex(rng, 3)
     assert support(box_coefficients(t, adj(frame) @ defect, 4) @ h) == {(0, 0)}
@@ -126,7 +127,7 @@ def test_canonical_isometry_zero_tuple(rng):
 
 def test_canonical_isometry_nilpotent_exact(jordan22):
     defect = matcore.psd_sqrt(tuples.szego_defect(jordan22))
-    frame = matcore.range_onb(defect)
+    frame = oracle_range_onb(defect, matcore.EIG_TOL)
     pi = hardy.canonical_isometry(jordan22, defect, frame, 2)
     for idx in range(jordan22.dim):
         h = np.zeros(jordan22.dim)
@@ -139,7 +140,7 @@ def test_canonical_isometry_defect_below_tail(rng):
     u = np.diag(np.exp(2j * np.pi * rng.uniform(size=3)))
     t = tuples.make_tuple([0.6 * u, 0.5 * np.eye(3)])
     defect = matcore.psd_sqrt(tuples.szego_defect(t))
-    frame = matcore.range_onb(defect)
+    frame = oracle_range_onb(defect, matcore.EIG_TOL)
     cap = 12
     pi = hardy.canonical_isometry(t, defect, frame, cap)
     gap = hardy.box_gap(t, cap)
@@ -214,7 +215,7 @@ def test_canonical_isometry_requires_purity():
 def test_intertwining_exact(jordan22):
     # Pi T_i* = M_{z_i}* Pi: the coefficient at k + e_i is the one at k times T_i*
     defect = matcore.psd_sqrt(tuples.szego_defect(jordan22))
-    coeffs = box_coefficients(jordan22, adj(matcore.range_onb(defect)) @ defect, 3)
+    coeffs = box_coefficients(jordan22, adj(oracle_range_onb(defect, matcore.EIG_TOL)) @ defect, 3)
     for i, op in enumerate(jordan22.ops):
         low = np.take(coeffs, range(3), axis=i)
         high = np.take(coeffs, range(1, 4), axis=i)

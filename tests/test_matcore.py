@@ -104,6 +104,24 @@ def test_herm_eig_rejects_non_hermitian():
         matcore.herm_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def test_herm_eigs_goes_one_by_one_past_a_non_finite_matrix(rng):
+    # an inf makes the symmetrized stack non-finite: no stacked call, each
+    # matrix gets its own, and the second raises what herm_eig raises alone
+    first = random_complex(rng, 3, 3)
+    first = first + adj(first)
+    second = np.eye(3, dtype=complex)
+    second[0, 1] = np.inf
+    eigs = matcore.herm_eigs(np.stack([first, second]))
+    w, v = next(eigs)
+    alone = matcore.herm_eig(first)
+    assert w.tobytes() == alone.eigenvalues.tobytes()
+    assert v.tobytes() == alone.eigenvectors.tobytes()
+    with pytest.raises(ValueError, match="non-finite"):
+        next(eigs)
+    with pytest.raises(ValueError, match="non-finite"):
+        matcore.herm_eig(second)
+
+
 # ---------------------------------------------------------------------------
 # psd_sqrt
 
@@ -171,7 +189,7 @@ def test_operator_norm_submultiplicative(rng):
 
 
 # ---------------------------------------------------------------------------
-# kernel_basis / range_onb
+# kernel_basis / range_onbs
 
 
 def test_kernel_basis_zero_matrix():
@@ -202,12 +220,12 @@ def test_kernel_basis_annihilates(rng):
 
 def test_range_onb_duplicate_collapse():
     e1 = np.array([1.0, 0.0], dtype=complex)
-    q = matcore.range_onb(np.column_stack([e1, e1]))
+    (q,) = matcore.range_onbs(np.column_stack([e1, e1])[None])
     assert q.shape == (2, 1)
 
 
 def test_range_onb_orthonormal_inputs():
-    q = matcore.range_onb(np.eye(2))
+    (q,) = matcore.range_onbs(np.eye(2)[None])
     assert q.shape == (2, 2)
 
 
@@ -217,7 +235,7 @@ def test_range_onb_full_space():
         np.array([1.0, -1.0]) / np.sqrt(2),
         np.array([1.0, 0.0]),
     ]
-    assert matcore.range_onb(np.column_stack(vecs)).shape == (2, 2)
+    assert matcore.range_onbs(np.column_stack(vecs)[None])[0].shape == (2, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from polydil import generators, hardy, matcore, realization as rz, tuples
-from polydil.errors import IsometryDefect, NotCommuting, NotContraction
+from polydil.errors import NotCommuting, NotContractive, NotIsometric
 from polydil.matcore import adj
 
 from conftest import (
@@ -13,12 +13,15 @@ from conftest import (
     box_isometry_defect,
     constant_realization,
     diagonal_triple,
+    oracle_lifting_residuals,
     random_complex,
     random_unitary,
+    telescoping,
     transfer_eval_many,
     transfer_taylor,
     truncated_lifting,
     truncated_strict_multiplier,
+    w1_product_triple,
     w2_tensor_jordan,
     w3_nonnormal,
     zero_triple,
@@ -62,7 +65,7 @@ def test_corrupted_certificate_detected(triple22):
         g=tuple(1.1 * g for g in cert.g),
         f=tuple(np.sqrt(1.1) * f for f in cert.f),
     )
-    with pytest.raises(IsometryDefect):
+    with pytest.raises(NotIsometric):
         rz.build_generating_unitary(t, bad)
 
 
@@ -252,7 +255,7 @@ def test_cnu_rotation_plus_nilpotent():
 
 
 def test_cnu_rejects_expansion():
-    with pytest.raises(NotContraction):
+    with pytest.raises(NotContractive):
         rz.cnu_decomposition(2.0 * np.eye(2))
 
 
@@ -457,6 +460,29 @@ def test_truncated_lifting_converges_to_the_closed_row():
         assert abs(truncated - closed) < previous, cap
         previous = abs(truncated - closed)
     assert previous < 1e-9
+
+
+# commuting tuples with one to five hat coordinates, nilpotent or not, and
+# the norm-1 (3,2) product triple
+STEIN_CASES = {
+    "W1": w1_product_triple,
+    "W2": w2_tensor_jordan,
+    "W3": w3_nonnormal,
+    "diagonal": lambda: diagonal_triple(np.random.default_rng(20240811)),
+    "product32": lambda: generators.product_triple(generators.jordan_pair(3, 2, 1.0, 1.0), 2, 1),
+    "telescoping6": lambda: telescoping(6),
+}
+
+
+@pytest.mark.parametrize("case", list(STEIN_CASES))
+def test_one_stein_system_matches_the_m_system_oracle(case):
+    # Y = sum_a T_a Z_a from one right side against the m Stein systems
+    t, cert = STEIN_CASES[case]()
+    r = rz.build_generating_unitary(t, cert)
+    strict, lifting = rz._lifting_residuals(t, cert, r)
+    oracle_strict, oracle_lifting = oracle_lifting_residuals(t, cert, r)
+    assert abs(strict - oracle_strict) <= 1e-15
+    assert abs(lifting - oracle_lifting) <= 1e-15
 
 
 def perturbed(r, block, eps=1e-6):

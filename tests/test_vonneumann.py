@@ -172,9 +172,16 @@ def test_polydisc_grid_sup_bounded_by_coefficient_sum(rng):
 
 def full_grid_sup(p, grid):
     """The fiber maximum over every row of the grid^n torus grid, the last
-    coordinate read off each row: the reference for ``polydisc_grid_sup``."""
+    coordinate read off each row and its powers formed in each row: the
+    reference for ``polydisc_grid_sup``."""
     points = rz.grid_points(rz.unit_circle(grid), p.nvars).reshape(-1, grid, p.nvars)
-    return vn._fiber_sup(p, points[:, 0, :-1], points[:, :, -1])
+    coeffs = vn._base_coefficients(p, points[:, 0, :-1])
+    fibers = points[:, :, -1]
+    vals, fiber_pow = np.zeros(fibers.shape, dtype=complex), np.ones(fibers.shape, dtype=complex)
+    for j in range(coeffs.shape[1]):
+        vals += coeffs[:, j, None] * fiber_pow
+        fiber_pow = fiber_pow * fibers
+    return float(np.max(np.abs(vals), initial=0.0))
 
 
 def test_polydisc_grid_sup_matches_the_full_grid(rng):
@@ -209,15 +216,15 @@ def test_sups_without_variables_are_an_arity_mismatch(rng):
 @pytest.fixture
 def scanned_rows(monkeypatch):
     """The number of base rows ``polydisc_grid_sup`` scans, summed over its
-    calls of ``_circle_sup`` (the top row counts again in the screened pass)."""
+    calls of ``_fiber_max`` (the top row counts again in the screened pass)."""
     count = [0]
-    scan = vn._circle_sup
+    scan = vn._fiber_max
 
-    def counting(coeffs, circle_pows):
+    def counting(coeffs, fibers):
         count[0] += len(coeffs)
-        return scan(coeffs, circle_pows)
+        return scan(coeffs, fibers)
 
-    monkeypatch.setattr(vn, "_circle_sup", counting)
+    monkeypatch.setattr(vn, "_fiber_max", counting)
     return count
 
 
