@@ -31,11 +31,17 @@ import math
 import os
 import sys
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import generators, hardy, matcore, realization as rz, tuples, vonneumann as vn
+# realization, vonneumann and generators are imported by the commands that
+# run them, so a fresh process loads only the layers its command uses
+from . import hardy, matcore, tuples
 from .errors import CertificationError, DilationError, ParseError, PolydilError
+
+if TYPE_CHECKING:
+    from . import realization as rz, vonneumann as vn
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -338,6 +344,8 @@ def error_to_doc(exc: PolydilError) -> dict:
 def realization_to_doc(
     t: tuples.OperatorTuple, cert: tuples.DilationCertificate, r: rz.TransferRealization
 ) -> dict:
+    from . import realization as rz
+
     return {
         "A": matrix_to_doc(r.a),
         "B": matrix_to_doc(r.b),
@@ -362,6 +370,8 @@ def _certificate_for(t: tuples.OperatorTuple, g, config: RunConfig) -> tuples.Di
 
 
 def _load_polynomial(path: str, nvars: int) -> tuple[vn.MultiPoly, str]:
+    from . import vonneumann as vn
+
     text = _read_text(path).strip()
     return vn.parse_poly(text, nvars), text
 
@@ -371,6 +381,8 @@ def _realize(args: argparse.Namespace, config: RunConfig):
     certify it and build its block unitary U.  vn's polynomial is parsed
     before certifying, so a bad polynomial is a parse failure even on an
     uncertifiable tuple.  Returns (tuple, certificate, U, (polynomial, text) or None)."""
+    from . import realization as rz
+
     t, g = tuple_from_doc(load_document(args.input))
     poly = _load_polynomial(args.polynomial, t.n) if "polynomial" in args else None
     cert = _certificate_for(t, g, config)
@@ -395,6 +407,8 @@ def cmd_dilate(args: argparse.Namespace, config: RunConfig) -> int:
 
 
 def cmd_verify(args: argparse.Namespace, config: RunConfig) -> int:
+    from . import realization as rz
+
     t, cert, r, _ = _realize(args, config)
     report = rz.run_identity_suite(
         t, cert, r, cap=config.cap, inner_grid=config.grid, seed=config.seed
@@ -415,6 +429,8 @@ def cmd_verify(args: argparse.Namespace, config: RunConfig) -> int:
 
 
 def cmd_vn(args: argparse.Namespace, config: RunConfig) -> int:
+    from . import vonneumann as vn
+
     t, cert, r, (poly, text) = _realize(args, config)
     report = vn.vn_check(poly, t, cert, grid=config.grid, realization=r)
     ok = report.ok_at(config.vn_tol)
@@ -434,6 +450,8 @@ def cmd_vn(args: argparse.Namespace, config: RunConfig) -> int:
 
 
 def cmd_variety(args: argparse.Namespace, config: RunConfig) -> int:
+    from . import vonneumann as vn
+
     _, _, r, _ = _realize(args, config)
     sample = vn.variety_sample(
         r, grid_per_axis=config.variety_grid, radius=config.radius, root_tol=config.root_tol
@@ -450,6 +468,8 @@ def cmd_variety(args: argparse.Namespace, config: RunConfig) -> int:
 
 
 def _product_triple(args: argparse.Namespace, config: RunConfig):
+    from . import generators
+
     pair = generators.jordan_pair(args.d1, args.d2, args.r1, args.r2)
     t, cert = generators.product_triple(pair, args.j, args.k, config.cert_tol)
     return t, cert.g
@@ -464,6 +484,8 @@ def _zero_triple(args: argparse.Namespace, config: RunConfig):
 
 
 def _random(args: argparse.Namespace, config: RunConfig):
+    from . import generators
+
     return generators.random_candidate(config.seed, args.dim, args.n, args.margin), None
 
 

@@ -291,6 +291,14 @@ def unitary_completion(
     coefficients are applied to the image columns), and both partial bases
     are completed with standard basis vectors tried in ``completion_order``
     (index order by default), i-th completion vector mapping to i-th.
+
+    The Gram test, and then the unitarity and extension tests together, are
+    first screened by ``||gap||_F <= bound/2`` with a bound no larger than
+    the test's own (the Gram threshold ``tol * max(1, ||gram_d||)`` is at
+    least tol, the extension threshold at least ``tol * col_scale``), so a
+    passing completion takes no SVD.  Where a screen cannot pass, the tests
+    run in full on exact norms, so the verdict and the value
+    ``NotIsometric`` carries are the unscreened ones.
     """
     dom = as_matrix(domain_frame)
     img = as_matrix(image_frame)
@@ -301,10 +309,12 @@ def unitary_completion(
             f"frames live in dimension {dom.shape[0]}, ambient is {ambient_dim}"
         )
     gram_d = adj(dom) @ dom
-    gram_i = adj(img) @ img
-    gram_res = operator_norm(gram_d - gram_i)
-    if gram_res > tol * max(1.0, operator_norm(gram_d)):
-        raise NotIsometric(gram_res)
+    gram_gap = gram_d - adj(img) @ img
+    gram_res = None  # ||gram_gap||, once a test needs it
+    if not _frobenius_within(gram_gap, tol):
+        gram_res = operator_norm(gram_gap)
+        if gram_res > tol * max(1.0, operator_norm(gram_d)):
+            raise NotIsometric(gram_res)
 
     col_scale = max(1.0, float(np.max(np.linalg.norm(dom, axis=0), initial=0.0)))
     thr = tol * col_scale
@@ -327,20 +337,25 @@ def unitary_completion(
     if sorted(order) != list(range(ambient_dim)):
         raise DimensionMismatch("completion_order must be a permutation of the ambient indices")
     taken = [_complete(q, k, order) for q in (q_d, q_i)]
-    if any(k + len(t) != ambient_dim for t in taken):
-        raise NotIsometric(gram_res)  # pragma: no cover - cannot happen for consistent frames
+    if any(k + len(t) != ambient_dim for t in taken):  # pragma: no cover - frames are consistent
+        raise NotIsometric(operator_norm(gram_gap))
 
     # polish the image basis in place: the mapped part inherits the (tiny) Gram error
     for j in range(ambient_dim):
         w, _, r = _orthogonalize(q_i[:, :j], q_i[:, j])
         if r <= 0.5:  # pragma: no cover - only with a badly violated Gram test
-            raise NotIsometric(gram_res)
+            raise NotIsometric(operator_norm(gram_gap))
         q_i[:, j] = w / r
     u = q_i @ adj(q_d)
 
-    unit_res = operator_norm(adj(u) @ u - np.eye(ambient_dim))
-    ext_res = operator_norm(u @ dom - img)
-    if unit_res > 1e-10 or ext_res > max(tol, 10 * gram_res) * max(1.0, col_scale):
+    unit_gap = adj(u) @ u - np.eye(ambient_dim)
+    ext_gap = u @ dom - img
+    if _frobenius_within(unit_gap, 1e-10) and _frobenius_within(ext_gap, thr):
+        return u
+    if gram_res is None:
+        gram_res = operator_norm(gram_gap)
+    unit_res, ext_res = operator_norm(unit_gap), operator_norm(ext_gap)
+    if unit_res > 1e-10 or ext_res > max(tol, 10 * gram_res) * col_scale:
         raise NotIsometric(max(unit_res, ext_res))
     return u
 

@@ -339,6 +339,67 @@ def test_unitary_completion_matches_the_mgs_oracle(name, reverse, monkeypatch):
     assert matcore.operator_norm(u - u_mgs) <= 1e-13
 
 
+TOL = 1e-8
+
+
+def screen_frame(gram, ext, scale=1.0):
+    """(domain, image) frames in C^4: the domain column scale*e_1 maps to
+    sqrt(scale^2 + gram)*e_2, a Gram mismatch of ``gram`` against
+    ||gram_d|| = scale^2, and a zero domain column maps to ext*e_4, an
+    extension residual of ``ext`` that the Gram test sees only as ext^2."""
+    dom, img = np.zeros((4, 2)), np.zeros((4, 2))
+    dom[0, 0] = scale
+    img[1, 0] = np.sqrt(scale**2 + gram)
+    img[3, 1] = ext
+    return dom, img
+
+
+# name -> (frame parameters at a threshold-relative position s, whether the
+# completion passes just above its threshold); each threshold is approached
+# from both sides, and so is each screen's edge (half the smallest threshold)
+SCREEN_CASES = {
+    "gram-screen-edge": (lambda s: (0.5 * TOL * s, 0.0, 1.0), True),
+    "gram": (lambda s: (TOL * s, 0.0, 1.0), False),
+    "gram-scaled": (lambda s: (9 * TOL * s, 0.0, 3.0), False),
+    "ext-screen-edge": (lambda s: (0.0, 0.5 * TOL * s, 1.0), True),
+    "ext": (lambda s: (0.0, TOL * s, 1.0), False),
+    "ext-scaled": (lambda s: (0.0, 3 * TOL * s, 3.0), False),
+    "ext-raised-by-gram": (lambda s: (0.8 * TOL, 8 * TOL * s, 1.0), False),
+}
+
+
+def _completion_outcome(dom, img):
+    try:
+        return matcore.unitary_completion(dom, img, len(dom)).tobytes()
+    except NotIsometric as exc:
+        return NotIsometric, exc.residual
+
+
+@pytest.mark.parametrize("side", ["inside", "outside"])
+@pytest.mark.parametrize("name", list(SCREEN_CASES))
+def test_completion_screen_matches_the_full_svd_oracle(name, side, monkeypatch):
+    frame, outside_passes = SCREEN_CASES[name]
+    dom, img = screen_frame(*frame(1 - 1e-3 if side == "inside" else 1 + 1e-3))
+    screened = _completion_outcome(dom, img)
+    # the oracle: every test on exact SVD norms, as before the screen
+    monkeypatch.setattr(matcore, "_frobenius_within", lambda m, tol: False)
+    oracle = _completion_outcome(dom, img)
+    assert screened == oracle
+    assert isinstance(oracle, bytes) == (side == "inside" or outside_passes)
+
+
+def test_passing_completion_takes_no_svd(monkeypatch):
+    dom, img = completion_frame("W1")
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+    u = matcore.unitary_completion(dom, img, len(dom))
+    assert calls == []
+    monkeypatch.setattr(matcore, "_frobenius_within", lambda m, tol: False)
+    assert matcore.unitary_completion(dom, img, len(dom)).tobytes() == u.tobytes()
+    assert len(calls) == 4  # the full pass: Gram, its scale, unitarity, extension
+
+
 # ---------------------------------------------------------------------------
 # poly_roots / det / eigvals
 
