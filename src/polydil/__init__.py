@@ -47,38 +47,7 @@ _EXPORTS = {
 _HOMES = {name: home for home, names in _EXPORTS.items() for name in names}
 _SUBMODULES = {*_EXPORTS, "cli", "errors", "hardy", "matcore"}
 
-__all__ = [
-    "OperatorTuple",
-    "DilationCertificate",
-    "TransferRealization",
-    "MultiPoly",
-    "make_tuple",
-    "hat",
-    "szego_defect",
-    "conjugacy_product",
-    "is_szego",
-    "is_pure",
-    "spectral_radius",
-    "verify_certificate",
-    "last_defect_certificate",
-    "jordan_pair",
-    "product_triple",
-    "last_defect_tuple",
-    "random_candidate",
-    "build_generating_unitary",
-    "transfer_eval",
-    "schur_identity_residual",
-    "inner_check",
-    "cnu_decomposition",
-    "run_identity_suite",
-    "parse_poly",
-    "eval_poly_tuple",
-    "torus_sup",
-    "variety_sample",
-    "vn_check",
-    "split_transfer",
-    "__version__",
-]
+__all__ = [*_HOMES, "__version__"]
 
 
 def __getattr__(name: str):

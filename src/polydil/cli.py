@@ -35,9 +35,9 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-# realization, vonneumann and generators are imported by the commands that
-# run them, so a fresh process loads only the layers its command uses
-from . import hardy, matcore, tuples
+# the other layers are imported by the commands that run them, so a fresh
+# process loads only the layers its command uses
+from . import matcore, tuples
 from .errors import CertificationError, DilationError, ParseError, PolydilError
 
 if TYPE_CHECKING:
@@ -66,9 +66,9 @@ ENV_PREFIX = "POLYDIL_"
 
 @dataclass(frozen=True)
 class RunConfig:
-    # grid, variety_grid, radius and seed mirror the defaults of
+    # cap, grid, variety_grid, radius and seed mirror the defaults of
     # run_identity_suite, vn_check and variety_sample
-    cap: int = hardy.DEFAULT_CAP
+    cap: int = 12
     grid: int = 32
     variety_grid: int = 17
     radius: float = 0.95

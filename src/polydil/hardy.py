@@ -21,8 +21,6 @@ from .errors import DimensionMismatch, NotPure
 from .matcore import adj, operator_norm  # noqa: F401 (perfbench traces hardy.operator_norm)
 from .tuples import OperatorTuple, DilationCertificate, is_pure, spectral_radius
 
-DEFAULT_CAP = 12
-
 
 # ---------------------------------------------------------------------------
 # the dilation isometry on the box

@@ -445,7 +445,7 @@ def run_identity_suite(
     t: OperatorTuple,
     cert: DilationCertificate,
     r: TransferRealization | None = None,
-    cap: int = hardy.DEFAULT_CAP,
+    cap: int = 12,
     schur_points: int = 100,
     inner_grid: int = 32,
     seed: int = 0,

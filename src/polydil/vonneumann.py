@@ -57,7 +57,11 @@ _NUM = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
 _RE_REAL = re.compile(rf"^[+-]?{_NUM}$")
 _RE_IMAG = re.compile(rf"^([+-]?)({_NUM})?i$")
 _RE_FULL = re.compile(rf"^([+-]?{_NUM})([+-])({_NUM})?i$")
-_RE_VAR = re.compile(r"^z(\d+)(?:\^(\d+))?$")
+# one factor and the '*' after it, if any: a variable power, a parenthesized
+# complex literal or a bare literal, followed by '*', a sign or the end
+_RE_FACTOR = re.compile(
+    rf"(?:z(\d+)(?:\^(\d+))?|\(([^()]*)\)|([+-]?(?:{_NUM}i?|i)))(\*|(?=[+-])|$)"
+)
 
 
 def _parse_complex(text: str) -> complex:
@@ -75,96 +79,46 @@ def _parse_complex(text: str) -> complex:
     raise ParseError(f"cannot parse complex literal {text!r}")
 
 
-def _split_terms(text: str) -> list[str]:
-    """Split at top-level +/-, keeping the sign with each term.
-
-    Signs inside parentheses or in exponent notation (1e-3) do not split.
-    """
-    chunks: list[str] = []
-    depth = 0
-    current = ""
-    for i, ch in enumerate(text):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise ParseError("unbalanced parentheses")
-        if ch in "+-" and depth == 0 and i > 0:
-            prev = text[i - 1]
-            if prev in "eE" and i >= 2 and (text[i - 2].isdigit() or text[i - 2] == "."):
-                current += ch
-                continue
-            if prev in "+-*^(":
-                current += ch
-                continue
-            chunks.append(current)
-            current = ch
-            continue
-        current += ch
-    if depth != 0:
-        raise ParseError("unbalanced parentheses")
-    chunks.append(current)
-    return [c for c in chunks if c]
-
-
 def parse_poly(text: str, nvars: int | None = None) -> MultiPoly:
     """Parse the polynomial grammar: sums of `c * z1^a1 * ... * zn^an`.
 
     Coefficients are real or imaginary literals; a full complex coefficient
     is written in parentheses, e.g. ``(0.5+0.5i)*z1^2*z2``.  Every
     coefficient must be finite once like terms are combined.  Whitespace is
-    ignored.  A bare ``a+bi`` without parentheses parses as two constant
-    terms, which has the same value.
+    ignored.  Each term opens with a run of signs (``--z1`` is z1), and a
+    literal carries one sign of its own only right after a ``*``
+    (``z1*-2``).  A bare ``a+bi`` without parentheses parses as two
+    constant terms, which has the same value.
     """
     s = re.sub(r"\s+", "", text)
     if not s:
         raise ParseError("empty polynomial")
     term_map: dict[MultiIndex, complex] = {}
-    max_var = 0
+    max_var = pos = 0
+    star = ""
     parsed_terms = []
-    for chunk in _split_terms(s):
-        sign = 1.0
-        while chunk and chunk[0] in "+-":
-            if chunk[0] == "-":
-                sign = -sign
-            chunk = chunk[1:]
-        if not chunk:
-            raise ParseError("dangling sign")
-        coeff = complex(sign)
-        exps: dict[int, int] = {}
-        # split factors at top-level '*'
-        factors: list[str] = []
-        depth = 0
-        cur = ""
-        for ch in chunk:
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-            if ch == "*" and depth == 0:
-                factors.append(cur)
-                cur = ""
-            else:
-                cur += ch
-        factors.append(cur)
-        for factor in factors:
-            if not factor:
-                raise ParseError(f"empty factor in term {chunk!r}")
-            mv = _RE_VAR.match(factor)
-            if mv:
-                idx = int(mv.group(1))
-                if idx < 1:
-                    raise ParseError("variables are numbered from z1")
-                exp = int(mv.group(2)) if mv.group(2) else 1
-                exps[idx] = exps.get(idx, 0) + exp
-                max_var = max(max_var, idx)
-                continue
-            if factor.startswith("(") and factor.endswith(")"):
-                coeff *= _parse_complex(factor[1:-1])
-                continue
-            coeff *= _parse_complex(factor)
-        parsed_terms.append((exps, coeff))
+    while True:
+        if not star:  # a new term: its run of signs folds into the coefficient
+            signs = s[pos : len(s) - len(s[pos:].lstrip("+-"))]
+            coeff, exps = complex(-1.0 if signs.count("-") % 2 else 1.0), {}
+            pos += len(signs)
+        m = _RE_FACTOR.match(s, pos)
+        if m is None:
+            raise ParseError(f"cannot parse {s!r} at position {pos}")
+        var, exp, inner, literal, star = m.groups()
+        if var is None:
+            coeff *= _parse_complex(literal if inner is None else inner)
+        elif int(var) < 1:
+            raise ParseError("variables are numbered from z1")
+        else:
+            idx = int(var)
+            exps[idx] = exps.get(idx, 0) + (int(exp) if exp else 1)
+            max_var = max(max_var, idx)
+        pos = m.end()
+        if not star:
+            parsed_terms.append((exps, coeff))
+            if pos == len(s):
+                break
     if nvars is None:
         nvars = max_var
     elif max_var > nvars:
@@ -175,6 +129,8 @@ def parse_poly(text: str, nvars: int | None = None) -> MultiPoly:
         k = tuple(exps.get(i, 0) for i in range(1, nvars + 1))
         term_map[k] = term_map.get(k, 0) + coeff
     return multipoly(nvars, term_map)
+
+
 
 
 def eval_poly_tuple(p: MultiPoly, t: OperatorTuple) -> np.ndarray:

@@ -1,10 +1,11 @@
 import functools
 import itertools
+import re
 
 import numpy as np
 import pytest
 
-from polydil import generators, hardy, matcore, realization as rz, tuples
+from polydil import generators, hardy, matcore, realization as rz, tuples, vonneumann as vn
 from polydil.errors import (
     DimensionMismatch,
     GNotPsd,
@@ -15,6 +16,7 @@ from polydil.errors import (
     NotPsd,
     NotPure,
     NotSzego,
+    ParseError,
     PolydilError,
     ProductNotPsd,
     SumMismatch,
@@ -505,6 +507,118 @@ def stacked_cnu_h0(a):
         rows += [eye - adj(power) @ power, eye - power @ adj(power)]
     stacked = np.vstack(rows) if rows else np.zeros((0, d), dtype=complex)
     return matcore.kernel_basis(stacked, 1e-9)
+
+
+# ---------------------------------------------------------------------------
+# polynomial parsing oracle
+
+_ORACLE_RE_VAR = re.compile(r"^z(\d+)(?:\^(\d+))?$")
+
+
+def _oracle_split_terms(text: str) -> list[str]:
+    """Split at top-level +/-, keeping the sign with each term.
+
+    Signs inside parentheses or in exponent notation (1e-3) do not split.
+    """
+    chunks: list[str] = []
+    depth = 0
+    current = ""
+    for i, ch in enumerate(text):
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+            if depth < 0:
+                raise ParseError("unbalanced parentheses")
+        if ch in "+-" and depth == 0 and i > 0:
+            prev = text[i - 1]
+            if prev in "eE" and i >= 2 and (text[i - 2].isdigit() or text[i - 2] == "."):
+                current += ch
+                continue
+            if prev in "+-*^(":
+                current += ch
+                continue
+            chunks.append(current)
+            current = ch
+            continue
+        current += ch
+    if depth != 0:
+        raise ParseError("unbalanced parentheses")
+    chunks.append(current)
+    return [c for c in chunks if c]
+
+
+def oracle_parse_poly(text: str, nvars: int | None = None) -> vn.MultiPoly:
+    """Parse the polynomial grammar: sums of `c * z1^a1 * ... * zn^an`.
+
+    The two-pass parser (split the text into terms at top-level signs, then
+    each term into factors at top-level stars): the differential oracle for
+    ``vonneumann.parse_poly``.
+
+    Coefficients are real or imaginary literals; a full complex coefficient
+    is written in parentheses, e.g. ``(0.5+0.5i)*z1^2*z2``.  Every
+    coefficient must be finite once like terms are combined.  Whitespace is
+    ignored.  A bare ``a+bi`` without parentheses parses as two constant
+    terms, which has the same value.
+    """
+    s = re.sub(r"\s+", "", text)
+    if not s:
+        raise ParseError("empty polynomial")
+    term_map: dict[vn.MultiIndex, complex] = {}
+    max_var = 0
+    parsed_terms = []
+    for chunk in _oracle_split_terms(s):
+        sign = 1.0
+        while chunk and chunk[0] in "+-":
+            if chunk[0] == "-":
+                sign = -sign
+            chunk = chunk[1:]
+        if not chunk:
+            raise ParseError("dangling sign")
+        coeff = complex(sign)
+        exps: dict[int, int] = {}
+        # split factors at top-level '*'
+        factors: list[str] = []
+        depth = 0
+        cur = ""
+        for ch in chunk:
+            if ch == "(":
+                depth += 1
+            elif ch == ")":
+                depth -= 1
+            if ch == "*" and depth == 0:
+                factors.append(cur)
+                cur = ""
+            else:
+                cur += ch
+        factors.append(cur)
+        for factor in factors:
+            if not factor:
+                raise ParseError(f"empty factor in term {chunk!r}")
+            mv = _ORACLE_RE_VAR.match(factor)
+            if mv:
+                idx = int(mv.group(1))
+                if idx < 1:
+                    raise ParseError("variables are numbered from z1")
+                exp = int(mv.group(2)) if mv.group(2) else 1
+                exps[idx] = exps.get(idx, 0) + exp
+                max_var = max(max_var, idx)
+                continue
+            if factor.startswith("(") and factor.endswith(")"):
+                coeff *= vn._parse_complex(factor[1:-1])
+                continue
+            coeff *= vn._parse_complex(factor)
+        parsed_terms.append((exps, coeff))
+    if nvars is None:
+        nvars = max_var
+    elif max_var > nvars:
+        raise ParseError(f"variable z{max_var} exceeds the declared arity {nvars}")
+    if nvars == 0:
+        raise ParseError("polynomial mentions no variables and no arity was declared")
+    for exps, coeff in parsed_terms:
+        k = tuple(exps.get(i, 0) for i in range(1, nvars + 1))
+        term_map[k] = term_map.get(k, 0) + coeff
+    return vn.multipoly(nvars, term_map)
 
 
 @pytest.fixture

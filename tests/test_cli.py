@@ -6,7 +6,7 @@ import struct
 import numpy as np
 import pytest
 
-from polydil import cli, hardy, matcore, realization as rz, tuples, vonneumann as vn
+from polydil import cli, matcore, realization as rz, tuples, vonneumann as vn
 from polydil.errors import NotIsometric, ParseError
 
 from conftest import (
@@ -20,6 +20,10 @@ from conftest import (
 
 def run(argv):
     return cli.main(argv)
+
+
+def default(fn, name):
+    return inspect.signature(fn).parameters[name].default
 
 
 @pytest.fixture
@@ -358,7 +362,8 @@ def test_verify_reads_a_32_dimensional_box_at_the_default_cap(tmp_path):
     out = tmp_path / "verify.json"
     assert run(["verify", str(path), "--grid", "4", "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
-    assert doc["ok"] is True and doc["cap"] == hardy.DEFAULT_CAP and doc["taylor_cap"] == 60
+    assert doc["ok"] is True and doc["taylor_cap"] == 60
+    assert doc["cap"] == default(rz.run_identity_suite, "cap")
 
 
 @pytest.mark.parametrize("build", [w1_product_triple, w3_nonnormal])
@@ -393,7 +398,7 @@ def test_verify_non_normal_triple(cap, tmp_path):
     extra = [] if cap is None else ["--cap", str(cap)]
     assert run(["verify", str(path), "--grid", "8", "--out", str(out)] + extra) == 0
     doc = json.loads(out.read_text())
-    assert doc["ok"] is True and doc["cap"] == (cap or hardy.DEFAULT_CAP)
+    assert doc["ok"] is True and doc["cap"] == (cap or default(rz.run_identity_suite, "cap"))
     assert doc["rho"] > 0.5
     for row in doc["checks"]:
         assert row["ok"] is True, row
@@ -644,11 +649,8 @@ def test_variety_stdout_matches_file(triple_doc, tmp_path, monkeypatch, capsys):
 
 
 def test_run_config_defaults_are_the_library_defaults():
-    def default(fn, name):
-        return inspect.signature(fn).parameters[name].default
-
     config = cli.RunConfig()
-    assert config.cap == hardy.DEFAULT_CAP
+    assert config.cap == default(rz.run_identity_suite, "cap")
     assert config.cert_tol == tuples.CERT_TOL
     assert config.root_tol == matcore.ROOT_TOL
     assert config.grid == default(rz.run_identity_suite, "inner_grid")

@@ -397,7 +397,7 @@ def test_passing_completion_takes_no_svd(monkeypatch):
     assert calls == []
     monkeypatch.setattr(matcore, "_frobenius_within", lambda m, tol: False)
     assert matcore.unitary_completion(dom, img, len(dom)).tobytes() == u.tobytes()
-    assert len(calls) == 4  # the full pass: Gram, its scale, unitarity, extension
+    assert len(calls) == 3  # the full pass: Gram, its scale, extension
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ import polydil
 from polydil import cli
 
 SRC = Path(polydil.__file__).resolve().parent.parent
-LAZY = {"polydil.realization", "polydil.vonneumann", "polydil.generators"}
+LAZY = {"polydil.realization", "polydil.hardy", "polydil.vonneumann", "polydil.generators"}
 
 # Runs ``python -m polydil.cli ARGS...`` in this process (exit code 0
 # required), then prints the polydil modules it loaded.
@@ -62,8 +62,11 @@ def test_submodule_attribute_resolves_in_a_fresh_process():
     "command, loaded",
     [
         (["certify", "triple.json"], set()),
-        (["dilate", "triple.json"], {"polydil.realization"}),
-        (["vn", "triple.json", "poly.txt"], {"polydil.realization", "polydil.vonneumann"}),
+        (["dilate", "triple.json"], {"polydil.realization", "polydil.hardy"}),
+        (
+            ["vn", "triple.json", "poly.txt"],
+            {"polydil.realization", "polydil.hardy", "polydil.vonneumann"},
+        ),
         (["generate", "product-triple"], {"polydil.generators"}),
         (["generate", "zero-triple"], set()),
     ],

@@ -1,4 +1,7 @@
 import itertools
+import math
+import random
+import struct
 import warnings
 
 import numpy as np
@@ -11,6 +14,7 @@ from polydil.matcore import adj
 from conftest import (
     constant_realization,
     direct_sum_constant,
+    oracle_parse_poly,
     random_complex,
     random_unitary,
     svd_torus_sup,
@@ -42,6 +46,11 @@ def test_parse_constant_needs_arity():
 def test_parse_signs_and_powers():
     p = vn.parse_poly("-z1^2 + 2*z1 - 3")
     assert p.terms == {(2,): -1.0, (1,): 2.0, (0,): -3.0}
+    # a term opens with a run of signs; a literal after '*' may carry one
+    assert vn.parse_poly("--z1").terms == {(1,): 1.0}
+    assert vn.parse_poly("1+-z1").terms == {(0,): 1.0, (1,): -1.0}
+    assert vn.parse_poly("z1*-2").terms == {(1,): -2.0}
+    assert vn.parse_poly("z01 + z1^0").terms == {(1,): 1.0, (0,): 1.0}
 
 
 def test_parse_imaginary_and_paren_coefficients():
@@ -73,10 +82,13 @@ def test_parse_whitespace_insensitive():
     a = vn.parse_poly(" z1 * z2\n+  0.25 * z3 ")
     b = vn.parse_poly("z1*z2+0.25*z3")
     assert a.terms == b.terms
+    assert vn.parse_poly("1 2", nvars=1).terms == {(0,): 12.0}
 
 
 def test_parse_rejects_garbage():
-    for bad in ("z0", "z1**2", "(1+2i", "q1", "", "z1^-1"):
+    bad_signs = ("z1*-z2", "z1*-(1)", "z1*+-1", "2e+z1", "z1+")
+    bad_parens = ("()", "(1)(2)", "((1))", "1)")
+    for bad in ("z0", "z1**2", "(1+2i", "q1", "", "z1^-1", *bad_signs, *bad_parens):
         with pytest.raises(ParseError):
             vn.parse_poly(bad, nvars=2)
 
@@ -84,6 +96,64 @@ def test_parse_rejects_garbage():
 def test_parse_rejects_arity_overflow():
     with pytest.raises(ParseError):
         vn.parse_poly("z4", nvars=3)
+
+
+def test_parse_minus_i_has_real_part_plus_zero():
+    # the term's product (-1)*i has real part -0.0; like terms are combined
+    # from 0, which leaves +0.0, in this parser and in the oracle alike
+    for parse in (vn.parse_poly, oracle_parse_poly):
+        (a,) = parse("-i", nvars=1).terms.values()
+        assert math.copysign(1.0, a.real) == 1.0 and a.imag == -1.0
+
+
+# the alphabet of the random strings, with multi-character tokens beside it
+_PARSE_ALPHABET = [*"z1203^*+-().ei E", "(0.5+0.5i)", "1e-3", "^2", "z1", "2i", ".5", "(-i)"]
+_PARSE_VARS = ["z1", "z2", "z3", "z0", "z4", "z01", "z1^2", "z2^0", "z3^3", "z12"]
+_PARSE_LITERALS = [
+    "2", "0.5", ".5", "3.", "1e-3", "1E+2", "1e308", "1e999", "0", "i", "2i", "1e-3i",
+    "(0.5+0.5i)", "(-0.0-0.0i)", "(-i)", "(+1)", "(1e308+1e308i)", "(2)", "(z1)",
+]
+
+
+def _random_string(rnd):
+    return "".join(rnd.choices(_PARSE_ALPHABET, k=rnd.randint(1, 8)))
+
+
+def _structured_sum(rnd):
+    """A sum of 1-3 terms, each a run of signs (possibly empty on the first)
+    and one or two factors; a factor after '*' carries a sign one time in
+    three."""
+    out = []
+    for j in range(rnd.randint(1, 3)):
+        out.append(rnd.choice(("", "+", "-", "--", "+-", "-+-")[1 if j else 0 :]))
+        for f in range(rnd.randint(1, 2)):
+            if f:
+                out.append("*" + rnd.choice(("", "", "", "", "-", "+")))
+            out.append(rnd.choice(_PARSE_VARS if rnd.random() < 0.5 else _PARSE_LITERALS))
+    return " ".join(out) if rnd.random() < 0.1 else "".join(out)
+
+
+def _parse_outcome(parse, text, nvars):
+    """The error type, or the arity and the terms in order, each coefficient
+    packed bit for bit."""
+    try:
+        p = parse(text, nvars)
+    except ParseError as exc:
+        return type(exc)
+    return p.nvars, [(k, struct.pack("<dd", a.real, a.imag)) for k, a in p.terms.items()]
+
+
+def test_parse_matches_the_two_pass_oracle():
+    rnd = random.Random(20261019)
+    texts = [_random_string(rnd) for _ in range(20000)]
+    texts += [_structured_sum(rnd) for _ in range(20000)]
+    for nvars in (None, 3):
+        outcomes = [_parse_outcome(vn.parse_poly, text, nvars) for text in texts]
+        expected = [_parse_outcome(oracle_parse_poly, text, nvars) for text in texts]
+        mismatches = [(text, a, b) for text, a, b in zip(texts, outcomes, expected) if a != b]
+        assert mismatches == [], (nvars, mismatches[:3])
+        # both verdicts are well represented
+        assert 0.1 < 1 - outcomes.count(ParseError) / len(texts) < 0.9
 
 
 def test_multipoly_drops_zero_terms():
