@@ -19,10 +19,7 @@ from .tuples import (
     OperatorTuple,
     DilationCertificate,
     last_defect_certificate,
-    is_pure,
-    is_szego,
     make_tuple,
-    spectral_radius,
     verify_certificate,
 )
 
@@ -56,18 +53,13 @@ def product_triple(
     """Extend a pure Szego pair by T_3 = T_1^j T_2^k with its explicit
     certificate G_1 = I - T_1^j T_1*^j, G_2 = T_1^j (I - T_2^k T_2*^k) T_1*^j.
 
-    Validation cannot fail for a genuinely pure Szego pair; a rejection is
-    reported as CertificateRejected since it indicates an implementation bug.
+    A pair that is not Szego or not pure raises NotSzego or NotPure; any
+    other rejection indicates an implementation bug (CertificateRejected).
     """
     if pair.n != 2:
         raise ValueError("product_triple extends a 2-tuple")
     if j < 1 or k < 1:
         raise ValueError("exponents must be at least 1")
-    chk = is_szego(pair, tol)
-    if not chk.ok:
-        raise NotSzego(chk.min_eig)
-    if not is_pure(pair):
-        raise NotPure(max(spectral_radius(m) for m in pair.ops))
     t1, t2 = pair.ops
     t1j = np.linalg.matrix_power(t1, j)
     t2k = np.linalg.matrix_power(t2, k)
@@ -78,6 +70,8 @@ def product_triple(
     triple = make_tuple([t1, t2, t3])
     try:
         cert = verify_certificate(triple, [g1, g2], tol)
+    except (NotSzego, NotPure):
+        raise
     except CertificationError as exc:
         raise CertificateRejected(f"known-valid certificate rejected: {exc}") from exc
     return triple, cert

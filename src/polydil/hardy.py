@@ -1,29 +1,21 @@
-"""The dilation isometry on the truncated polydisc box, and the defect
-block maps of a certificate.
+"""The dilation isometry on the truncated polydisc box.
 
 One row of the identity suite reads the dilation isometry
 Pi h = sum_k z^k (frame* D T*^k h) on the box [0, cap]^m, and only through
 ||Pi h||^2: ``pi_isometry_defect`` compares the norm the box loses with its
 exact value, ``box_gap``.  So the box is held as its d x d Gram operator,
-built in O(log cap) products, and no coefficient is stored.  The defect
-block maps and block ranges, from which the generating unitary is built,
-live here too.
+built in O(log cap) products, and no coefficient is stored.  The frame map
+M = frame* D is built in ``realization``, with the defect block maps.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from . import matcore
-from .errors import DimensionMismatch, NotPure
+from .errors import DimensionMismatch
 from .matcore import adj, operator_norm  # noqa: F401 (perfbench traces hardy.operator_norm)
-from .tuples import OperatorTuple, DilationCertificate, is_pure, spectral_radius
-
-
-# ---------------------------------------------------------------------------
-# the dilation isometry on the box
+from .tuples import OperatorTuple
 
 
 def _power_sum(a: np.ndarray, y: np.ndarray, count: int) -> np.ndarray:
@@ -63,15 +55,6 @@ class CoefficientEmbedding:
         return float(np.vdot(h, self.gram @ h).real - np.vdot(h, h).real)
 
 
-def canonical_isometry(t: OperatorTuple, defect, frame, cap: int) -> CoefficientEmbedding:
-    """Dilation isometry h -> sum z^k (frame* D T*^k h) for a pure tuple."""
-    if not is_pure(t):
-        raise NotPure(max(spectral_radius(m) for m in t.ops))
-    defect = matcore.as_matrix(defect)
-    frame = matcore.as_matrix(frame)
-    return CoefficientEmbedding(t, adj(frame) @ defect, cap)
-
-
 def box_gap(t: OperatorTuple, cap: int) -> np.ndarray:
     """The part of the identity that the box [0, cap]^m misses:
     gap = I - sum_k T^k S T*^k over the box, with S the Szego defect.
@@ -90,33 +73,3 @@ def box_gap(t: OperatorTuple, cap: int) -> np.ndarray:
         power = np.linalg.matrix_power(op, cap + 1)
         gap = gap + power @ (eye - gap) @ adj(power)
     return gap
-
-
-# ---------------------------------------------------------------------------
-# block maps attached to a certificate
-
-
-def defect_block_maps(cert: DilationCertificate, t: OperatorTuple) -> tuple[np.ndarray, np.ndarray]:
-    """The stacked block columns h -> (F_i h) and h -> (F_i T_i* h).
-
-    Rows are expressed in the certificate frames, so the two matrices map C^d
-    into the direct sum of the ran F_i coordinates.  Only the first n-1
-    coordinates of ``t`` are used.
-    """
-    blocks_i = []
-    blocks_y = []
-    for i, (fi, qi) in enumerate(zip(cert.f, cert.f_frames)):
-        proj = adj(qi) @ fi
-        blocks_i.append(proj)
-        blocks_y.append(proj @ adj(t.ops[i]))
-    total = sum(b.shape[0] for b in blocks_i)
-    if total == 0:
-        d = cert.defect.shape[0]
-        return np.zeros((0, d), dtype=complex), np.zeros((0, d), dtype=complex)
-    return np.vstack(blocks_i), np.vstack(blocks_y)
-
-
-def block_slices(partition: Sequence[int]) -> list[slice]:
-    """The coordinate range of each block; block i is driven by variable i."""
-    ends = np.cumsum(partition, dtype=int)
-    return [slice(int(end) - int(size), int(end)) for size, end in zip(partition, ends)]

@@ -29,10 +29,10 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from . import hardy, matcore
-from .errors import DimensionMismatch, NotContractive, SingularResolvent
+from . import matcore
+from .errors import DimensionMismatch, NotContractive, NotPure, SingularResolvent
 from .matcore import adj, operator_norm
-from .tuples import OperatorTuple, DilationCertificate, hat, spectral_radius
+from .tuples import PURE_TOL, OperatorTuple, DilationCertificate, hat, spectral_radius
 
 
 @dataclass(frozen=True)
@@ -72,11 +72,22 @@ def unitarity_residual(r: TransferRealization) -> float:
     return operator_norm(adj(u) @ u - np.eye(u.shape[0]))
 
 
+def _frame_maps(
+    cert: DilationCertificate, t: OperatorTuple
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """M = frame* D and the stacked block columns h -> (F_i h) and
+    h -> (F_i T_i* h), every row in the certificate frames: maps from C^d
+    into ran D and into the direct sum of the ran F_i.  Only the first n - 1
+    coordinates of ``t`` are used."""
+    plain = [adj(q) @ f for f, q in zip(cert.f, cert.f_frames)]
+    shift = [block @ adj(op) for block, op in zip(plain, t.ops)]
+    return adj(cert.d_frame) @ cert.defect, np.vstack(plain), np.vstack(shift)
+
+
 def _domain_image_frames(
     t: OperatorTuple, cert: DilationCertificate
 ) -> tuple[np.ndarray, np.ndarray, int, int]:
-    dc = adj(cert.d_frame) @ cert.defect
-    col_plain, col_shift = hardy.defect_block_maps(cert, t)
+    dc, col_plain, col_shift = _frame_maps(cert, t)
     e = dc.shape[0]
     f = col_plain.shape[0]
     t_n = t.op(t.n)
@@ -384,23 +395,23 @@ def _lifting_residuals(
     it is blind to A and B, which the lifting row  T_n M* - M* A* - Y B*
     and ``generating_identity`` read.
     """
-    hat_t = hat(t, t.n)
     dim, f = t.dim, r.dim_f
-    m_adj = adj(adj(cert.d_frame) @ cert.defect)
+    m, _, col_shift = _frame_maps(cert, t)
+    m_adj = adj(m)
     d_adj, b_adj, mc = adj(r.d), adj(r.b), m_adj @ adj(r.c)
     # row-major vec(T Y K) = (T (x) K^T) vec(Y)
     system = np.eye(dim * f, dtype=complex)
     rhs = np.zeros((dim, f), dtype=complex)
-    for op, sl in zip(hat_t.ops, hardy.block_slices(r.partition)):
+    ends = np.cumsum(r.partition)
+    for op, lo, hi in zip(t.ops, ends - r.partition, ends):
         block = np.zeros((f, f), dtype=complex)
-        block[:, sl] = d_adj[:, sl]
+        block[:, lo:hi] = d_adj[:, lo:hi]
         system -= np.kron(op, block.T)
-        rhs[:, sl] = op @ mc[:, sl]
+        rhs[:, lo:hi] = op @ mc[:, lo:hi]
     y, solved = matcore.solve_stack(system, rhs.reshape(dim * f, 1))
     if not solved:
         return float("inf"), float("inf")
     y = y.reshape(dim, f)
-    _, col_shift = hardy.defect_block_maps(cert, hat_t)
     strict = (adj(col_shift) - y) @ b_adj
     lifting = t.op(t.n) @ m_adj - m_adj @ adj(r.a) - y @ b_adj
     return float(np.max(np.linalg.norm(strict, axis=0), initial=0.0)), operator_norm(lifting)
@@ -461,8 +472,11 @@ def run_identity_suite(
     with its exact value, ``-<gap h, h>`` with
     ``gap = hardy.box_gap(hat T, cap)``.  Both take O(log cap) products and
     are exact at every cap, so the cap is used as given, and ``taylor_cap``
-    reports m * cap, the highest total degree in the box.
+    reports m * cap, the highest total degree in the box.  A deleted-last
+    tuple that is not pure, rho >= 1 - PURE_TOL, raises NotPure(rho).
     """
+    from . import hardy
+
     if r is None:
         r = build_generating_unitary(t, cert)
     hat_t = hat(t, t.n)
@@ -470,7 +484,9 @@ def run_identity_suite(
     taylor_cap = m_vars * cap
     rho = max(spectral_radius(m) for m in hat_t.ops)
 
-    pi = hardy.canonical_isometry(hat_t, cert.defect, cert.d_frame, cap)
+    if rho >= 1.0 - PURE_TOL:
+        raise NotPure(rho)
+    pi = hardy.CoefficientEmbedding(hat_t, _frame_maps(cert, t)[0], cap)
 
     rows: list[CheckRow] = []
     rows.append(CheckRow("generating_identity", generating_residual(t, cert, r), 1e-9))

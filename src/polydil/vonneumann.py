@@ -15,6 +15,7 @@ the tolerance means only that the bound is not confirmed at this grid.
 
 from __future__ import annotations
 
+import cmath
 import re
 from dataclasses import dataclass
 from typing import Mapping
@@ -48,7 +49,7 @@ def multipoly(nvars: int, terms: Mapping) -> MultiPoly:
         a = complex(a)
         if a != 0:
             clean[k] = clean.get(k, 0) + a
-    if not all(np.isfinite(a) for a in clean.values()):
+    if not all(map(cmath.isfinite, clean.values())):
         raise ParseError("a polynomial coefficient is not finite")
     return MultiPoly(nvars, {k: a for k, a in clean.items() if a != 0})
 

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from polydil import generators, hardy, matcore, realization as rz, tuples, vonneumann as vn
+from polydil import generators, matcore, realization as rz, tuples, vonneumann as vn
 from polydil.errors import (
     DimensionMismatch,
     GNotPsd,
@@ -217,6 +217,12 @@ def mgs_unitary_completion(dom, img, ambient_dim, tol=1e-8, completion_order=Non
 # truncated Taylor oracles for the closed lifting rows of the identity suite
 
 
+def block_slices(partition):
+    """The coordinate range of each block; block a is driven by variable a."""
+    ends = np.cumsum(partition)
+    return [slice(end - size, end) for size, end in zip(partition, ends)]
+
+
 def transfer_taylor(r, cap):
     """Taylor coefficients Phi_k of Phi for k in the box [0, cap]^m, as an
     array of shape (cap+1,)*m + (e, e).
@@ -232,7 +238,7 @@ def transfer_taylor(r, cap):
     index = np.indices(box).reshape(m, -1)
     degree = index.sum(axis=0)
     strides = [(cap + 1) ** (m - 1 - a) for a in range(m)]
-    blocks = hardy.block_slices(r.partition)
+    blocks = block_slices(r.partition)
     d_adj = adj(r.d)
     y = np.zeros((index.shape[1], r.dim_f, r.dim_e), dtype=complex)
     y[0] = adj(r.b)
@@ -304,15 +310,18 @@ def truncated_strict_multiplier(t, cert, r, cap):
     sum_a T_a F_a* B*_a against sum_{k != 0} Pi_k* Phi_k, the gap being the
     multiplier's Taylor tail beyond the cap."""
     hat_t, pi, phi = _box_data(t, cert, r, cap)
-    col_plain, _ = hardy.defect_block_maps(cert, hat_t)
-    b_adj = adj(r.b)
-    lhs = sum(
-        op @ adj(col_plain[sl]) @ b_adj[sl]
-        for op, sl in zip(hat_t.ops, hardy.block_slices(cert.ranks))
-    )
+    lhs = strict_feed(hat_t, cert, r)
     phi[(0,) * hat_t.n] = 0.0
     rhs = adj(pi.reshape(-1, hat_t.dim)) @ phi.reshape(-1, r.dim_e)
     return float(np.max(np.linalg.norm(lhs - rhs, axis=0), initial=0.0))
+
+
+def strict_feed(hat_t, cert, r):
+    """sum_a T_a F_a* B*_a, the constant the strict-part row feeds through
+    B*, summed block by block with F_a in its frame, Q_a* F_a."""
+    b_adj = adj(r.b)
+    blocks = zip(hat_t.ops, cert.f, cert.f_frames, block_slices(cert.ranks))
+    return sum(op @ adj(adj(q) @ f) @ b_adj[sl] for op, f, q, sl in blocks)
 
 
 def oracle_lifting_residuals(t, cert, r):
@@ -326,7 +335,7 @@ def oracle_lifting_residuals(t, cert, r):
     dim, f, m = t.dim, r.dim_f, hat_t.n
     m_adj = adj(adj(cert.d_frame) @ cert.defect)
     d_adj, c_adj, b_adj = adj(r.d), adj(r.c), adj(r.b)
-    blocks = hardy.block_slices(r.partition)
+    blocks = block_slices(r.partition)
     system = np.eye(dim * f, dtype=complex)
     rhs = np.zeros((m, dim, f), dtype=complex)
     for a, (op, sl) in enumerate(zip(hat_t.ops, blocks)):
@@ -336,8 +345,7 @@ def oracle_lifting_residuals(t, cert, r):
         rhs[a][:, sl] = m_adj @ c_adj[:, sl]
     z = np.linalg.solve(system, rhs.reshape(m, dim * f).T).T.reshape(m, dim, f)
     strict = sum(op @ z_a @ b_adj for op, z_a in zip(hat_t.ops, z))
-    col_plain, _ = hardy.defect_block_maps(cert, hat_t)
-    fed = sum(op @ adj(col_plain[sl]) @ b_adj[sl] for op, sl in zip(hat_t.ops, blocks))
+    fed = strict_feed(hat_t, cert, r)
     strict_res = float(np.max(np.linalg.norm(fed - strict, axis=0), initial=0.0))
     lifting = t.op(t.n) @ m_adj - m_adj @ adj(r.a) - strict
     return strict_res, matcore.operator_norm(lifting)

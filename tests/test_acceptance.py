@@ -115,8 +115,9 @@ def test_criterion_03_dilation_identities(fixtures):
         hat_t = tuples.hat(fx.t, 3)
         orders = [nilpotency_order(m) or CAP for m in hat_t.ops]
         cap = max(orders) if fx.r_scale == 1.0 else CAP
-        pi = hardy.canonical_isometry(hat_t, fx.cert.defect, fx.cert.d_frame, cap)
-        coeffs = box_coefficients(hat_t, matcore.adj(fx.cert.d_frame) @ fx.cert.defect, cap)
+        m = matcore.adj(fx.cert.d_frame) @ fx.cert.defect
+        pi = hardy.CoefficientEmbedding(hat_t, m, cap)
+        coeffs = box_coefficients(hat_t, m, cap)
         # Pi_{k+e_i} = Pi_k T_i*, per coefficient and basis vector; the box is
         # built one axis at a time, so this reads commutativity on all but the last
         for i, op in enumerate(hat_t.ops):

@@ -145,8 +145,24 @@ def test_malformed_matrix_entry_exit2(case, triple_doc, tmp_path, capsys):
         ),
         (lambda doc: doc["operators"].__setitem__(1, []), "matrix must be a non-empty nested array"),
         (lambda doc: doc["operators"][0].__setitem__(1, 5), "matrix rows must be arrays"),
+        (lambda doc: doc.pop("operators"), "tuple document is missing 'operators'"),
+        (lambda doc: doc["operators"].pop(), "operator count does not match n"),
+        (
+            lambda doc: doc.__setitem__("certificate", []),
+            "certificate must be an object with a G list",
+        ),
     ],
-    ids=["short-row", "long-row", "empty-row", "empty-rows", "no-rows", "row-not-array"],
+    ids=[
+        "short-row",
+        "long-row",
+        "empty-row",
+        "empty-rows",
+        "no-rows",
+        "row-not-array",
+        "no-operators",
+        "operator-count",
+        "certificate-array",
+    ],
 )
 def test_malformed_matrix_shape_exit2(change, message, triple_doc, tmp_path, capsys):
     doc = json.loads(triple_doc.read_text())
@@ -217,8 +233,9 @@ def test_certify_documents_a_tuple_refused_while_it_is_read(ops, error, tmp_path
 
 def test_certify_malformed_json_exit2(tmp_path):
     bad = tmp_path / "garbage.json"
-    bad.write_text("{not json")
-    assert run(["certify", str(bad), "--out", "-"]) == cli.EXIT_PARSE
+    for text in ("{not json", "[1, 2]"):  # the second is JSON, but not an object
+        bad.write_text(text)
+        assert run(["certify", str(bad), "--out", "-"]) == cli.EXIT_PARSE
 
 
 def test_certify_missing_file_exit2(tmp_path):
@@ -696,6 +713,9 @@ def test_non_finite_tolerance_exit2(command, flag, value, triple_doc, tmp_path, 
         ["generate", "zero-triple", "--dim", "0"],
         ["verify", None, "--seed", "-1"],
         ["variety", None, "--variety-grid", "2"],
+        ["verify", None, "--cap", "0"],
+        ["variety", None, "--radius", "0"],
+        ["variety", None, "--radius", "1.5"],
     ],
 )
 def test_out_of_range_configuration_exit2(argv, triple_doc, tmp_path, capsys):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from polydil import generators, matcore, tuples
-from polydil.errors import HypothesisFailed
+from polydil.errors import HypothesisFailed, NotPure, NotSzego
 from polydil.matcore import adj
 
 
@@ -74,6 +74,21 @@ def test_product_triple_always_accepted(j, k):
     triple, cert = generators.product_triple(pair, j, k)
     assert triple.n == 3
     assert cert.sum_residual < 1e-12
+
+
+@pytest.mark.parametrize(
+    "pair, error, field, value",
+    [
+        # (J, J): the Szego defect I - 2 J J* = diag(1, -1)
+        ([generators.lower_shift(2)] * 2, NotSzego, "min_eig", -1.0),
+        ([np.eye(2), np.zeros((2, 2))], NotPure, "rho", 1.0),
+    ],
+    ids=["not-szego", "not-pure"],
+)
+def test_product_triple_refuses_the_pair_unwrapped(pair, error, field, value):
+    with pytest.raises(error) as info:
+        generators.product_triple(tuples.make_tuple(pair), 1, 1)
+    assert type(info.value) is error and getattr(info.value, field) == value
 
 
 def test_product_triple_rejects_exponents():

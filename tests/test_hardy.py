@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from polydil import generators, hardy, matcore, tuples
-from polydil.errors import NotPure
 from polydil.matcore import adj
 
 from conftest import (
@@ -119,7 +118,7 @@ def test_canonical_isometry_zero_tuple(rng):
     t = zero_pair(3)
     defect = matcore.psd_sqrt(tuples.szego_defect(t))
     frame = oracle_range_onb(defect, matcore.EIG_TOL)
-    pi = hardy.canonical_isometry(t, defect, frame, 4)
+    pi = hardy.CoefficientEmbedding(t, adj(frame) @ defect, 4)
     h = random_complex(rng, 3)
     assert support(box_coefficients(t, adj(frame) @ defect, 4) @ h) == {(0, 0)}
     assert pi.isometry_defect(h) == pytest.approx(0.0, abs=1e-14)
@@ -128,7 +127,7 @@ def test_canonical_isometry_zero_tuple(rng):
 def test_canonical_isometry_nilpotent_exact(jordan22):
     defect = matcore.psd_sqrt(tuples.szego_defect(jordan22))
     frame = oracle_range_onb(defect, matcore.EIG_TOL)
-    pi = hardy.canonical_isometry(jordan22, defect, frame, 2)
+    pi = hardy.CoefficientEmbedding(jordan22, adj(frame) @ defect, 2)
     for idx in range(jordan22.dim):
         h = np.zeros(jordan22.dim)
         h[idx] = 1.0
@@ -142,7 +141,7 @@ def test_canonical_isometry_defect_below_tail(rng):
     defect = matcore.psd_sqrt(tuples.szego_defect(t))
     frame = oracle_range_onb(defect, matcore.EIG_TOL)
     cap = 12
-    pi = hardy.canonical_isometry(t, defect, frame, cap)
+    pi = hardy.CoefficientEmbedding(t, adj(frame) @ defect, cap)
     gap = hardy.box_gap(t, cap)
     h = random_complex(rng, 3)
     h /= np.linalg.norm(h)
@@ -173,8 +172,9 @@ GRAM_CASES = {
 def test_gram_row_matches_the_box_row(name, cap, rng):
     t, cert = GRAM_CASES[name](rng)
     hat_t = tuples.hat(t, t.n)
-    pi = hardy.canonical_isometry(hat_t, cert.defect, cert.d_frame, cap)
-    coeffs = box_coefficients(hat_t, adj(cert.d_frame) @ cert.defect, cap)
+    m = adj(cert.d_frame) @ cert.defect
+    pi = hardy.CoefficientEmbedding(hat_t, m, cap)
+    coeffs = box_coefficients(hat_t, m, cap)
     gap = hardy.box_gap(hat_t, cap).diagonal().real
     basis = np.eye(t.dim)
     gram = np.array([pi.isometry_defect(h) for h in basis])
@@ -204,12 +204,6 @@ def test_box_gap_is_the_inclusion_exclusion_sum(rng):
             expected += (-1) ** (size + 1) * p @ adj(p)
     assert np.allclose(hardy.box_gap(t, cap), expected, rtol=0, atol=1e-15)
     assert np.array_equal(hardy.box_gap(zero_pair(), cap), np.zeros((2, 2)))
-
-
-def test_canonical_isometry_requires_purity():
-    t = tuples.make_tuple([np.eye(2), np.zeros((2, 2))])
-    with pytest.raises(NotPure):
-        hardy.canonical_isometry(t, np.eye(2), np.eye(2), 3)
 
 
 def test_intertwining_exact(jordan22):
@@ -251,36 +245,7 @@ def test_id4_identity(triple22):
 
 
 # ---------------------------------------------------------------------------
-# defect block maps and the block shift
-
-
-def test_block_maps_zero_when_f_zero(rng):
-    d = 3
-    zero = np.zeros((d, d))
-    w = np.diag(np.exp(2j * np.pi * rng.uniform(size=d)))
-    t = tuples.make_tuple([zero, zero, w])
-    cert = tuples.verify_certificate(t, [zero, zero])
-    col_plain, col_shift = hardy.defect_block_maps(cert, t)
-    assert col_plain.shape == (0, d) and col_shift.shape == (0, d)
-
-
-def test_shifted_block_map_zero_for_zero_tuple():
-    z = np.zeros((3, 3))
-    t = tuples.make_tuple([z, z, z])
-    cert = tuples.last_defect_certificate(t)
-    col_plain, col_shift = hardy.defect_block_maps(cert, t)
-    assert matcore.operator_norm(col_shift) < 1e-14
-    assert col_plain.shape[0] == cert.ranks[0]
-
-
-def test_block_map_norm_identity(triple22):
-    t, cert = triple22
-    col_plain, _ = hardy.defect_block_maps(cert, t)
-    for idx in range(t.dim):
-        h = np.zeros(t.dim)
-        h[idx] = 1.0
-        direct = sum(float(np.vdot(f @ h, f @ h).real) for f in cert.f)
-        assert np.vdot(col_plain @ h, col_plain @ h).real == pytest.approx(direct, abs=1e-12)
+# the block shift
 
 
 def test_block_shift_constant_block(rng):
@@ -292,6 +257,3 @@ def test_block_shift_constant_block(rng):
     assert np.allclose(left[:2] @ j[1, 0], left[:2] @ adj(t.op(1)), atol=1e-15)
     assert np.allclose(left[2:] @ j[0, 1], left[2:] @ adj(t.op(2)), atol=1e-15)
 
-
-def test_block_slices_skip_empty_blocks():
-    assert hardy.block_slices([2, 0, 1]) == [slice(0, 2), slice(2, 2), slice(2, 3)]

@@ -62,10 +62,12 @@ def test_submodule_attribute_resolves_in_a_fresh_process():
     "command, loaded",
     [
         (["certify", "triple.json"], set()),
-        (["dilate", "triple.json"], {"polydil.realization", "polydil.hardy"}),
+        (["dilate", "triple.json"], {"polydil.realization"}),
+        (["verify", "triple.json"], {"polydil.realization", "polydil.hardy"}),
+        (["vn", "triple.json", "poly.txt"], {"polydil.realization", "polydil.vonneumann"}),
         (
-            ["vn", "triple.json", "poly.txt"],
-            {"polydil.realization", "polydil.hardy", "polydil.vonneumann"},
+            ["variety", "triple.json", "--variety-grid", "3"],
+            {"polydil.realization", "polydil.vonneumann"},
         ),
         (["generate", "product-triple"], {"polydil.generators"}),
         (["generate", "zero-triple"], set()),

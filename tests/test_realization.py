@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from polydil import generators, hardy, matcore, realization as rz, tuples
-from polydil.errors import NotCommuting, NotContractive, NotIsometric
+from polydil.errors import NotCommuting, NotContractive, NotIsometric, NotPure
 from polydil.matcore import adj
 
 from conftest import (
@@ -51,8 +51,7 @@ def test_generating_identity_coordinates(triple32):
     # the two block rows of the generating identity in frame coordinates
     t, cert = triple32
     r = rz.build_generating_unitary(t, cert)
-    dc = adj(cert.d_frame) @ cert.defect
-    col_plain, col_shift = hardy.defect_block_maps(cert, t)
+    dc, col_plain, col_shift = rz._frame_maps(cert, t)
     t_n = t.op(3)
     assert matcore.operator_norm(dc @ adj(t_n) - (r.a @ dc + r.b @ col_shift)) < 1e-10
     assert matcore.operator_norm(col_plain - (r.c @ dc + r.d @ col_shift)) < 1e-10
@@ -76,6 +75,39 @@ def test_completion_order_changes_unitary_not_identity(triple22):
     r2 = rz.build_generating_unitary(t, cert, completion_order=order)
     assert rz.generating_residual(t, cert, r2) < 1e-10
     assert rz.unitarity_residual(r2) < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# the frame maps of a certificate
+
+
+def test_block_maps_zero_when_f_zero(rng):
+    d = 3
+    zero = np.zeros((d, d))
+    w = np.diag(np.exp(2j * np.pi * rng.uniform(size=d)))
+    t = tuples.make_tuple([zero, zero, w])
+    cert = tuples.verify_certificate(t, [zero, zero])
+    _, col_plain, col_shift = rz._frame_maps(cert, t)
+    assert col_plain.shape == (0, d) and col_shift.shape == (0, d)
+
+
+def test_shifted_block_map_zero_for_zero_tuple():
+    z = np.zeros((3, 3))
+    t = tuples.make_tuple([z, z, z])
+    cert = tuples.last_defect_certificate(t)
+    _, col_plain, col_shift = rz._frame_maps(cert, t)
+    assert matcore.operator_norm(col_shift) < 1e-14
+    assert col_plain.shape[0] == cert.ranks[0]
+
+
+def test_block_map_norm_identity(triple22):
+    t, cert = triple22
+    _, col_plain, _ = rz._frame_maps(cert, t)
+    for idx in range(t.dim):
+        h = np.zeros(t.dim)
+        h[idx] = 1.0
+        direct = sum(float(np.vdot(f @ h, f @ h).real) for f in cert.f)
+        assert np.vdot(col_plain @ h, col_plain @ h).real == pytest.approx(direct, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -631,3 +663,38 @@ def test_identity_suite_non_normal_ok(cap):
     # the box defect, 0.29 at cap 12
     assert report.row("pi_isometry_defect").residual < 1e-14
 
+
+LIMIT = 1.0 - tuples.PURE_TOL
+
+
+# T_1 = a I + s J_2 beside T_2 = I / 2, at the purity threshold: a normal
+# T_1 is judged by its norm, a non-normal one by radius iterates that stay
+# near a + s/2, above its spectral radius a
+@pytest.mark.parametrize(
+    "a, s, pure",
+    [
+        (LIMIT - 1e-9, 0.0, True),
+        (LIMIT, 0.0, False),
+        (LIMIT + 1e-9, 0.0, False),
+        (LIMIT - 1e-8, 1e-9, True),
+        (LIMIT - 1e-9, 1e-8, False),
+    ],
+    ids=["normal-below", "normal-at", "normal-above", "non-normal-below", "estimate-above"],
+)
+def test_suite_purity_verdict_is_is_pure(a, s, pure):
+    pair = tuples.make_tuple([a * np.eye(2) + s * generators.lower_shift(2), 0.5 * np.eye(2)])
+    t = tuples.make_tuple([*pair.ops, pair.op(1) @ pair.op(2)])
+    hat_t = tuples.hat(t, 3)
+    rho = max(tuples.spectral_radius(m) for m in hat_t.ops)
+    assert tuples.is_pure(hat_t) is pure
+    if pure:
+        _, cert = generators.product_triple(pair, 1, 1)
+        report = rz.run_identity_suite(t, cert, schur_points=4, inner_grid=4)
+        assert report.rho == rho
+        return
+    # no certificate validates t, so the suite is handed another tuple's:
+    # it reads purity from t before anything else
+    t0, cert0 = zero_triple(2)
+    with pytest.raises(NotPure) as info:
+        rz.run_identity_suite(t, cert0, rz.build_generating_unitary(t0, cert0))
+    assert info.value.rho == rho
