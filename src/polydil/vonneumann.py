@@ -132,27 +132,29 @@ def parse_poly(text: str, nvars: int | None = None) -> MultiPoly:
     return multipoly(nvars, term_map)
 
 
-
-
 def eval_poly_tuple(p: MultiPoly, t: OperatorTuple) -> np.ndarray:
-    """P(T) = sum_k a_k T_1^{k_1} ... T_n^{k_n}."""
+    """P(T) = sum_k a_k T_1^{k_1} ... T_n^{k_n}.
+
+    ``pows[i][e - 1]`` is T_i^e by repeated products, and each term's
+    product starts at its first nonzero factor: no product by I is formed,
+    and only the constant term reads I."""
     if p.nvars != t.n:
         raise ArityMismatch(f"polynomial has {p.nvars} variables, tuple has {t.n}")
     d = t.dim
     pows: list[list[np.ndarray]] = []
     for i in range(t.n):
         max_e = max((k[i] for k in p.terms), default=0)
-        lst = [np.eye(d, dtype=complex)]
-        for _ in range(max_e):
+        lst = [t.ops[i]] if max_e else []
+        for _ in range(max_e - 1):
             lst.append(lst[-1] @ t.ops[i])
         pows.append(lst)
     out = np.zeros((d, d), dtype=complex)
     for k, a in p.terms.items():
-        m = np.eye(d, dtype=complex)
+        m = None
         for i, e in enumerate(k):
             if e:
-                m = m @ pows[i][e]
-        out += a * m
+                m = pows[i][e - 1] if m is None else m @ pows[i][e - 1]
+        out += a * (np.eye(d, dtype=complex) if m is None else m)
     return out
 
 
@@ -208,13 +210,17 @@ def split_transfer(r: rz.TransferRealization) -> TransferSplit:
 class TorusCache:
     """Transfer-function data over the boundary grid of the first n-1
     variables: the points with a regular resolvent, the eigenvalues of Phi
-    there (LAPACK, sorted per point by (real, imag)), and the number of grid
-    points skipped for a singular resolvent."""
+    there (LAPACK, sorted per point by (real, imag)), the number of grid
+    points skipped for a singular resolvent, and the regular-point mask over
+    all rows of ``grid_points(unit_circle(grid), n - 1)``.  The torus scan
+    reads the rows of the base coefficient grid that ``regular`` marks,
+    which are the ``points`` in grid order."""
 
     points: np.ndarray  # (G, m) complex
     eigs: np.ndarray  # (G, e)
     singular_points: int
     grid: int
+    regular: np.ndarray  # (grid^m,) bool
 
 
 def precompute_torus(r: rz.TransferRealization, grid: int) -> TorusCache:
@@ -226,21 +232,30 @@ def precompute_torus(r: rz.TransferRealization, grid: int) -> TorusCache:
         eigs[rows] = matcore.eigvals(phi)
         regular[rows] = regular_rows
     singular = len(points) - int(np.count_nonzero(regular))
-    return TorusCache(points[regular], eigs[regular], singular, grid)
+    return TorusCache(points[regular], eigs[regular], singular, grid, regular)
 
 
-def _base_coefficients(p: MultiPoly, points: np.ndarray) -> np.ndarray:
-    """c_j(zeta) = sum_{k, k_n = j} a_k zeta^khat as a (G, deg_n+1) array."""
+def _grid_coefficients(p: MultiPoly, circle: np.ndarray) -> np.ndarray:
+    """c_j(zeta') = sum_{k, k_n = j} a_k zeta'^khat as a (grid^(n-1),
+    deg_n+1) array over the rows of ``grid_points(circle, n - 1)``.
+
+    Each axis's power of the circle is broadcast along that axis, so no
+    point array is built: per element these are the products a_k *
+    zeta_1^k_1 * ... of the point-array form, in the same order, and the
+    same sums over the terms."""
+    m = p.nvars - 1
     deg_n = max((k[-1] for k in p.terms), default=0)
-    g = points.shape[0]
-    out = np.zeros((g, deg_n + 1), dtype=complex)
+    out = np.zeros((len(circle),) * m + (deg_n + 1,), dtype=complex)
+    powers: dict[int, np.ndarray] = {}
     for k, a in p.terms.items():
-        w = np.full(g, a, dtype=complex)
-        for axis in range(p.nvars - 1):
-            if k[axis]:
-                w = w * points[:, axis] ** k[axis]
-        out[:, k[-1]] += w
-    return out
+        w = np.full((1,) * m, a, dtype=complex)
+        for axis, e in enumerate(k[:-1]):
+            if e:
+                if e not in powers:
+                    powers[e] = circle**e
+                w = w * powers[e].reshape((-1,) + (1,) * (m - 1 - axis))
+        out[..., k[-1]] += w
+    return out.reshape(-1, deg_n + 1)
 
 
 def _fiber_max(coeffs: np.ndarray, fibers: np.ndarray) -> float:
@@ -258,6 +273,35 @@ def _fiber_max(coeffs: np.ndarray, fibers: np.ndarray) -> float:
     return float(np.max(np.abs(vals), initial=0.0))
 
 
+def _check_torus_arity(p: MultiPoly, cache: TorusCache) -> None:
+    m_vars = cache.points.shape[1]
+    if p.nvars != m_vars + 1:
+        raise ArityMismatch(f"polynomial has {p.nvars} variables, expected {m_vars + 1}")
+
+
+def _torus_scan(coeffs: np.ndarray, cache: TorusCache) -> float:
+    """``torus_sup`` from the base coefficients on every row of the torus
+    base grid: the rows that ``cache.regular`` marks meet their fibers."""
+    if cache.singular_points:
+        coeffs = coeffs[cache.regular]
+    return _fiber_max(coeffs, cache.eigs)
+
+
+def _polydisc_scan(coeffs: np.ndarray, circle: np.ndarray) -> float:
+    """``polydisc_grid_sup`` from the base coefficients on every row of the
+    base grid over ``circle``."""
+    with np.errstate(over="ignore", invalid="ignore"):  # only the scan warns, as on the full grid
+        bound = np.sum(np.abs(coeffs), axis=1) * (1.0 + 1e-8)
+    top = int(np.argmax(bound))
+    best = _fiber_max(coeffs[top : top + 1], circle[None])
+    rows = np.arange(len(coeffs))
+    if best >= np.finfo(float).tiny:  # not NaN, zero or subnormal
+        rows = rows[bound >= best]
+    for r0 in range(0, len(rows), rz.CHUNK):
+        best = np.maximum(best, _fiber_max(coeffs[rows[r0 : r0 + rz.CHUNK]], circle[None]))
+    return float(best)
+
+
 def torus_sup(p: MultiPoly, cache: TorusCache) -> float:
     """max over the regular points of the cached torus grid of
     || P(zeta_1 I, ..., zeta_{n-1} I, Phi(zeta)) ||.
@@ -265,11 +309,12 @@ def torus_sup(p: MultiPoly, cache: TorusCache) -> float:
     The norm is the largest |P(zeta, lambda)| over the eigenvalues lambda of
     Phi(zeta): Phi is unitary at the regular torus points, so the operator is
     normal there.  The eigenvalues of P(zeta, Phi(zeta)) are the P(zeta,
-    lambda) in any case, so the value never exceeds the norm."""
-    m_vars = cache.points.shape[1]
-    if p.nvars != m_vars + 1:
-        raise ArityMismatch(f"polynomial has {p.nvars} variables, expected {m_vars + 1}")
-    return _fiber_max(_base_coefficients(p, cache.points), cache.eigs)
+    lambda) in any case, so the value never exceeds the norm.  The base
+    coefficients are formed on the whole torus base grid and the scan reads
+    the rows that ``cache.regular`` marks; the value is bit for bit the one
+    from the coefficients at ``cache.points``."""
+    _check_torus_arity(p, cache)
+    return _torus_scan(_grid_coefficients(p, rz.unit_circle(cache.grid)), cache)
 
 
 def polydisc_grid_sup(p: MultiPoly, grid: int) -> float:
@@ -277,8 +322,9 @@ def polydisc_grid_sup(p: MultiPoly, grid: int) -> float:
     supremum: the circle is the fiber over each point of the grid^(n-1)
     base, so the grid^n points are never built.
 
-    A screened scan.  With c_j(zeta') the base coefficients, every value on
-    the row of zeta' is at most the bound sum_j |c_j(zeta')|, as |lambda| = 1.
+    A screened scan over every row of the base coefficients.  With
+    c_j(zeta') the base coefficients, every value on the row of zeta' is at
+    most the bound sum_j |c_j(zeta')|, as |lambda| = 1.
     The row with the largest bound is scanned first; then only the rows whose
     bound times (1 + 1e-8) reaches that row's maximum can hold the grid
     maximum, and they are scanned CHUNK rows at a time.  The slack covers the
@@ -296,17 +342,7 @@ def polydisc_grid_sup(p: MultiPoly, grid: int) -> float:
     if p.nvars < 1:
         raise ArityMismatch("a polynomial on the polydisc needs at least one variable")
     circle = rz.unit_circle(grid)
-    coeffs = _base_coefficients(p, rz.grid_points(circle, p.nvars - 1))
-    with np.errstate(over="ignore", invalid="ignore"):  # only the scan warns, as on the full grid
-        bound = np.sum(np.abs(coeffs), axis=1) * (1.0 + 1e-8)
-    top = int(np.argmax(bound))
-    best = _fiber_max(coeffs[top : top + 1], circle[None])
-    rows = np.arange(len(coeffs))
-    if best >= np.finfo(float).tiny:  # not NaN, zero or subnormal
-        rows = rows[bound >= best]
-    for r0 in range(0, len(rows), rz.CHUNK):
-        best = np.maximum(best, _fiber_max(coeffs[rows[r0 : r0 + rz.CHUNK]], circle[None]))
-    return float(best)
+    return _polydisc_scan(_grid_coefficients(p, circle), circle)
 
 
 # ---------------------------------------------------------------------------
@@ -460,6 +496,11 @@ def vn_check(
     closed polydisc, so ``polydisc_sup``, the larger of ``rhs`` and the
     supremum of |P| over the full torus grid, is still a lower bound of the
     polydisc supremum; it is reported alongside for sharpness comparison.
+
+    Both scans read one array of base coefficients, formed once on the
+    torus base grid: the torus scan its regular rows, the polydisc scan
+    every row.  Each value is bit for bit the one ``torus_sup`` and
+    ``polydisc_grid_sup`` give.
     """
     if p.nvars != t.n:
         raise ArityMismatch(f"polynomial has {p.nvars} variables, tuple has {t.n}")
@@ -469,9 +510,12 @@ def vn_check(
         cache = precompute_torus(realization, grid)
     if split is None:
         split = split_transfer(realization)
+    _check_torus_arity(p, cache)
     lhs = operator_norm(eval_poly_tuple(p, t))
-    rhs = torus_sup(p, cache)
-    poly_sup = max(polydisc_grid_sup(p, grid), rhs)
+    circle = rz.unit_circle(grid)
+    coeffs = _grid_coefficients(p, circle)
+    rhs = _torus_scan(coeffs, cache)
+    poly_sup = max(_polydisc_scan(coeffs, circle), rhs)
     return VNReport(
         lhs=float(lhs),
         rhs=rhs,

@@ -123,6 +123,85 @@ def svd_torus_sup(p, r, points):
     return float(np.max(matcore.operator_norm(acc), initial=0.0))
 
 
+def oracle_base_coefficients(p, points):
+    """c_j(zeta) = sum_{k, k_n = j} a_k zeta^khat as a (G, deg_n+1) array
+    at the rows of a (G, n-1) point array: the reference for the coefficient
+    grid of ``vonneumann``."""
+    deg_n = max((k[-1] for k in p.terms), default=0)
+    g = points.shape[0]
+    out = np.zeros((g, deg_n + 1), dtype=complex)
+    for k, a in p.terms.items():
+        w = np.full(g, a, dtype=complex)
+        for axis in range(p.nvars - 1):
+            if k[axis]:
+                w = w * points[:, axis] ** k[axis]
+        out[:, k[-1]] += w
+    return out
+
+
+def oracle_fiber_max(coeffs, fibers):
+    """max of |sum_j c_gj lambda^j| over the rows g of ``coeffs`` and the
+    lambda in row g of ``fibers``, the powers formed in each row."""
+    vals, fiber_pow = np.zeros(fibers.shape, dtype=complex), np.ones(fibers.shape, dtype=complex)
+    for j in range(coeffs.shape[1]):
+        vals += coeffs[:, j, None] * fiber_pow
+        fiber_pow = fiber_pow * fibers
+    return float(np.max(np.abs(vals), initial=0.0))
+
+
+def full_grid_sup(p, grid):
+    """The fiber maximum over every row of the grid^n torus grid, the last
+    coordinate read off each row and its powers formed in each row: the
+    reference for ``polydisc_grid_sup``."""
+    points = rz.grid_points(rz.unit_circle(grid), p.nvars).reshape(-1, grid, p.nvars)
+    return oracle_fiber_max(oracle_base_coefficients(p, points[:, 0, :-1]), points[:, :, -1])
+
+
+def oracle_eval_poly_tuple(p, t):
+    """P(T) with every power list and every term's product started at I:
+    the reference for ``vonneumann.eval_poly_tuple``."""
+    d = t.dim
+    pows = []
+    for i in range(t.n):
+        max_e = max((k[i] for k in p.terms), default=0)
+        lst = [np.eye(d, dtype=complex)]
+        for _ in range(max_e):
+            lst.append(lst[-1] @ t.ops[i])
+        pows.append(lst)
+    out = np.zeros((d, d), dtype=complex)
+    for k, a in p.terms.items():
+        m = np.eye(d, dtype=complex)
+        for i, e in enumerate(k):
+            if e:
+                m = m @ pows[i][e]
+        out += a * m
+    return out
+
+
+def oracle_vn_check(p, t, cert, grid=32, realization=None, cache=None, split=None):
+    """``vonneumann.vn_check`` with two coefficient passes: the torus scan on
+    the coefficients at the cached regular points, the polydisc maximum over
+    the full grid^n torus grid."""
+    if realization is None:
+        realization = rz.build_generating_unitary(t, cert)
+    if cache is None or cache.grid != grid:
+        cache = vn.precompute_torus(realization, grid)
+    if split is None:
+        split = vn.split_transfer(realization)
+    lhs = matcore.operator_norm(oracle_eval_poly_tuple(p, t))
+    rhs = oracle_fiber_max(oracle_base_coefficients(p, cache.points), cache.eigs)
+    poly_sup = max(full_grid_sup(p, grid), rhs)
+    return vn.VNReport(
+        lhs=float(lhs),
+        rhs=rhs,
+        margin=float(rhs - lhs),
+        grid=grid,
+        singular_points=cache.singular_points,
+        h0_dim=split.h0_dim,
+        polydisc_sup=float(poly_sup),
+    )
+
+
 def w1_product_triple():
     """W1, the (3,3) product triple at r = 0.9 with (j,k) = (2,3)."""
     return generators.product_triple(generators.jordan_pair(3, 3, 0.9, 0.9), 2, 3)

@@ -7,14 +7,18 @@ import warnings
 import numpy as np
 import pytest
 
-from polydil import matcore, realization as rz, tuples, vonneumann as vn
+from polydil import generators, matcore, realization as rz, tuples, vonneumann as vn
 from polydil.errors import ArityMismatch, ParseError
 from polydil.matcore import adj
 
 from conftest import (
     constant_realization,
     direct_sum_constant,
+    full_grid_sup,
+    oracle_base_coefficients,
+    oracle_eval_poly_tuple,
     oracle_parse_poly,
+    oracle_vn_check,
     random_complex,
     random_unitary,
     svd_torus_sup,
@@ -196,6 +200,22 @@ def test_eval_arity_mismatch(triple22):
         vn.eval_poly_tuple(vn.multipoly(2, {(1, 0): 1.0}), t)
 
 
+def seeded_poly(rng, nvars):
+    """1 to 6 terms with exponents below 4, complex normal coefficients."""
+    terms = {tuple(int(x) for x in rng.integers(0, 4, nvars)): complex(*rng.standard_normal(2))
+             for _ in range(int(rng.integers(1, 7)))}
+    return vn.multipoly(nvars, terms)
+
+
+@pytest.mark.parametrize("which", ["w1", "w2", "w3"])
+def test_eval_matches_the_identity_products_bit_for_bit(which, rng):
+    t, _ = WORKLOAD_INPUTS[which]()
+    polys = [seeded_poly(rng, t.n) for _ in range(20)]
+    polys += [vn.multipoly(t.n, {(0,) * t.n: 0.5 - 2j}), vn.multipoly(t.n, {})]
+    for p in polys:
+        assert vn.eval_poly_tuple(p, t).tobytes() == oracle_eval_poly_tuple(p, t).tobytes(), p.terms
+
+
 # ---------------------------------------------------------------------------
 # torus scans
 
@@ -238,20 +258,6 @@ def test_polydisc_grid_sup_bounded_by_coefficient_sum(rng):
     sup = vn.polydisc_grid_sup(p, 16)
     assert sup <= 3.0 + 1e-12
     assert sup >= 2.0  # attained on the grid at aligned phases
-
-
-def full_grid_sup(p, grid):
-    """The fiber maximum over every row of the grid^n torus grid, the last
-    coordinate read off each row and its powers formed in each row: the
-    reference for ``polydisc_grid_sup``."""
-    points = rz.grid_points(rz.unit_circle(grid), p.nvars).reshape(-1, grid, p.nvars)
-    coeffs = vn._base_coefficients(p, points[:, 0, :-1])
-    fibers = points[:, :, -1]
-    vals, fiber_pow = np.zeros(fibers.shape, dtype=complex), np.ones(fibers.shape, dtype=complex)
-    for j in range(coeffs.shape[1]):
-        vals += coeffs[:, j, None] * fiber_pow
-        fiber_pow = fiber_pow * fibers
-    return float(np.max(np.abs(vals), initial=0.0))
 
 
 def test_polydisc_grid_sup_matches_the_full_grid(rng):
@@ -321,7 +327,7 @@ def test_polydisc_grid_screen_keeps_a_row_whose_bound_meets_the_maximum(scanned_
     # at grid 2, P = 1 + 5e-9 z_1 has the bounds 1 + 5e-9 at z_1 = 1 and
     # (1 - 5e-9)(1 + 1e-8) at z_1 = -1, which rounds to exactly 1 + 5e-9
     p = vn.multipoly(2, {(0, 0): 1.0, (1, 0): 5e-9})
-    coeffs = vn._base_coefficients(p, rz.grid_points(rz.unit_circle(2), 1))[:, 0]
+    coeffs = oracle_base_coefficients(p, rz.grid_points(rz.unit_circle(2), 1))[:, 0]
     assert abs(coeffs[1]) * (1.0 + 1e-8) == abs(coeffs[0]) == vn.polydisc_grid_sup(p, 2)
     assert scanned_rows[0] == 3
 
@@ -900,3 +906,81 @@ def test_vn_check_unitary_tn_still_valid(rng):
     p = vn.multipoly(3, {(0, 0, 1): 1.0, (0, 0, 0): 0.5})
     report = vn.vn_check(p, t, cert, grid=8)
     assert report.margin >= -1e-7
+
+
+def acceptance_triple(d1, d2):
+    """The acceptance product triple with r = 0.9 and (j, k) = (2, 3): e = d1 d2."""
+    return generators.product_triple(generators.jordan_pair(d1, d2, 0.9, 0.9), 2, 3)
+
+
+def assert_reports_match_the_oracle(p, t, grid, r, cache):
+    split = vn.split_transfer(r)
+    report = vn.vn_check(p, t, None, grid=grid, realization=r, cache=cache, split=split)
+    expected = oracle_vn_check(p, t, None, grid=grid, realization=r, cache=cache, split=split)
+    def fields(rep):
+        floats = [getattr(rep, f).hex() for f in ("lhs", "rhs", "margin", "polydisc_sup")]
+        return floats + [rep.grid, rep.singular_points, rep.h0_dim]
+
+    assert fields(report) == fields(expected), p.terms
+
+
+@pytest.mark.parametrize("d1, d2", [(2, 2), (3, 2), (3, 3)])
+def test_vn_check_matches_two_coefficient_passes_on_the_acceptance_fixtures(d1, d2, rng):
+    t, cert = acceptance_triple(d1, d2)
+    r = rz.build_generating_unitary(t, cert)
+    cache = vn.precompute_torus(r, 32)
+    assert cache.singular_points == 0 and cache.regular.all()
+    for _ in range(20):
+        assert_reports_match_the_oracle(seeded_poly(rng, 3), t, 32, r, cache)
+
+
+def test_vn_check_matches_two_coefficient_passes_on_w2(rng):
+    # n = 4 at grid 12: 1,728 base rows, more than one CHUNK
+    t, cert = w2_tensor_jordan()
+    r = rz.build_generating_unitary(t, cert)
+    cache = vn.precompute_torus(r, 12)
+    for p in [seeded_poly(rng, 4) for _ in range(4)] + [vn.multipoly(4, {(1, 3, 0, 2): -1.5j})]:
+        assert_reports_match_the_oracle(p, t, 12, r, cache)
+
+
+def test_vn_check_matches_two_coefficient_passes_over_a_singular_base(triple22, rng):
+    # the torus scan reads only the rows the mask marks regular
+    t, cert = triple22
+    r = with_reducing_unimodular_coordinate(rz.build_generating_unitary(t, cert))
+    cache = vn.precompute_torus(r, 16)
+    assert cache.singular_points == 16 and np.count_nonzero(~cache.regular) == 16
+    for _ in range(10):
+        assert_reports_match_the_oracle(seeded_poly(rng, 3), t, 16, r, cache)
+
+
+@pytest.mark.parametrize("grid", [8, rz.CHUNK + 8])
+def test_vn_check_matches_two_coefficient_passes_at_an_exactly_singular_point(grid, rng):
+    # Phi is constantly 1 and singular only at z = 1, the first grid row
+    one, zero = np.ones((1, 1), dtype=complex), np.zeros((1, 1), dtype=complex)
+    r = rz.TransferRealization(a=one, b=zero, c=zero, d=one, partition=(1,))
+    cache = vn.precompute_torus(r, grid)
+    assert np.flatnonzero(~cache.regular).tolist() == [0]
+    t = tuples.make_tuple([0.5 * one, 0.25j * one])
+    for _ in range(10):
+        assert_reports_match_the_oracle(seeded_poly(rng, 2), t, grid, r, cache)
+
+
+def test_vn_check_forms_the_coefficients_once_without_a_point_array(triple22, monkeypatch):
+    t, cert = triple22
+    r = rz.build_generating_unitary(t, cert)
+    cache, split = vn.precompute_torus(r, 16), vn.split_transfer(r)
+    calls = []
+    coefficients = vn._grid_coefficients
+
+    def counting(p, circle):
+        calls.append(len(circle))
+        return coefficients(p, circle)
+
+    def no_points(axis, m):
+        raise AssertionError("vn_check built a point array")
+
+    monkeypatch.setattr(vn, "_grid_coefficients", counting)
+    monkeypatch.setattr(rz, "grid_points", no_points)
+    p = vn.multipoly(3, {(1, 0, 2): 1.0, (0, 1, 0): -0.5j})
+    vn.vn_check(p, t, cert, grid=16, realization=r, cache=cache, split=split)
+    assert calls == [16]
