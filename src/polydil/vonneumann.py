@@ -236,8 +236,9 @@ def precompute_torus(r: rz.TransferRealization, grid: int) -> TorusCache:
 
 
 def _grid_coefficients(p: MultiPoly, circle: np.ndarray) -> np.ndarray:
-    """c_j(zeta') = sum_{k, k_n = j} a_k zeta'^khat as a (grid^(n-1),
-    deg_n+1) array over the rows of ``grid_points(circle, n - 1)``.
+    """c_j(zeta') = sum_{k, k_n = j} a_k zeta'^khat over ``grid_points(circle,
+    n - 1)`` as an (l_1, ..., l_{n-1}, deg_n+1) array: l_i is len(circle)
+    when a term of P has z_i, else 1, as the c_j are constant along it.
 
     Each axis's power of the circle is broadcast along that axis, so no
     point array is built: per element these are the products a_k *
@@ -245,7 +246,8 @@ def _grid_coefficients(p: MultiPoly, circle: np.ndarray) -> np.ndarray:
     same sums over the terms."""
     m = p.nvars - 1
     deg_n = max((k[-1] for k in p.terms), default=0)
-    out = np.zeros((len(circle),) * m + (deg_n + 1,), dtype=complex)
+    reached = tuple(len(circle) if any(k[i] for k in p.terms) else 1 for i in range(m))
+    out = np.zeros(reached + (deg_n + 1,), dtype=complex)
     powers: dict[int, np.ndarray] = {}
     for k, a in p.terms.items():
         w = np.full((1,) * m, a, dtype=complex)
@@ -255,7 +257,7 @@ def _grid_coefficients(p: MultiPoly, circle: np.ndarray) -> np.ndarray:
                     powers[e] = circle**e
                 w = w * powers[e].reshape((-1,) + (1,) * (m - 1 - axis))
         out[..., k[-1]] += w
-    return out.reshape(-1, deg_n + 1)
+    return out
 
 
 def _fiber_max(coeffs: np.ndarray, fibers: np.ndarray) -> float:
@@ -280,19 +282,30 @@ def _check_torus_arity(p: MultiPoly, cache: TorusCache) -> None:
 
 
 def _torus_scan(coeffs: np.ndarray, cache: TorusCache) -> float:
-    """``torus_sup`` from the base coefficients on every row of the torus
-    base grid: the rows that ``cache.regular`` marks meet their fibers."""
+    """``torus_sup`` from the collapsed coefficients broadcast to the base
+    grid: the ``cache.regular`` rows meet their fibers, cut as in ``_polydisc_scan``."""
+    k, eigs = coeffs.shape[-1], cache.eigs
+    if k == 1 and np.abs(coeffs.view(float)).max() < 2.0**1000:
+        eigs = eigs[:, :1]
+    full = (cache.grid,) * (coeffs.ndim - 1) + (k,)
+    if coeffs.shape != full:  # a copy: a stride-0 view may warn unlike the full grid
+        coeffs = np.broadcast_to(coeffs, full).copy()
+    coeffs = coeffs.reshape(-1, k)
     if cache.singular_points:
         coeffs = coeffs[cache.regular]
-    return _fiber_max(coeffs, cache.eigs)
+    return _fiber_max(coeffs, eigs)
 
 
 def _polydisc_scan(coeffs: np.ndarray, circle: np.ndarray) -> float:
-    """``polydisc_grid_sup`` from the base coefficients on every row of the
-    base grid over ``circle``."""
+    """``polydisc_grid_sup`` from the collapsed base coefficients over
+    ``circle``, at one point when deg_n = 0 while c_0 stays below 2^1000:
+    a product by 1 cannot overflow there, but one SIMD lane may above."""
+    coeffs = coeffs.reshape(-1, coeffs.shape[-1])
     with np.errstate(over="ignore", invalid="ignore"):  # only the scan warns, as on the full grid
         bound = np.sum(np.abs(coeffs), axis=1) * (1.0 + 1e-8)
     top = int(np.argmax(bound))
+    if coeffs.shape[1] == 1 and bound[top] < 2.0**1000:
+        circle = circle[:1]
     best = _fiber_max(coeffs[top : top + 1], circle[None])
     rows = np.arange(len(coeffs))
     if best >= np.finfo(float).tiny:  # not NaN, zero or subnormal
@@ -310,9 +323,9 @@ def torus_sup(p: MultiPoly, cache: TorusCache) -> float:
     Phi(zeta): Phi is unitary at the regular torus points, so the operator is
     normal there.  The eigenvalues of P(zeta, Phi(zeta)) are the P(zeta,
     lambda) in any case, so the value never exceeds the norm.  The base
-    coefficients are formed on the whole torus base grid and the scan reads
-    the rows that ``cache.regular`` marks; the value is bit for bit the one
-    from the coefficients at ``cache.points``."""
+    coefficients are formed along the axes P reaches and broadcast to the
+    base grid (see ``_torus_scan``); the value is bit for bit the one from
+    the coefficients at ``cache.points`` and every eigenvalue."""
     _check_torus_arity(p, cache)
     return _torus_scan(_grid_coefficients(p, rz.unit_circle(cache.grid)), cache)
 
@@ -322,7 +335,9 @@ def polydisc_grid_sup(p: MultiPoly, grid: int) -> float:
     supremum: the circle is the fiber over each point of the grid^(n-1)
     base, so the grid^n points are never built.
 
-    A screened scan over every row of the base coefficients.  With
+    A screened scan over the rows of the axes P reaches, at one circle point
+    when P has no z_n; the grid^n values repeat these, and a row's repeats
+    share its bound and come after it.  With
     c_j(zeta') the base coefficients, every value on the row of zeta' is at
     most the bound sum_j |c_j(zeta')|, as |lambda| = 1.
     The row with the largest bound is scanned first; then only the rows whose
@@ -497,10 +512,10 @@ def vn_check(
     supremum of |P| over the full torus grid, is still a lower bound of the
     polydisc supremum; it is reported alongside for sharpness comparison.
 
-    Both scans read one array of base coefficients, formed once on the
-    torus base grid: the torus scan its regular rows, the polydisc scan
-    every row.  Each value is bit for bit the one ``torus_sup`` and
-    ``polydisc_grid_sup`` give.
+    Both scans read one array of base coefficients, formed once along the
+    base axes P reaches: the polydisc scan reads it as it is, the torus scan
+    broadcast to the regular rows of the torus base grid.  Each value is bit
+    for bit the one ``torus_sup`` and ``polydisc_grid_sup`` give.
     """
     if p.nvars != t.n:
         raise ArityMismatch(f"polynomial has {p.nvars} variables, tuple has {t.n}")

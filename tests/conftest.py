@@ -202,6 +202,26 @@ def oracle_vn_check(p, t, cert, grid=32, realization=None, cache=None, split=Non
     )
 
 
+def oracle_operator_torus_sup(p, r, grid):
+    """max over the regular points zeta of the grid^(n-1) torus base grid of
+    ||P(zeta_1 I, ..., zeta_{n-1} I, Phi(zeta))||, the operator formed by
+    Horner in Phi(zeta) from ``rz.transfer_eval_grid`` with the base
+    coefficients of ``oracle_base_coefficients``, and its norm by SVD
+    (``matcore.max_operator_norm``): the cross-check of ``torus_sup``
+    through the operator rather than its eigenvalues."""
+    circle = rz.unit_circle(grid)
+    points = rz.grid_points(circle, p.nvars - 1)
+    best = 0.0
+    for rows, phi, regular in rz.transfer_eval_grid(r, circle):
+        coeffs = oracle_base_coefficients(p, points[rows][regular])
+        phi, eye = phi[regular], np.eye(r.dim_e)
+        acc = coeffs[:, -1, None, None] * eye
+        for j in range(coeffs.shape[1] - 2, -1, -1):
+            acc = acc @ phi + coeffs[:, j, None, None] * eye
+        best = max(best, matcore.max_operator_norm(acc))
+    return best
+
+
 def w1_product_triple():
     """W1, the (3,3) product triple at r = 0.9 with (j,k) = (2,3)."""
     return generators.product_triple(generators.jordan_pair(3, 3, 0.9, 0.9), 2, 3)

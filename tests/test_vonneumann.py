@@ -17,6 +17,8 @@ from conftest import (
     full_grid_sup,
     oracle_base_coefficients,
     oracle_eval_poly_tuple,
+    oracle_fiber_max,
+    oracle_operator_torus_sup,
     oracle_parse_poly,
     oracle_vn_check,
     random_complex,
@@ -207,6 +209,26 @@ def seeded_poly(rng, nvars):
     return vn.multipoly(nvars, terms)
 
 
+def without(terms, absent):
+    """The polynomial of these terms with the variables of ``absent``
+    (0-based) set to 1, like terms combined in term order: no term reaches
+    them."""
+    nvars, out = len(next(iter(terms))), {}
+    for k, a in terms.items():
+        k = tuple(0 if i in absent else e for i, e in enumerate(k))
+        out[k] = out.get(k, 0) + a
+    return vn.multipoly(nvars, out)
+
+
+def seeded_polys_without_each_subset(rng, nvars, count):
+    """``count`` seeded polynomials for every subset of absent variables:
+    among them deg_n = 0, every base variable absent and the constant."""
+    for size in range(nvars + 1):
+        for absent in itertools.combinations(range(nvars), size):
+            for _ in range(count):
+                yield without(seeded_poly(rng, nvars).terms, absent)
+
+
 @pytest.mark.parametrize("which", ["w1", "w2", "w3"])
 def test_eval_matches_the_identity_products_bit_for_bit(which, rng):
     t, _ = WORKLOAD_INPUTS[which]()
@@ -271,6 +293,23 @@ def test_polydisc_grid_sup_matches_the_full_grid(rng):
             terms[k] = complex(rng.standard_normal(), rng.standard_normal())
         p = vn.multipoly(nvars, terms)
         assert vn.polydisc_grid_sup(p, grid).hex() == full_grid_sup(p, grid).hex(), p.terms
+    for nvars in range(1, 5):  # the axes P does not reach are collapsed
+        for p in seeded_polys_without_each_subset(rng, nvars, 3):
+            for grid in (3, [32, 16, 9, 5][nvars - 1]):
+                assert vn.polydisc_grid_sup(p, grid).hex() == full_grid_sup(p, grid).hex(), p.terms
+
+
+def test_coefficient_grid_keeps_only_the_axes_p_reaches(rng):
+    # broadcast to the full base grid, it is the point-array form bit for bit
+    circle = rz.unit_circle(6)
+    for p in seeded_polys_without_each_subset(rng, 4, 2):
+        reached = [any(k[i] for k in p.terms) for i in range(3)]
+        deg_n = max(k[-1] for k in p.terms)
+        coeffs = vn._grid_coefficients(p, circle)
+        assert coeffs.shape == tuple(6 if r else 1 for r in reached) + (deg_n + 1,), p.terms
+        full = np.broadcast_to(coeffs, (6, 6, 6, deg_n + 1)).reshape(-1, deg_n + 1)
+        expected = oracle_base_coefficients(p, rz.grid_points(circle, 3))
+        assert full.tobytes() == expected.tobytes(), p.terms
 
 
 def test_polydisc_grid_sup_one_variable():
@@ -311,16 +350,44 @@ def test_polydisc_grid_screen_drops_most_rows(scanned_rows):
     assert scanned_rows[0] == 2  # the top row, then the rows reaching its maximum
 
 
-@pytest.mark.parametrize("terms", [
-    {(2, 1, 3): 0.3 + 0.7j},  # a monomial: every row has the same bound, up to rounding
-    {(0, 0, 2): 1.0, (0, 0, 1): -2.0},  # terms only in z_n: the bounds tie exactly
-    {(1, 3, 0, 2): -1.5j},  # n = 4, more rows than one CHUNK
-])
-def test_polydisc_grid_screen_keeps_every_tied_row(terms, scanned_rows):
+_TIED_ROWS = [  # the terms, and the base rows of the axes they reach
+    ({(2, 1, 3): 0.3 + 0.7j}, 32**2),  # a monomial: every row has the same bound, up to rounding
+    ({(0, 0, 2): 1.0, (0, 0, 1): -2.0}, 1),  # terms only in z_n: the bounds tie exactly, on one row
+    ({(1, 3, 0, 2): -1.5j}, 12**2),  # n = 4 without z_3
+    ({(1, 3, 1, 2): -1.5j}, 12**3),  # n = 4, more rows than one CHUNK
+    ({(1, 0, 0): 1.0, (0, 1, 1): 1j}, 32**2),  # each variable in its own term: the bound 2 everywhere
+]
+
+
+@pytest.mark.parametrize("terms, rows", _TIED_ROWS, ids=[f"terms{i}" for i in range(len(_TIED_ROWS))])
+def test_polydisc_grid_screen_keeps_every_tied_row(terms, rows, scanned_rows):
     p = vn.multipoly(len(next(iter(terms))), terms)
     grid = 32 if p.nvars < 4 else 12
     assert vn.polydisc_grid_sup(p, grid).hex() == full_grid_sup(p, grid).hex()
-    assert scanned_rows[0] == 1 + grid ** (p.nvars - 1)
+    assert scanned_rows[0] == 1 + rows
+
+
+@pytest.mark.parametrize("terms, points", [
+    ({(1, 2, 0): 1.0, (0, 0, 0): -0.5j}, 1),  # no z_n: every fiber point gives c_0
+    ({(1, 2, 0): 1.0, (0, 0, 1): -0.5j}, None),
+])
+def test_scans_read_one_fiber_point_when_p_has_no_last_variable(terms, points, monkeypatch):
+    t, cert = acceptance_triple(3, 3)
+    cache = vn.precompute_torus(rz.build_generating_unitary(t, cert), 16)
+    widths = []
+    scan = vn._fiber_max
+
+    def recording(coeffs, fibers):
+        widths.append(fibers.shape[1])
+        return scan(coeffs, fibers)
+
+    monkeypatch.setattr(vn, "_fiber_max", recording)
+    p = vn.multipoly(3, terms)
+    vn.torus_sup(p, cache)
+    assert widths == [points or 9]
+    widths.clear()
+    vn.polydisc_grid_sup(p, 16)
+    assert widths and set(widths) == {points or 16}
 
 
 def test_polydisc_grid_screen_keeps_a_row_whose_bound_meets_the_maximum(scanned_rows):
@@ -352,7 +419,7 @@ def _sup_and_warnings(sup, p, grid):
 _BIG = 1.7e308
 
 
-@pytest.mark.parametrize("terms, grid", [
+_EXTREME_CASES = [
     ({(1, 0): 1e308, (0, 1): 1e308}, 8),  # inf where the two phases align
     ({(0, 0): 1e308, (1, 0): 1e308, (0, 1): -1e308, (1, 1): -1e308}, 8),  # inf - inf
     ({(1, 0): complex(_BIG, _BIG), (0, 3): 1.0}, 8),  # c_0 overflows in the base coefficients
@@ -366,11 +433,52 @@ _BIG = 1.7e308
     # subnormal values round by more than the slack: no screen
     ({(0, 2, 2): -1e-323j, (0, 0, 0): 1e-323, (1, 1, 0): -1e-323j,
       (2, 0, 1): complex(-1.5e-323, -1.5e-323)}, 16),
-])
+    # no z_n and |Re c| + |Im c| above the largest float: a product by 1 of
+    # every circle point must still be formed, as one SIMD lane may overflow
+    ({(0,): complex(-6.5e307, 1.5e308)}, 3),
+]
+
+
+def _without_a_variable(cases):
+    """Each case with one variable set to 1, except those whose merged
+    coefficients overflow, which are no polynomial, or all cancel."""
+    for terms, grid in cases:
+        for i in range(len(next(iter(terms)))):
+            try:
+                p = without(terms, {i})
+            except ParseError:
+                continue
+            if p.terms:
+                yield p.terms, grid
+
+
+@pytest.mark.parametrize("terms, grid", _EXTREME_CASES + list(_without_a_variable(_EXTREME_CASES)))
 def test_polydisc_grid_sup_at_extreme_scales_matches_the_full_grid(terms, grid):
     p = vn.multipoly(len(next(iter(terms))), terms)
     value, caught = _sup_and_warnings(vn.polydisc_grid_sup, p, grid)
     assert (value, caught) == _sup_and_warnings(full_grid_sup, p, grid)
+
+
+@pytest.mark.parametrize("terms", [
+    {(0, 0, 0): complex(1.2e308, -7.6e307)},  # the constant, on every row and every fiber
+    {(0, 0, 0): complex(-6.5e307, 1.5e308)},
+    {(0, 0, 0): complex(_BIG, _BIG)},  # |c_0| overflows
+    {(0, 0, 0): complex(-6.5e307, 1.5e308), (0, 0, 1): 1.0},
+    {(0, 0, 0): 1e300, (2, 0, 0): -1e300},
+])
+@pytest.mark.parametrize("grid", [1, 9])
+def test_torus_sup_at_extreme_scales_matches_the_oracle(terms, grid):
+    # e = 9 eigenvalues, one base row or 81: odd lengths, where one SIMD
+    # lane of a product by 1 may overflow; the broadcast rows must be laid
+    # out as the oracle's, not as a stride-0 view
+    t, cert = acceptance_triple(3, 3)
+    cache = vn.precompute_torus(rz.build_generating_unitary(t, cert), grid)
+
+    def oracle(p, cache):
+        return oracle_fiber_max(oracle_base_coefficients(p, cache.points), cache.eigs)
+
+    p = vn.multipoly(3, terms)
+    assert _sup_and_warnings(vn.torus_sup, p, cache) == _sup_and_warnings(oracle, p, cache)
 
 
 # ---------------------------------------------------------------------------
@@ -930,17 +1038,38 @@ def test_vn_check_matches_two_coefficient_passes_on_the_acceptance_fixtures(d1, 
     r = rz.build_generating_unitary(t, cert)
     cache = vn.precompute_torus(r, 32)
     assert cache.singular_points == 0 and cache.regular.all()
-    for _ in range(20):
-        assert_reports_match_the_oracle(seeded_poly(rng, 3), t, 32, r, cache)
+    polys = [seeded_poly(rng, 3) for _ in range(20)]
+    for p in polys + list(seeded_polys_without_each_subset(rng, 3, 2)):
+        assert_reports_match_the_oracle(p, t, 32, r, cache)
 
 
 def test_vn_check_matches_two_coefficient_passes_on_w2(rng):
-    # n = 4 at grid 12: 1,728 base rows, more than one CHUNK
+    # n = 4 at grid 12: 1,728 base rows for a P in every variable, more than
+    # one CHUNK, and 144 without z_3
     t, cert = w2_tensor_jordan()
     r = rz.build_generating_unitary(t, cert)
     cache = vn.precompute_torus(r, 12)
-    for p in [seeded_poly(rng, 4) for _ in range(4)] + [vn.multipoly(4, {(1, 3, 0, 2): -1.5j})]:
+    tied = [vn.multipoly(4, {(1, 3, 0, 2): -1.5j}), vn.multipoly(4, {(1, 3, 1, 2): -1.5j})]
+    polys = [seeded_poly(rng, 4) for _ in range(4)] + tied
+    for p in polys + list(seeded_polys_without_each_subset(rng, 4, 1)):
         assert_reports_match_the_oracle(p, t, 12, r, cache)
+
+
+@pytest.mark.parametrize("which, grid", [("fx22", 32), ("fx32", 32), ("fx33", 32), ("w2", 8)])
+def test_torus_sup_agrees_with_the_operator_norm(which, grid, rng):
+    # the fiber maximum is at most the norm, and equal to it where Phi is
+    # unitary, up to the rounding of the eigenvalues and of the SVD
+    if which == "w2":
+        t, cert = w2_tensor_jordan()
+    else:
+        t, cert = acceptance_triple(int(which[2]), int(which[3]))
+    r = rz.build_generating_unitary(t, cert)
+    cache = vn.precompute_torus(r, grid)
+    polys = [seeded_poly(rng, t.n) for _ in range(4)]
+    for p in polys + list(seeded_polys_without_each_subset(rng, t.n, 1)):
+        value, oracle = vn.torus_sup(p, cache), oracle_operator_torus_sup(p, r, grid)
+        assert value <= oracle * (1 + 1e-13), p.terms
+        assert value >= oracle * (1 - 1e-13), p.terms
 
 
 def test_vn_check_matches_two_coefficient_passes_over_a_singular_base(triple22, rng):
@@ -949,8 +1078,9 @@ def test_vn_check_matches_two_coefficient_passes_over_a_singular_base(triple22, 
     r = with_reducing_unimodular_coordinate(rz.build_generating_unitary(t, cert))
     cache = vn.precompute_torus(r, 16)
     assert cache.singular_points == 16 and np.count_nonzero(~cache.regular) == 16
-    for _ in range(10):
-        assert_reports_match_the_oracle(seeded_poly(rng, 3), t, 16, r, cache)
+    polys = [seeded_poly(rng, 3) for _ in range(10)]
+    for p in polys + list(seeded_polys_without_each_subset(rng, 3, 2)):
+        assert_reports_match_the_oracle(p, t, 16, r, cache)
 
 
 @pytest.mark.parametrize("grid", [8, rz.CHUNK + 8])
@@ -961,8 +1091,9 @@ def test_vn_check_matches_two_coefficient_passes_at_an_exactly_singular_point(gr
     cache = vn.precompute_torus(r, grid)
     assert np.flatnonzero(~cache.regular).tolist() == [0]
     t = tuples.make_tuple([0.5 * one, 0.25j * one])
-    for _ in range(10):
-        assert_reports_match_the_oracle(seeded_poly(rng, 2), t, grid, r, cache)
+    polys = [seeded_poly(rng, 2) for _ in range(10)]
+    for p in polys + list(seeded_polys_without_each_subset(rng, 2, 3)):
+        assert_reports_match_the_oracle(p, t, grid, r, cache)
 
 
 def test_vn_check_forms_the_coefficients_once_without_a_point_array(triple22, monkeypatch):
