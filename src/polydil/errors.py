@@ -128,3 +128,7 @@ class NotIsometric(DilationError):
 
 class ArityMismatch(PolydilError):
     pass
+
+
+class SampleTooLarge(PolydilError):
+    """A variety sample over its point budget, refused before sampling."""

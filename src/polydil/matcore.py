@@ -35,11 +35,15 @@ package relies on, with explicit tolerance semantics:
   case), range bases ``range_onbs``, and a stack of SVD norms is one
   ``operator_norm`` call.  numpy runs the same LAPACK routine on each
   matrix of a stack, so every matrix gets the bits of its own call, which
-  the tests check.
+  the tests check; so the per-chunk eigenvalues and determinants over a
+  transfer-function grid keep their bits on the threads of ``_chunk_map``.
 """
 
 from __future__ import annotations
 
+import itertools
+import os
+from collections import deque
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -366,7 +370,11 @@ def eigvals(a) -> np.ndarray:
     """Eigenvalues of a square matrix, or of each matrix of a stack
     (..., n, n), from LAPACK; sorted per matrix by (real, imag), so the
     multiset has a canonical order."""
-    w = np.linalg.eigvals(np.asarray(a, dtype=complex))
+    return _eigvals(np.asarray(a, dtype=complex))
+
+
+def _eigvals(m: np.ndarray) -> np.ndarray:
+    w = np.linalg.eigvals(m)
     return np.take_along_axis(w, np.lexsort((w.imag, w.real), axis=-1), axis=-1)
 
 
@@ -376,10 +384,59 @@ def det(a):
     m = np.asarray(a, dtype=complex)
     if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
         raise DimensionMismatch("determinant needs a square matrix or a stack of them")
+    d = _det(m)
+    return complex(d) if m.ndim == 2 else d
+
+
+def _det(m: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix has non-finite entries")
-    d = np.linalg.det(m)
-    return complex(d) if m.ndim == 2 else d
+    return np.linalg.det(m)
+
+
+# One worker per usable CPU (Linux only); the chunk map's pool is made on first use.
+_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+_pool = None
+
+
+def _spread(cpus, usable) -> None:
+    """Move this worker thread to the next CPU, then let it run on any usable
+    one: a kernel that does not balance load between CPUs (a cpuset with
+    load balancing off) keeps a new thread on its creator's CPU."""
+    os.sched_setaffinity(0, {next(cpus)})
+    os.sched_setaffinity(0, usable)
+
+
+def _chunk_map(fn, chunks):
+    """``(chunk, fn(phi))`` for each ``(rows, phi, regular)`` chunk, in order,
+    with ``fn`` on one thread per usable CPU and at most two chunks per
+    thread in flight (in the caller with one usable CPU).  ``fn`` may call
+    no public polydil function: a tracer times those on one stack."""
+    global _pool
+    if _WORKERS == 1:
+        yield from ((chunk, fn(chunk[1])) for chunk in chunks)
+        return
+    if _pool is None:
+        from concurrent.futures import ThreadPoolExecutor
+
+        # a forked child has none of the threads, so it makes its own pool
+        os.register_at_fork(after_in_child=lambda: globals().update(_pool=None))
+        usable = os.sched_getaffinity(0)
+        cpus = itertools.cycle(sorted(usable))
+        _pool = ThreadPoolExecutor(_WORKERS, initializer=_spread, initargs=(cpus, usable))
+    pending = deque()
+    try:
+        for chunk in chunks:
+            pending.append((chunk, _pool.submit(fn, chunk[1])))
+            if len(pending) == 2 * _WORKERS:
+                chunk, job = pending.popleft()
+                yield chunk, job.result()
+        while pending:
+            chunk, job = pending.popleft()
+            yield chunk, job.result()
+    finally:  # the chunks not yet started, once the caller stops early
+        for _, job in pending:
+            job.cancel()
 
 
 def solve_stack(m: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

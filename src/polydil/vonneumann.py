@@ -23,7 +23,7 @@ from typing import Mapping
 import numpy as np
 
 from . import matcore, realization as rz
-from .errors import ArityMismatch, ParseError
+from .errors import ArityMismatch, ParseError, SampleTooLarge
 from .matcore import adj, operator_norm
 from .tuples import OperatorTuple, DilationCertificate
 
@@ -228,9 +228,9 @@ def precompute_torus(r: rz.TransferRealization, grid: int) -> TorusCache:
     points = rz.grid_points(circle, len(r.partition))
     eigs = np.empty((len(points), r.dim_e), dtype=complex)
     regular = np.empty(len(points), dtype=bool)
-    for rows, phi, regular_rows in rz.transfer_eval_grid(r, circle):
-        eigs[rows] = matcore.eigvals(phi)
-        regular[rows] = regular_rows
+    chunks = rz.transfer_eval_grid(r, circle)
+    for (rows, _, regular_rows), lam in matcore._chunk_map(matcore._eigvals, chunks):
+        eigs[rows], regular[rows] = lam, regular_rows
     singular = len(points) - int(np.count_nonzero(regular))
     return TorusCache(points[regular], eigs[regular], singular, grid, regular)
 
@@ -289,7 +289,8 @@ def _torus_scan(coeffs: np.ndarray, cache: TorusCache) -> float:
         eigs = eigs[:, :1]
     full = (cache.grid,) * (coeffs.ndim - 1) + (k,)
     if coeffs.shape != full:  # a copy: a stride-0 view may warn unlike the full grid
-        coeffs = np.broadcast_to(coeffs, full).copy()
+        coeffs, collapsed = np.empty(full, dtype=complex), coeffs
+        coeffs[...] = collapsed  # faster than np.broadcast_to(...).copy()
     coeffs = coeffs.reshape(-1, k)
     if cache.singular_points:
         coeffs = coeffs[cache.regular]
@@ -363,6 +364,9 @@ def polydisc_grid_sup(p: MultiPoly, grid: int) -> float:
 # ---------------------------------------------------------------------------
 # variety sampling
 
+# The most points one variety sample may hold: (interior disc points)^m * e.
+VARIETY_POINT_BUDGET = 2**22
+
 
 @dataclass(frozen=True)
 class VarietySample:
@@ -400,6 +404,18 @@ def _fiber_bound_fails(worst: np.ndarray, phi: np.ndarray, root_tol: float) -> n
     return fails
 
 
+def _fibers(phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted eigenvalues lambda_j of each matrix of a (k, e, e) stack Phi
+    and |det(lambda_j I - Phi)| from one (k, e, e) stack per j, not
+    (k, e, e, e); a ``matcore._chunk_map`` worker, so private kernels only."""
+    lam, eye = matcore._eigvals(phi), np.eye(phi.shape[-1])
+    res, stack = np.empty(lam.shape), np.empty_like(phi)  # one stack for every j: less peak RSS
+    for j in range(lam.shape[-1]):
+        np.multiply(lam[:, j, None, None], eye, out=stack)
+        res[:, j] = np.abs(matcore._det(np.subtract(stack, phi, out=stack)))
+    return lam, res
+
+
 def variety_sample(
     r: rz.TransferRealization,
     grid_per_axis: int = 17,
@@ -410,11 +426,11 @@ def variety_sample(
     """Sample the variety components over an interior grid of the polydisc.
 
     For every grid point z the fibers are the eigenvalues of Phi_1(z)
-    (component V1, from one batched LAPACK call per chunk of grid points,
-    sorted by (real, imag)) together with the constant spectrum of the
-    unitary part (component V0); each emitted point carries its
-    characteristic-polynomial residual |det(lambda I - Phi_j(z))|, checked
-    against root_tol * (1 + ||Phi_j(z)||)^e.
+    (component V1, from one batched LAPACK call per chunk of grid points on
+    the ``matcore._chunk_map`` workers, sorted by (real, imag)) together
+    with the constant spectrum of the unitary part (component V0); each
+    emitted point carries its characteristic-polynomial residual
+    |det(lambda I - Phi_j(z))|, checked against root_tol * (1 + ||Phi_j(z)||)^e.
 
     ``residual_ok`` is a backward-error certificate: it says each fiber is
     an exact eigenvalue of a matrix near Phi_j(z), not that it is near an
@@ -426,7 +442,9 @@ def variety_sample(
     that singular value is at most ||E|| and just as blind.
 
     The points come as one structured array, fields and order as described
-    on ``VarietySample``.
+    on ``VarietySample``.  A sample of more than ``VARIETY_POINT_BUDGET``
+    points, (interior disc points)^m * e, raises SampleTooLarge before any
+    point is formed.
     """
     if split is None:
         split = split_transfer(r)
@@ -442,6 +460,9 @@ def variety_sample(
     # np.hypot is Python's abs(complex) to the bit; np.abs may round the
     # other way, which moves |z| = 1 fibers across the interior cut
     axis = disc[np.hypot(disc.real, disc.imag) <= radius]
+    if (count := len(axis) ** m_vars * r.dim_e) > VARIETY_POINT_BUDGET:  # all base points regular
+        raise SampleTooLarge(f"the variety sample would hold {count:,} points, over the budget"
+                             f" of {VARIETY_POINT_BUDGET:,}; lower the variety grid")
     bases = rz.grid_points(axis, m_vars)
     e1 = split.cnu_part.dim_e if split.cnu_part is not None else 0
     lam = np.zeros((len(bases), e1), dtype=complex)
@@ -449,13 +470,11 @@ def variety_sample(
     fails = np.zeros(len(bases), dtype=bool)
     regular = np.ones(len(bases), dtype=bool)
     if split.cnu_part is not None:
-        for rows, phi, regular_rows in rz.transfer_eval_grid(split.cnu_part, axis):
-            lam[rows] = matcore.eigvals(phi)
-            for j in range(e1):  # one (k, e, e) stack per fiber index, not (k, e, e, e)
-                res[rows, j] = np.abs(matcore.det(lam[rows, j, None, None] * np.eye(e1) - phi))
-            worst = np.fmax.reduce(res[rows], axis=1)  # a NaN residual fails nowhere
+        chunks = rz.transfer_eval_grid(split.cnu_part, axis)
+        for (rows, phi, regular_rows), (lam_rows, res_rows) in matcore._chunk_map(_fibers, chunks):
+            lam[rows], res[rows], regular[rows] = lam_rows, res_rows, regular_rows
+            worst = np.fmax.reduce(res_rows, axis=1)  # a NaN residual fails nowhere
             fails[rows] = _fiber_bound_fails(worst, phi, root_tol)
-            regular[rows] = regular_rows
 
     fields = [("base", complex, (m_vars,)), ("fiber", complex), ("component", "U2"),
               ("residual", float), ("interior", bool)]

@@ -222,6 +222,66 @@ def oracle_operator_torus_sup(p, r, grid):
     return best
 
 
+def oracle_precompute_torus(r, grid):
+    """``vn.precompute_torus`` as one serial loop on the calling thread: one
+    ``matcore.eigvals`` call per chunk of ``rz.transfer_eval_grid``."""
+    circle = rz.unit_circle(grid)
+    points = rz.grid_points(circle, len(r.partition))
+    eigs = np.empty((len(points), r.dim_e), dtype=complex)
+    regular = np.empty(len(points), dtype=bool)
+    for rows, phi, regular_rows in rz.transfer_eval_grid(r, circle):
+        eigs[rows] = matcore.eigvals(phi)
+        regular[rows] = regular_rows
+    singular = len(points) - int(np.count_nonzero(regular))
+    return vn.TorusCache(points[regular], eigs[regular], singular, grid, regular)
+
+
+def oracle_variety_sample(r, grid_per_axis=17, radius=0.95, root_tol=matcore.ROOT_TOL):
+    """``vn.variety_sample`` as one serial loop on the calling thread, with no
+    point budget: per chunk of ``rz.transfer_eval_grid``, one
+    ``matcore.eigvals`` call and one ``matcore.det`` stack per fiber index."""
+    split = vn.split_transfer(r)
+    w = split.unitary_block
+    w_lam = matcore.eigvals(w)
+    w_res = np.abs(matcore.det(w_lam[:, None, None] * np.eye(split.h0_dim) - w))
+    w_bound = root_tol * (1.0 + matcore.operator_norm(w)) ** max(split.h0_dim, 1)
+    coords = np.linspace(-radius, radius, grid_per_axis)
+    disc = np.empty((grid_per_axis, grid_per_axis), dtype=complex)
+    disc.real, disc.imag = coords[:, None], coords[None, :]
+    m_vars = len(r.partition)
+    axis = disc[np.hypot(disc.real, disc.imag) <= radius]
+    bases = rz.grid_points(axis, m_vars)
+    e1 = split.cnu_part.dim_e if split.cnu_part is not None else 0
+    lam = np.zeros((len(bases), e1), dtype=complex)
+    res = np.zeros((len(bases), e1))
+    fails = np.zeros(len(bases), dtype=bool)
+    regular = np.ones(len(bases), dtype=bool)
+    if split.cnu_part is not None:
+        for rows, phi, regular_rows in rz.transfer_eval_grid(split.cnu_part, axis):
+            lam[rows] = matcore.eigvals(phi)
+            for j in range(e1):
+                res[rows, j] = np.abs(matcore.det(lam[rows, j, None, None] * np.eye(e1) - phi))
+            worst = np.fmax.reduce(res[rows], axis=1)
+            fails[rows] = vn._fiber_bound_fails(worst, phi, root_tol)
+            regular[rows] = regular_rows
+    fields = [("base", complex, (m_vars,)), ("fiber", complex), ("component", "U2"),
+              ("residual", float), ("interior", bool)]
+    points = np.zeros((np.count_nonzero(regular), e1 + split.h0_dim), dtype=fields)
+    points["base"] = bases[regular, None]
+    points["fiber"][:, :e1], points["fiber"][:, e1:] = lam[regular], w_lam
+    points["residual"][:, :e1], points["residual"][:, e1:] = res[regular], w_res
+    points["component"][:, :e1], points["component"][:, e1:] = "V1", "V0"
+    points["interior"] = np.hypot(points["fiber"].real, points["fiber"].imag) < 1.0
+    v0_fails = np.any(points["residual"][:, e1:] > w_bound)
+    return vn.VarietySample(
+        points=points.reshape(-1),
+        h0_dim=split.h0_dim,
+        singular_points=int(np.count_nonzero(~regular)),
+        max_residual=float(np.fmax.reduce(points["residual"].ravel(), initial=0.0)),
+        residual_ok=not (np.any(fails & regular) or v0_fails),
+    )
+
+
 def w1_product_triple():
     """W1, the (3,3) product triple at r = 0.9 with (j,k) = (2,3)."""
     return generators.product_triple(generators.jordan_pair(3, 3, 0.9, 0.9), 2, 3)

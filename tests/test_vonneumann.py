@@ -865,26 +865,38 @@ def test_variety_sample_matches_point_oracle(which, grid, count, triple22):
 
 def test_variety_max_residual_skips_nan(triple22, monkeypatch):
     r = rz.build_generating_unitary(*triple22)
-    det = matcore.det
-    v1_calls = []
+    det = matcore._det  # the det kernel the chunk map's workers call
+    stacks = []
+
+    def recording_det(a):
+        if np.shape(a)[-1] == r.dim_e:  # V1 residuals of one fiber index (h0 = 0 here)
+            stacks.append(a.copy())
+        return det(a)
+
+    # the stack of fiber 1 over the first chunk, from a serial run
+    monkeypatch.setattr(matcore, "_WORKERS", 1)
+    monkeypatch.setattr(matcore, "_det", recording_det)
+    vn.variety_sample(r, grid_per_axis=5, radius=0.95)
+    first = stacks[1]
 
     def nan_det(a):
         d = det(a)
-        if np.shape(a)[-1] == r.dim_e:  # V1 residuals of one fiber index (h0 = 0 here)
-            v1_calls.append(None)
-            if len(v1_calls) == 2:  # fiber 1 of the first base point
-                d[0] = np.nan
+        if np.array_equal(a, first):
+            d[0] = np.nan  # fiber 1 of the first base point
         return d
 
-    monkeypatch.setattr(matcore, "det", nan_det)
-    sample = vn.variety_sample(r, grid_per_axis=5, radius=0.95)
-    residuals = sample.points["residual"]
-    assert np.isnan(residuals[1]) and np.count_nonzero(np.isnan(residuals)) == 1
-    old = 0.0
-    for res in residuals.tolist():  # the per-point running maximum
-        old = max(old, res)
-    assert sample.max_residual == old == np.nanmax(residuals) > 0.0
-    assert sample.residual_ok
+    for workers in (1, 2):
+        monkeypatch.setattr(matcore, "_WORKERS", workers)
+        monkeypatch.setattr(matcore, "_pool", None)
+        monkeypatch.setattr(matcore, "_det", nan_det)
+        sample = vn.variety_sample(r, grid_per_axis=5, radius=0.95)
+        residuals = sample.points["residual"]
+        assert np.isnan(residuals[1]) and np.count_nonzero(np.isnan(residuals)) == 1
+        old = 0.0
+        for res in residuals.tolist():  # the per-point running maximum
+            old = max(old, res)
+        assert sample.max_residual == old == np.nanmax(residuals) > 0.0
+        assert sample.residual_ok
 
 
 def test_variety_constant_unitary_fibers():
