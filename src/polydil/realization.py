@@ -207,7 +207,7 @@ def _base_colligation(r: TransferRealization, zr: np.ndarray):
     R is the state of blocks 1..m-1, L that of the last block (size p).  One
     solve of M_RR = I - D*_RR E_R against [B*_R | D*_RL] gives H = [Y0 | G],
     and [alpha | beta] = [A* | C*_L] + C*_R E_R H,
-    [gamma | delta] = [B*_L | D*_LL] + D*_LR E_R H.  Returns H, the mask of
+    [gamma | delta] = [B*_L | D*_LL] + D*_LR E_R H.  Returns the mask of
     LUs without a zero pivot, the two rows, and the Frobenius norms of Y0,
     G, r0 = M_RR Y0 - B*_R and r1 = M_RR G - D*_RL as a (4, bases) array.
     """
@@ -224,7 +224,7 @@ def _base_colligation(r: TransferRealization, zr: np.ndarray):
         sq = np.stack([h, m_rr @ h - base_rhs])
         sq = sq.real**2 + sq.imag**2
         y_sq, g_sq = sq[..., :e].sum(axis=(-2, -1)), sq[..., e:].sum(axis=(-2, -1))
-    return h, solved, top, low, np.sqrt([y_sq[0], g_sq[0], y_sq[1], g_sq[1]])
+    return solved, top, low, np.sqrt([y_sq[0], g_sq[0], y_sq[1], g_sq[1]])
 
 
 def _fiber_eval(top: np.ndarray, low: np.ndarray, norms: np.ndarray, lam: np.ndarray):
@@ -234,7 +234,7 @@ def _fiber_eval(top: np.ndarray, low: np.ndarray, norms: np.ndarray, lam: np.nda
     (I - lambda delta) w = gamma gives Phi = alpha + lambda beta w and the
     full narrow resolvent Y = (Y0 + lambda G w, w), whose residual is, in
     exact arithmetic, (r0 + lambda r1 w, (I - lambda delta) w - gamma) for
-    any Y0, G and w.  Returns w, Phi, the mask of LUs without a zero pivot,
+    any Y0, G and w.  Returns Phi, the mask of LUs without a zero pivot,
     and the bounds ||Y0|| + |lambda| ||G|| ||w|| + ||w|| on ||Y||_F and
     ||r0|| + |lambda| ||r1|| ||w|| + ||(I - lambda delta) w - gamma|| on the
     residual, all Frobenius norms.
@@ -256,7 +256,7 @@ def _fiber_eval(top: np.ndarray, low: np.ndarray, norms: np.ndarray, lam: np.nda
         y0_norm, g_norm, r0, r1 = norms[..., None]
         y_bound = y0_norm + (np.abs(lam) * g_norm + 1.0) * w_norm
         res_bound = r0 + np.abs(lam) * r1 * w_norm + fiber_norm
-    return w, phi, solved, y_bound, res_bound
+    return phi, solved, y_bound, res_bound
 
 
 def transfer_eval_grid(
@@ -282,10 +282,10 @@ def transfer_eval_grid(
     per = max(1, CHUNK // k)
     for b0 in range(0, len(bases), per):
         zr = bases[b0 : b0 + per]  # the diagonals of E_R(z')
-        _, base_solved, top, low, norms = _base_colligation(r, zr)
+        base_solved, top, low, norms = _base_colligation(r, zr)
         for l0 in range(0, k, CHUNK):
             lam = axis[l0 : l0 + CHUNK]
-            _, phi, solved, y_bound, res_bound = _fiber_eval(top, low, norms, lam)
+            phi, solved, y_bound, res_bound = _fiber_eval(top, low, norms, lam)
             ok = base_solved[:, None] & solved & (y_bound <= 1.0 / tol) & (res_bound <= tol)
             ok, phi = ok.ravel(), phi.reshape(ok.size, r.dim_e, r.dim_e)
             if not ok.all():

@@ -163,17 +163,10 @@ def eval_poly_tuple(p: MultiPoly, t: OperatorTuple) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class TransferSplit:
+class TransferSplit(rz.CnuDecomposition):
     """Phi = W* (+) Phi_1 in the unitary/cnu frame of its constant term."""
 
-    unitary_block: np.ndarray
     cnu_part: rz.TransferRealization | None
-    h0_frame: np.ndarray
-    h1_frame: np.ndarray
-
-    @property
-    def h0_dim(self) -> int:
-        return self.h0_frame.shape[1]
 
 
 def split_transfer(r: rz.TransferRealization) -> TransferSplit:
@@ -194,12 +187,7 @@ def split_transfer(r: rz.TransferRealization) -> TransferSplit:
             d=r.d,
             partition=r.partition,
         )
-    return TransferSplit(
-        unitary_block=cnu.unitary_block,
-        cnu_part=cnu_part,
-        h0_frame=cnu.h0_frame,
-        h1_frame=h1,
-    )
+    return TransferSplit(**vars(cnu), cnu_part=cnu_part)
 
 
 # ---------------------------------------------------------------------------
@@ -421,16 +409,17 @@ def variety_sample(
     grid_per_axis: int = 17,
     radius: float = 0.95,
     root_tol: float = matcore.ROOT_TOL,
-    split: TransferSplit | None = None,
 ) -> VarietySample:
     """Sample the variety components over an interior grid of the polydisc.
 
     For every grid point z the fibers are the eigenvalues of Phi_1(z)
-    (component V1, from one batched LAPACK call per chunk of grid points on
-    the ``matcore._chunk_map`` workers, sorted by (real, imag)) together
-    with the constant spectrum of the unitary part (component V0); each
-    emitted point carries its characteristic-polynomial residual
-    |det(lambda I - Phi_j(z))|, checked against root_tol * (1 + ||Phi_j(z)||)^e.
+    (component V1, one batched LAPACK call per chunk of grid points on the
+    ``matcore._chunk_map`` workers) and the constant spectrum of the unitary
+    part W* (component V0, once, on the one-matrix stack W*).  Both go through
+    ``_fibers`` (sorted by (real, imag), each with its residual
+    |det(lambda I - Phi_j(z))|) and ``_fiber_bound_fails`` (the largest
+    residual of each matrix against root_tol * (1 + ||Phi_j(z)||)^e); V0's
+    verdict counts only when some base point is regular.
 
     ``residual_ok`` is a backward-error certificate: it says each fiber is
     an exact eigenvalue of a matrix near Phi_j(z), not that it is near an
@@ -444,15 +433,8 @@ def variety_sample(
     The points come as one structured array, fields and order as described
     on ``VarietySample``.  A sample of more than ``VARIETY_POINT_BUDGET``
     points, (interior disc points)^m * e, raises SampleTooLarge before any
-    point is formed.
+    point is formed or any fiber computed.
     """
-    if split is None:
-        split = split_transfer(r)
-    w = split.unitary_block
-    w_lam = matcore.eigvals(w)
-    w_res = np.abs(matcore.det(w_lam[:, None, None] * np.eye(split.h0_dim) - w))
-    w_bound = root_tol * (1.0 + operator_norm(w)) ** max(split.h0_dim, 1)
-
     coords = np.linspace(-radius, radius, grid_per_axis)
     disc = np.empty((grid_per_axis, grid_per_axis), dtype=complex)
     disc.real, disc.imag = coords[:, None], coords[None, :]
@@ -463,6 +445,7 @@ def variety_sample(
     if (count := len(axis) ** m_vars * r.dim_e) > VARIETY_POINT_BUDGET:  # all base points regular
         raise SampleTooLarge(f"the variety sample would hold {count:,} points, over the budget"
                              f" of {VARIETY_POINT_BUDGET:,}; lower the variety grid")
+    split = split_transfer(r)
     bases = rz.grid_points(axis, m_vars)
     e1 = split.cnu_part.dim_e if split.cnu_part is not None else 0
     lam = np.zeros((len(bases), e1), dtype=complex)
@@ -475,6 +458,9 @@ def variety_sample(
             lam[rows], res[rows], regular[rows] = lam_rows, res_rows, regular_rows
             worst = np.fmax.reduce(res_rows, axis=1)  # a NaN residual fails nowhere
             fails[rows] = _fiber_bound_fails(worst, phi, root_tol)
+    w = split.unitary_block[None]  # V0 lies over every base point
+    w_lam, w_res = _fibers(w)
+    fails |= _fiber_bound_fails(np.fmax.reduce(w_res, axis=1, initial=0.0), w, root_tol)
 
     fields = [("base", complex, (m_vars,)), ("fiber", complex), ("component", "U2"),
               ("residual", float), ("interior", bool)]
@@ -484,14 +470,12 @@ def variety_sample(
     points["residual"][:, :e1], points["residual"][:, e1:] = res[regular], w_res
     points["component"][:, :e1], points["component"][:, e1:] = "V1", "V0"
     points["interior"] = np.hypot(points["fiber"].real, points["fiber"].imag) < 1.0
-    # unitary fibers are exact to rounding, so the V0 bound holds in practice
-    v0_fails = np.any(points["residual"][:, e1:] > w_bound)
     return VarietySample(
         points=points.reshape(-1),
         h0_dim=split.h0_dim,
         singular_points=int(np.count_nonzero(~regular)),
         max_residual=float(np.fmax.reduce(points["residual"].ravel(), initial=0.0)),
-        residual_ok=not (np.any(fails & regular) or v0_fails),
+        residual_ok=not np.any(fails & regular),
     )
 
 

@@ -239,7 +239,9 @@ def oracle_precompute_torus(r, grid):
 def oracle_variety_sample(r, grid_per_axis=17, radius=0.95, root_tol=matcore.ROOT_TOL):
     """``vn.variety_sample`` as one serial loop on the calling thread, with no
     point budget: per chunk of ``rz.transfer_eval_grid``, one
-    ``matcore.eigvals`` call and one ``matcore.det`` stack per fiber index."""
+    ``matcore.eigvals`` call and one ``matcore.det`` stack per fiber index,
+    and V0 by its own eigenvalue, determinant and bound path on the unitary
+    block, the reference for the shared ``vn._fibers`` path."""
     split = vn.split_transfer(r)
     w = split.unitary_block
     w_lam = matcore.eigvals(w)
@@ -323,6 +325,15 @@ def w3_nonnormal():
     t1 = 0.5 * np.eye(9) + 0.5 * generators.lower_shift(9)
     pair = tuples.make_tuple([t1, np.zeros((9, 9))])
     return generators.last_defect_tuple(pair, 0.3 * t1)
+
+
+def unitary_last_triple():
+    """(0, 0, Q) for a fixed seeded non-diagonal 3 x 3 unitary Q, with the
+    last-defect certificate: the constant term of Phi is unitary, so the
+    variety's V0 component is not empty (h0_dim 3, partition (1, 0))."""
+    zero = np.zeros((3, 3))
+    pair = tuples.make_tuple([zero, zero])
+    return generators.last_defect_tuple(pair, random_unitary(np.random.default_rng(3), 3))
 
 
 # ---------------------------------------------------------------------------

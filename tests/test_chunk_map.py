@@ -19,6 +19,7 @@ import pytest
 from conftest import (
     oracle_precompute_torus,
     oracle_variety_sample,
+    unitary_last_triple,
     w1_product_triple,
     w2_tensor_jordan,
     w3_nonnormal,
@@ -26,11 +27,14 @@ from conftest import (
 from polydil import cli, matcore, realization as rz, vonneumann as vn
 from polydil.errors import PolydilError, SampleTooLarge
 
-INPUTS = {"W1": w1_product_triple, "W2": w2_tensor_jordan, "W3": w3_nonnormal}
+# Q is (0, 0, Q) for a unitary Q: Phi is constant and unitary, so every
+# variety fiber is in V0
+INPUTS = {"W1": w1_product_triple, "W2": w2_tensor_jordan, "W3": w3_nonnormal,
+          "Q": unitary_last_triple}
 # torus grids and variety grids: W2 has three base variables, so both of its
 # grids span several chunks of CHUNK points
-TORUS_GRIDS = {"W1": 32, "W2": 12, "W3": 32}
-VARIETY_GRIDS = {"W1": 9, "W2": 5, "W3": 9}
+TORUS_GRIDS = {"W1": 32, "W2": 12, "W3": 32, "Q": 32}
+VARIETY_GRIDS = {"W1": 9, "W2": 5, "W3": 9, "Q": 7}
 
 
 def use_workers(monkeypatch, workers):
@@ -72,6 +76,9 @@ def test_variety_sample_matches_the_serial_loop(name, workers, monkeypatch):
     )
     if name == "W2":
         assert len(sample.points) > 4 * rz.CHUNK * r.dim_e
+    if name == "Q":
+        assert sample.h0_dim == 3 and np.all(sample.points["component"] == "V0")
+        assert sample.max_residual > 0.0 and sample.residual_ok
 
 
 def chunk_source(count, drawn):

@@ -12,6 +12,7 @@ from polydil.errors import NotIsometric, ParseError
 from conftest import (
     direct_sum_constant,
     telescoping,
+    unitary_last_triple,
     w1_product_triple,
     w3_nonnormal,
     zero_triple,
@@ -503,6 +504,28 @@ def test_variety_command(triple_doc, tmp_path):
     assert doc["h0_dim"] == 0
     assert doc["count"] == len(doc["points"]) > 0
     assert all(pt["interior"] for pt in doc["points"])
+
+
+def test_unitary_last_coordinate_has_a_v0_component(tmp_path):
+    # (0, 0, Q) for a unitary Q, with no certificate: certified by the last
+    # defect, and the constant term of Phi is unitary on all of E
+    path = tmp_path / "q.json"
+    t, _ = unitary_last_triple()
+    cli.write_document(cli.tuple_to_doc(t), str(path))
+    poly = tmp_path / "poly.txt"
+    poly.write_text("z1*z2 + z3^2")
+    docs = {}
+    for command, extra in (("certify", []), ("vn", [str(poly)]), ("variety", ["--variety-grid", "7"])):
+        out = tmp_path / f"{command}.json"
+        assert run([command, str(path), *extra, "--out", str(out)]) == 0, command
+        docs[command] = json.loads(out.read_text())
+    assert docs["certify"]["accepted"] is True and docs["certify"]["ranks"] == [1, 0]
+    assert docs["vn"]["h0_dim"] == 3 and docs["vn"]["ok"] is True
+    variety = docs["variety"]
+    assert variety["h0_dim"] == 3 and variety["residual_ok"] is True
+    assert variety["count"] == len(variety["points"]) == 3 * 29**2  # 29 disc points per axis
+    assert {pt["component"] for pt in variety["points"]} == {"V0"}
+    assert 0.0 < variety["max_residual"] <= 1e-7
 
 
 def test_variety_residual_failure_exit7(triple_doc, monkeypatch, tmp_path):

@@ -25,6 +25,7 @@ from conftest import (
     random_unitary,
     svd_torus_sup,
     transfer_eval_many,
+    unitary_last_triple,
     w1_product_triple,
     w2_tensor_jordan,
     w3_nonnormal,
@@ -702,17 +703,27 @@ def test_grid_fallback_solves_regular_points_over_a_singular_base():
     assert rz.inner_check(r, 8).singular_points == 0
 
 
-def assembled_against_bounds(r, axis):
+def assembled_against_bounds(r, axis, monkeypatch):
     """At every point of ``grid_points(axis, m)``: the grid path's bounds on
     ||Y||_F and on the full residual, and the values they bound, from
-    Y = (Y0 + lambda G w, w) assembled out of its base and fiber solves and
-    the residual (I - D* E) Y - B* taken explicitly, its norm by an SVD."""
+    Y = (Y0 + lambda G w, w) assembled out of its base and fiber solves, as
+    ``matcore.solve_stack`` returned them, and the residual
+    (I - D* E) Y - B* taken explicitly, its norm by an SVD."""
     e, p = r.dim_e, r.partition[-1]
     bases = rz._block_diagonals(r.partition[:-1], rz.grid_points(axis, len(r.partition) - 1))
+    solve, solutions = matcore.solve_stack, []
+
+    def recording(m, b):
+        x, solved = solve(m, b)
+        solutions.append(x)
+        return x, solved
+
+    monkeypatch.setattr(matcore, "solve_stack", recording)
     bounds, values = [], []
     for zr in np.array_split(bases, -(-len(bases) // 32)):
-        h, _, top, low, norms = rz._base_colligation(r, zr)
-        w, _, _, y_bound, res_bound = rz._fiber_eval(top, low, norms, axis)
+        _, top, low, norms = rz._base_colligation(r, zr)
+        _, _, y_bound, res_bound = rz._fiber_eval(top, low, norms, axis)
+        h, w = solutions[-2:]
         y = np.concatenate(
             [h[:, None, :, :e] + axis[:, None, None] * (h[:, None, :, e:] @ w), w], axis=-2
         )
@@ -776,7 +787,7 @@ def test_grid_bounds_hold_at_every_point(which, axis, inexact, triple22, monkeyp
         r = rz.build_generating_unitary(*WORKLOAD_INPUTS[which]())
     if inexact is not None:
         inexact_solves(monkeypatch, inexact, r.dim_e)
-    bounds, values = assembled_against_bounds(r, axis)
+    bounds, values = assembled_against_bounds(r, axis, monkeypatch)
     assert bounds.shape == values.shape == (2, len(axis) ** len(r.partition))
     assert np.all(np.isfinite(values))
     slack = 1e-14 * (1.0 + values[0])
@@ -909,6 +920,19 @@ def test_variety_constant_unitary_fibers():
     assert np.all(points["component"] == "V0")
     assert np.allclose(points["fiber"], lam, rtol=0.0, atol=1e-12)
     assert not np.any(points["interior"])
+
+
+def test_variety_v0_residual_over_its_bound_fails_where_a_base_point_is_regular(monkeypatch):
+    # V0 takes V1's bound, root_tol * (1 + ||W||)^h0 = 8e-7 here, and its
+    # verdict counts only when some base point emits its fibers
+    r = rz.build_generating_unitary(*unitary_last_triple())
+    det = matcore._det
+    monkeypatch.setattr(matcore, "_det", lambda m: det(m) + 1e-3)
+    sample = vn.variety_sample(r, grid_per_axis=3, radius=0.9)
+    assert sample.h0_dim == 3 and len(sample.points) == 3 * 5**2
+    assert not sample.residual_ok and sample.max_residual > 1e-4
+    empty = vn.variety_sample(r, grid_per_axis=2)  # no grid point in the disc
+    assert len(empty.points) == 0 and empty.residual_ok
 
 
 def test_variety_zero_triple_flip():
