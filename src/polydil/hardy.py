@@ -5,7 +5,7 @@ Pi h = sum_k z^k (frame* D T*^k h) on the box [0, cap]^m, and only through
 ||Pi h||^2: ``pi_isometry_defect`` compares the norm the box loses with its
 exact value, ``box_gap``.  So the box is held as its d x d Gram operator,
 built in O(log cap) products, and no coefficient is stored.  The frame map
-M = frame* D is built in ``realization``, with the defect block maps.
+M = frame* D is built in ``realization``.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import numpy as np
 from . import matcore
 from .errors import DimensionMismatch
 from .matcore import adj, operator_norm  # noqa: F401 (perfbench traces hardy.operator_norm)
-from .tuples import OperatorTuple
+from .tuples import OperatorTuple, _conjugation_gap
 
 
 def _power_sum(a: np.ndarray, y: np.ndarray, count: int) -> np.ndarray:
@@ -61,15 +61,9 @@ def box_gap(t: OperatorTuple, cap: int) -> np.ndarray:
 
     Summing each axis telescopes, so the box sum is
     prod_a (Id - C_{P_a}) applied to I, with P_a = T_a^(cap+1) and
-    C_P(X) = P X P*; gap is the inclusion-exclusion sum over nonempty S of
-    (-1)^(|S|+1) P_S P_S*.  It is accumulated one axis at a time as
-    gap <- gap + P_a (I - gap) P_a*, which never subtracts from I the tiny
-    numbers it is made of.  For the canonical isometry, whose M* M is S,
+    C_P(X) = P X P*, and gap is ``tuples._conjugation_gap`` of the P_a
+    at I.  For the canonical isometry, whose M* M is S,
     ||Pi h||^2 - ||h||^2 = -<gap h, h>.
     """
-    eye = np.eye(t.dim, dtype=complex)
-    gap = np.zeros_like(eye)
-    for op in t.ops:
-        power = np.linalg.matrix_power(op, cap + 1)
-        gap = gap + power @ (eye - gap) @ adj(power)
-    return gap
+    powers = [np.linalg.matrix_power(op, cap + 1) for op in t.ops]
+    return _conjugation_gap(powers, np.eye(t.dim, dtype=complex))

@@ -366,29 +366,15 @@ def unitary_completion(
     return u
 
 
-def eigvals(a) -> np.ndarray:
-    """Eigenvalues of a square matrix, or of each matrix of a stack
-    (..., n, n), from LAPACK; sorted per matrix by (real, imag), so the
-    multiset has a canonical order."""
-    return _eigvals(np.asarray(a, dtype=complex))
-
-
 def _eigvals(m: np.ndarray) -> np.ndarray:
+    """Eigenvalues of each matrix of a complex stack (..., n, n), from
+    LAPACK, sorted per matrix by (real, imag): a canonical multiset order."""
     w = np.linalg.eigvals(m)
     return np.take_along_axis(w, np.lexsort((w.imag, w.real), axis=-1), axis=-1)
 
 
-def det(a):
-    """Determinant via pivoted LU elimination; for a stack (..., n, n), the
-    array of them."""
-    m = np.asarray(a, dtype=complex)
-    if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
-        raise DimensionMismatch("determinant needs a square matrix or a stack of them")
-    d = _det(m)
-    return complex(d) if m.ndim == 2 else d
-
-
 def _det(m: np.ndarray) -> np.ndarray:
+    """Determinant of each matrix of a stack, by pivoted LU."""
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix has non-finite entries")
     return np.linalg.det(m)

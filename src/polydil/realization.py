@@ -399,15 +399,12 @@ def _lifting_residuals(
     m, _, col_shift = _frame_maps(cert, t)
     m_adj = adj(m)
     d_adj, b_adj, mc = adj(r.d), adj(r.b), m_adj @ adj(r.c)
-    # row-major vec(T Y K) = (T (x) K^T) vec(Y)
-    system = np.eye(dim * f, dtype=complex)
-    rhs = np.zeros((dim, f), dtype=complex)
-    ends = np.cumsum(r.partition)
-    for op, lo, hi in zip(t.ops, ends - r.partition, ends):
-        block = np.zeros((f, f), dtype=complex)
-        block[:, lo:hi] = d_adj[:, lo:hi]
-        system -= np.kron(op, block.T)
-        rhs[:, lo:hi] = op @ mc[:, lo:hi]
+    # T_a(p), the coordinate that drives column p, and in row-major vec
+    # L(Y)[i, p] = sum_{j, q} T_a(p)[i, j] Y[j, q] D*[q, p]
+    col_ops = np.stack(t.ops)[np.repeat(np.arange(len(r.partition)), r.partition)]
+    lifted = np.einsum("pij,qp->ipjq", col_ops, d_adj).reshape(dim * f, dim * f)
+    system = np.eye(dim * f) - lifted
+    rhs = np.einsum("pij,jp->ip", col_ops, mc)
     y, solved = matcore.solve_stack(system, rhs.reshape(dim * f, 1))
     if not solved:
         return float("inf"), float("inf")

@@ -95,38 +95,31 @@ def hat(t: OperatorTuple, i: int) -> OperatorTuple:
     return OperatorTuple(ops=ops, dim=t.dim)
 
 
-def _power_product(ops: Sequence[np.ndarray], exps: Sequence[int], dim: int) -> np.ndarray:
-    out = np.eye(dim, dtype=complex)
-    for m, e in zip(ops, exps):
-        for _ in range(e):
-            out = out @ m
-    return out
+def _conjugation_gap(ops: Sequence[np.ndarray], x: np.ndarray) -> np.ndarray:
+    """X - prod_j (Id - C_{A_j})(X), with C_A(X) = A X A*, accumulated one
+    operator at a time as gap <- gap + A (X - gap) A*: a sum of its own
+    terms, never a difference with X, so a gap far below X (such as
+    ``hardy.box_gap``'s) keeps its relative accuracy."""
+    gap = np.zeros_like(x)
+    for a in ops:
+        gap = gap + a @ (x - gap) @ adj(a)
+    return gap
 
 
 def szego_defect(t: OperatorTuple) -> np.ndarray:
-    """The 2^n-term alternating sum  sum_{k in {0,1}^n} (-1)^|k| T^k T*^k."""
-    d = t.dim
-    out = np.zeros((d, d), dtype=complex)
-    for eps in itertools.product((0, 1), repeat=t.n):
-        p = _power_product(t.ops, eps, d)
-        sign = -1.0 if sum(eps) % 2 else 1.0
-        out = out + sign * (p @ adj(p))
-    return out
+    """The Szego defect  sum_{k in {0,1}^n} (-1)^|k| T^k T*^k, that is
+    prod_j (Id - C_{T_j}) applied to I."""
+    return conjugacy_product(t.ops, np.eye(t.dim, dtype=complex))
 
 
 def conjugacy_product(ops: Sequence[np.ndarray], x) -> np.ndarray:
-    """Apply the composition  prod_j (Id - C_{T_j})  to X.
-
-    Computed by sequentially subtracting A X A*, which is an independent
-    route to the alternating-sum expansion used by :func:`szego_defect`.
-    """
-    out = matcore.as_matrix(x)
-    for a in ops:
-        a = matcore.as_matrix(a)
-        if a.shape != out.shape:
-            raise DimensionMismatch("conjugacy_product needs matching dimensions")
-        out = out - a @ out @ adj(a)
-    return out
+    """Apply the composition  prod_j (Id - C_{T_j})  to X, as X minus
+    ``_conjugation_gap``."""
+    x = matcore.as_matrix(x)
+    ops = [matcore.as_matrix(a) for a in ops]
+    if any(a.shape != x.shape for a in ops):
+        raise DimensionMismatch("conjugacy_product needs matching dimensions")
+    return x - _conjugation_gap(ops, x)
 
 
 class SzegoCheck(NamedTuple):
@@ -169,7 +162,7 @@ def spectral_radius(m) -> float:
     ``_radius_iterates``.
 
     Every iterate is an upper bound, so the smallest one keeps purity tests
-    and tail bounds on the safe side.  All of them are taken (short of an
+    on the safe side.  All of them are taken (short of an
     exact zero power): stopping on consecutive agreement would misread
     nilpotent shifts, whose estimates sit at 1 for several rounds before
     collapsing.

@@ -361,10 +361,12 @@ class VarietySample:
     """The sampled variety as one structured array ``points`` with the
     fields ``base`` (the m base coordinates z), ``fiber`` (the last
     coordinate lambda), ``component`` ("V0" or "V1"), ``residual``
-    (|det(lambda I - Phi_j(z))|) and ``interior`` (|lambda| < 1).
+    (|det(lambda I - Phi_j(z))|) and ``interior`` (|lambda| < 1 for a V1
+    fiber; false for a V0 fiber, an eigenvalue of the unitary W*, which
+    lies on the unit circle however it rounds).
 
     The regular base points come in grid order, the last coordinate varying
-    fastest; each one's V1 fibers come first, in ``matcore.eigvals`` order,
+    fastest; each one's V1 fibers come first, in ``matcore._eigvals`` order,
     then its V0 fibers.  ``max_residual`` is the largest residual, NaN
     residuals skipped, and 0.0 for an empty sample."""
 
@@ -469,7 +471,8 @@ def variety_sample(
     points["fiber"][:, :e1], points["fiber"][:, e1:] = lam[regular], w_lam
     points["residual"][:, :e1], points["residual"][:, e1:] = res[regular], w_res
     points["component"][:, :e1], points["component"][:, e1:] = "V1", "V0"
-    points["interior"] = np.hypot(points["fiber"].real, points["fiber"].imag) < 1.0
+    v1 = points[:, :e1]  # V0 fibers stay on the circle: not interior
+    v1["interior"] = np.hypot(v1["fiber"].real, v1["fiber"].imag) < 1.0
     return VarietySample(
         points=points.reshape(-1),
         h0_dim=split.h0_dim,

@@ -224,13 +224,13 @@ def oracle_operator_torus_sup(p, r, grid):
 
 def oracle_precompute_torus(r, grid):
     """``vn.precompute_torus`` as one serial loop on the calling thread: one
-    ``matcore.eigvals`` call per chunk of ``rz.transfer_eval_grid``."""
+    ``matcore._eigvals`` call per chunk of ``rz.transfer_eval_grid``."""
     circle = rz.unit_circle(grid)
     points = rz.grid_points(circle, len(r.partition))
     eigs = np.empty((len(points), r.dim_e), dtype=complex)
     regular = np.empty(len(points), dtype=bool)
     for rows, phi, regular_rows in rz.transfer_eval_grid(r, circle):
-        eigs[rows] = matcore.eigvals(phi)
+        eigs[rows] = matcore._eigvals(phi)
         regular[rows] = regular_rows
     singular = len(points) - int(np.count_nonzero(regular))
     return vn.TorusCache(points[regular], eigs[regular], singular, grid, regular)
@@ -239,13 +239,13 @@ def oracle_precompute_torus(r, grid):
 def oracle_variety_sample(r, grid_per_axis=17, radius=0.95, root_tol=matcore.ROOT_TOL):
     """``vn.variety_sample`` as one serial loop on the calling thread, with no
     point budget: per chunk of ``rz.transfer_eval_grid``, one
-    ``matcore.eigvals`` call and one ``matcore.det`` stack per fiber index,
+    ``matcore._eigvals`` call and one ``matcore._det`` stack per fiber index,
     and V0 by its own eigenvalue, determinant and bound path on the unitary
     block, the reference for the shared ``vn._fibers`` path."""
     split = vn.split_transfer(r)
     w = split.unitary_block
-    w_lam = matcore.eigvals(w)
-    w_res = np.abs(matcore.det(w_lam[:, None, None] * np.eye(split.h0_dim) - w))
+    w_lam = matcore._eigvals(w)
+    w_res = np.abs(matcore._det(w_lam[:, None, None] * np.eye(split.h0_dim) - w))
     w_bound = root_tol * (1.0 + matcore.operator_norm(w)) ** max(split.h0_dim, 1)
     coords = np.linspace(-radius, radius, grid_per_axis)
     disc = np.empty((grid_per_axis, grid_per_axis), dtype=complex)
@@ -260,9 +260,9 @@ def oracle_variety_sample(r, grid_per_axis=17, radius=0.95, root_tol=matcore.ROO
     regular = np.ones(len(bases), dtype=bool)
     if split.cnu_part is not None:
         for rows, phi, regular_rows in rz.transfer_eval_grid(split.cnu_part, axis):
-            lam[rows] = matcore.eigvals(phi)
+            lam[rows] = matcore._eigvals(phi)
             for j in range(e1):
-                res[rows, j] = np.abs(matcore.det(lam[rows, j, None, None] * np.eye(e1) - phi))
+                res[rows, j] = np.abs(matcore._det(lam[rows, j, None, None] * np.eye(e1) - phi))
             worst = np.fmax.reduce(res[rows], axis=1)
             fails[rows] = vn._fiber_bound_fails(worst, phi, root_tol)
             regular[rows] = regular_rows
@@ -273,7 +273,7 @@ def oracle_variety_sample(r, grid_per_axis=17, radius=0.95, root_tol=matcore.ROO
     points["fiber"][:, :e1], points["fiber"][:, e1:] = lam[regular], w_lam
     points["residual"][:, :e1], points["residual"][:, e1:] = res[regular], w_res
     points["component"][:, :e1], points["component"][:, e1:] = "V1", "V0"
-    points["interior"] = np.hypot(points["fiber"].real, points["fiber"].imag) < 1.0
+    points["interior"][:, :e1] = np.hypot(lam[regular].real, lam[regular].imag) < 1.0
     v0_fails = np.any(points["residual"][:, e1:] > w_bound)
     return vn.VarietySample(
         points=points.reshape(-1),
@@ -604,8 +604,42 @@ def _oracle_min_eig(m) -> float:
     return float(w[0]) if w.size else 0.0
 
 
+def oracle_conjugacy_product(ops, x):
+    """prod_j (Id - C_{T_j}) applied to X for commuting T_j, as the 2^n-term
+    alternating sum  sum_{k in {0,1}^n} (-1)^|k| T^k X T*^k, each T^k a
+    product of its factors in index order."""
+    x = np.asarray(x, dtype=complex)
+    out = np.zeros_like(x)
+    for eps in itertools.product((0, 1), repeat=len(ops)):
+        p = np.eye(len(x), dtype=complex)
+        for m, e in zip(ops, eps):
+            if e:
+                p = p @ m
+        out = out + (-1.0) ** sum(eps) * (p @ x @ adj(p))
+    return out
+
+
+def oracle_szego_defect(t):
+    """The Szego defect of T by its 2^n-term expansion at X = I."""
+    return oracle_conjugacy_product(t.ops, np.eye(t.dim))
+
+
+def _checked_conjugacy(got, ops, x):
+    """``got``, the program's prod_j (Id - C_{T_j})(X), once it is within
+    1e-12 max(1, ||X||) of the expansion: the certificate oracle keeps the
+    program's bits, so certificates compare bit for bit, and the expansion
+    checks them."""
+    err = _svd_norm(got - oracle_conjugacy_product(ops, x))
+    assert err <= 1e-12 * max(1.0, _svd_norm(x)), err
+    return got
+
+
+def _oracle_szego(t):
+    return _checked_conjugacy(tuples.szego_defect(t), t.ops, np.eye(t.dim))
+
+
 def _oracle_is_szego(t, tol):
-    min_eig = _oracle_min_eig(tuples.szego_defect(t))
+    min_eig = _oracle_min_eig(_oracle_szego(t))
     return tuples.SzegoCheck(min_eig >= -tol, min_eig)
 
 
@@ -636,13 +670,14 @@ def oracle_verify_certificate(t, g_list, tol=tuples.CERT_TOL):
         raise SumMismatch(sum_res)
     f, product_margins = [], []
     for i, gi in enumerate(g):
-        prod = tuples.conjugacy_product([t.ops[j] for j in range(t.n - 1) if j != i], gi)
+        ops = [t.ops[j] for j in range(t.n - 1) if j != i]
+        prod = _checked_conjugacy(tuples.conjugacy_product(ops, gi), ops, gi)
         me = _oracle_min_eig(prod)
         if me < -tol:
             raise ProductNotPsd(i + 1, me)
         product_margins.append(me)
         f.append(_oracle_psd_sqrt(prod, tol))
-    defect = _oracle_psd_sqrt(tuples.szego_defect(hat_n), tol)
+    defect = _oracle_psd_sqrt(_oracle_szego(hat_n), tol)
     return tuples.DilationCertificate(
         g=g,
         f=tuple(f),

@@ -437,39 +437,44 @@ def test_poly_roots_scale_invariant(scale):
 
 
 def test_det_identity():
-    assert matcore.det(np.eye(3)) == pytest.approx(1.0)
+    assert matcore._det(np.eye(3, dtype=complex)) == pytest.approx(1.0)
 
 
 def test_det_diagonal():
-    assert matcore.det(np.diag([2.0, 3.0j])) == pytest.approx(6.0j)
+    assert matcore._det(np.diag([2.0, 3.0j])) == pytest.approx(6.0j)
 
 
 def test_det_against_cofactors(rng):
     a = random_complex(rng, 4, 4)
-    assert abs(matcore.det(a) - cofactor_det(a)) < 1e-10 * max(1, abs(cofactor_det(a)))
+    assert abs(matcore._det(a) - cofactor_det(a)) < 1e-10 * max(1, abs(cofactor_det(a)))
 
 
 def test_det_stack_matches_single(rng):
+    # the chunk map's workers take a stack's determinants with each matrix's own bits
     stack = random_complex(rng, 5, 3, 3)
-    dets = matcore.det(stack)
+    dets = matcore._det(stack)
     assert dets.shape == (5,)
-    assert all(dets[g] == matcore.det(stack[g]) for g in range(5))
-    assert matcore.det(np.zeros((0, 0))) == 1.0
+    assert all(dets[g] == matcore._det(stack[g]) for g in range(5))
+    assert matcore._det(np.zeros((0, 0), dtype=complex)) == 1.0
+    with pytest.raises(ValueError):
+        matcore._det(np.full((2, 2), np.nan, dtype=complex))
 
 
 def test_char_poly_roots_match_diag():
     a = np.diag([0.5, -0.25 + 0.1j, 0.3j])
-    roots = matcore.eigvals(a)
+    roots = matcore._eigvals(a)
     expected = sorted([0.5, -0.25 + 0.1j, 0.3j], key=lambda z: (z.real, z.imag))
     assert np.max(np.abs(roots - np.array(expected))) < 1e-10
     # a stack is sorted per matrix, like the roots of its characteristic polynomials
     stack = np.stack([a, np.diag([0.1 + 0.2j, -0.2, 0.05 - 0.3j])])
-    roots = matcore.eigvals(stack)
+    roots = matcore._eigvals(stack)
     assert np.max(np.abs(roots[0] - np.array(expected))) < 1e-10
     assert np.max(np.abs(roots[1] - np.array([-0.2, 0.05 - 0.3j, 0.1 + 0.2j]))) < 1e-10
     for m in stack:
         char = np.poly(np.diag(m))  # built from the known roots, not from eigenvalues
-        assert np.max(np.abs(matcore.eigvals(m) - poly_roots(char))) < 1e-8
+        assert np.max(np.abs(matcore._eigvals(m) - poly_roots(char))) < 1e-8
+    # each matrix of a stack keeps the bits of its own call
+    assert all(np.array_equal(roots[g], matcore._eigvals(stack[g])) for g in range(2))
 
 
 # ---------------------------------------------------------------------------

@@ -262,7 +262,7 @@ def test_cnu_strict_contraction(rng):
     a *= 0.8 / matcore.operator_norm(a)
     res = rz.cnu_decomposition(a)
     assert res.h0_dim == 0
-    assert np.max(np.abs(matcore.eigvals(res.cnu_block))) < 1.0
+    assert np.max(np.abs(np.linalg.eigvals(res.cnu_block))) < 1.0
 
 
 def test_cnu_rotation_plus_nilpotent():
@@ -283,7 +283,7 @@ def test_cnu_rotation_plus_nilpotent():
     assert matcore.operator_norm(adj(w) @ w - np.eye(2)) < 1e-10
     assert matcore.operator_norm(adj(h0) @ a @ h1) < 1e-10
     assert matcore.operator_norm(adj(h1) @ a @ h0) < 1e-10
-    assert np.max(np.abs(matcore.eigvals(res.cnu_block))) < 1e-8  # nilpotent block
+    assert np.max(np.abs(np.linalg.eigvals(res.cnu_block))) < 1e-8  # nilpotent block
 
 
 def test_cnu_rejects_expansion():

@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from polydil import generators, matcore, tuples
 from polydil.errors import (
@@ -14,7 +15,12 @@ from polydil.errors import (
 )
 from polydil.matcore import adj
 
-from conftest import random_complex, random_unitary
+from conftest import (
+    oracle_conjugacy_product,
+    oracle_szego_defect,
+    random_complex,
+    random_unitary,
+)
 
 
 def commuting_family(rng, d, n):
@@ -152,6 +158,17 @@ def test_conjugacy_product_full_set_equals_szego_defect(rng):
         t = tuples.make_tuple(commuting_family(rng, 4, n))
         via_product = tuples.conjugacy_product(t.ops, np.eye(4))
         assert matcore.operator_norm(via_product - tuples.szego_defect(t)) <= 1e-12
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.integers(3, 7))
+def test_conjugation_accumulator_matches_the_expansion(seed, n):
+    t = generators.random_candidate(seed, 4, n)
+    g = random_complex(np.random.default_rng(seed), 4, 4)
+    g = g @ adj(g) / matcore.operator_norm(g) ** 2
+    assert matcore.operator_norm(tuples.szego_defect(t) - oracle_szego_defect(t)) <= 1e-12
+    got = tuples.conjugacy_product(t.ops, g)
+    assert matcore.operator_norm(got - oracle_conjugacy_product(t.ops, g)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

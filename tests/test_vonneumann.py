@@ -834,7 +834,7 @@ def variety_oracle(r, grid_per_axis, radius):
     coords = np.linspace(-radius, radius, grid_per_axis)
     disc = [complex(x, y) for x in coords for y in coords if abs(complex(x, y)) <= radius]
     w = split.unitary_block
-    v0 = [(lam, "V0", np.abs(matcore.det(lam * np.eye(len(w)) - w))) for lam in matcore.eigvals(w)]
+    v0 = [(lam, "V0", np.abs(matcore._det(lam * np.eye(len(w)) - w))) for lam in matcore._eigvals(w)]
     grid_phi = []
     if split.cnu_part is not None:
         for _, stack, _ in rz.transfer_eval_grid(split.cnu_part, np.array(disc, dtype=complex)):
@@ -846,8 +846,9 @@ def variety_oracle(r, grid_per_axis, radius):
             phi = grid_phi[index]
             assert matcore.operator_norm(phi - rz.transfer_eval(split.cnu_part, base)) < 1e-14
             eye = np.eye(len(phi))
-            fibers = [(lam, "V1", np.abs(matcore.det(lam * eye - phi))) for lam in matcore.eigvals(phi)]
-        rows += [(base, lam, comp, res, abs(lam) < 1.0) for lam, comp, res in fibers + v0]
+            fibers = [(lam, "V1", np.abs(matcore._det(lam * eye - phi))) for lam in matcore._eigvals(phi)]
+        rows += [(base, lam, comp, res, comp == "V1" and abs(lam) < 1.0)
+                 for lam, comp, res in fibers + v0]
     return rows
 
 
@@ -859,7 +860,8 @@ def test_variety_sample_matches_point_oracle(which, grid, count, triple22):
     if which == "m3":
         r = rz.build_generating_unitary(*w2_tensor_jordan())
     elif which == "mixed":
-        # np.abs puts this V0 fiber at |lambda| < 1, Python's abs at exactly 1
+        # np.abs puts this V0 fiber at |lambda| < 1, Python's abs at exactly 1;
+        # on the circle either way, it is not interior
         r = direct_sum_constant(rz.build_generating_unitary(*zero_triple(1)), np.exp(0.2j))
     else:
         r = rz.build_generating_unitary(*triple22)
@@ -919,6 +921,17 @@ def test_variety_constant_unitary_fibers():
     assert len(points) == 5**2
     assert np.all(points["component"] == "V0")
     assert np.allclose(points["fiber"], lam, rtol=0.0, atol=1e-12)
+    assert not np.any(points["interior"])
+
+
+def test_v0_fibers_are_never_interior():
+    # the fibers of (0, 0, Q) are the eigenvalues of the unitary W*, on the
+    # unit circle; one of them rounds to just inside it and is still not interior
+    r = rz.build_generating_unitary(*unitary_last_triple())
+    points = vn.variety_sample(r, grid_per_axis=7).points
+    assert len(points) and np.all(points["component"] == "V0")
+    assert np.any(np.hypot(points["fiber"].real, points["fiber"].imag) < 1.0)
+    assert np.allclose(np.abs(points["fiber"]), 1.0, rtol=0.0, atol=1e-12)
     assert not np.any(points["interior"])
 
 
