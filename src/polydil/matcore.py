@@ -93,16 +93,18 @@ _SCREEN_SLACK = 1e-8
 
 def norm_bounds(a) -> tuple[np.ndarray, np.ndarray]:
     """Bounds L <= ||A|| <= F of each matrix A of a stack (..., p, q), from
-    one pass of squared entries: L is the largest row or column norm (0
-    where those squares overflow), F the Frobenius norm (infinite where they
-    overflow, and short by at most sqrt(p q) 2^-537 where they underflow)."""
-    m = np.asarray(a, dtype=complex)
-    with np.errstate(over="ignore", under="ignore"):
-        sq = m.real**2
-        sq += m.imag**2
-    rows, cols = sq.sum(axis=-1), sq.sum(axis=-2)
-    lower = np.maximum(rows.max(axis=-1, initial=0.0), cols.max(axis=-1, initial=0.0))
-    return np.sqrt(np.where(np.isinf(lower), 0.0, lower)), np.sqrt(rows.sum(axis=-1))
+    one pass of squared entries, two sums of products over the float view
+    (real and imaginary parts side by side): L is the largest row or column
+    norm (0 where those squares overflow), F the Frobenius norm (infinite
+    where they overflow, and short by at most sqrt(p q) 2^-537 where they
+    underflow)."""
+    v = np.ascontiguousarray(a, dtype=complex).view(float)
+    with np.errstate(over="ignore", under="ignore"):  # a column pair can overflow too
+        rows, cols = np.einsum("...ij,...ij->...i", v, v), np.einsum("...ij,...ij->...j", v, v)
+        cols = cols[..., 0::2] + cols[..., 1::2]
+        lower = np.maximum(rows.max(axis=-1, initial=0.0), cols.max(axis=-1, initial=0.0))
+        upper = rows.sum(axis=-1)
+    return np.sqrt(np.where(np.isinf(lower), 0.0, lower)), np.sqrt(upper)
 
 
 def max_operator_norm(a, floor: float = 0.0) -> float:

@@ -221,10 +221,10 @@ def _base_colligation(r: TransferRealization, zr: np.ndarray):
         eh = zr[:, :, None] * h
         top = np.hstack([a_adj, c_adj[:, fr:]]) + c_adj[:, :fr] @ eh
         low = np.hstack([b_adj[fr:], d_adj[fr:, fr:]]) + d_adj[fr:, :fr] @ eh
-        sq = np.stack([h, m_rr @ h - base_rhs])
-        sq = sq.real**2 + sq.imag**2
-        y_sq, g_sq = sq[..., :e].sum(axis=(-2, -1)), sq[..., e:].sum(axis=(-2, -1))
-    return solved, top, low, np.sqrt([y_sq[0], g_sq[0], y_sq[1], g_sq[1]])
+        # the float views of the Y0 and G column blocks of h and of its residual
+        halves = [v for x in (h, m_rr @ h - base_rhs) for v in np.split(x.view(float), [2 * e], -1)]
+        sq = [np.einsum("bij,bij->b", v, v) for v in halves]
+    return solved, top, low, np.sqrt(sq)
 
 
 def _fiber_eval(top: np.ndarray, low: np.ndarray, norms: np.ndarray, lam: np.ndarray):
@@ -249,10 +249,13 @@ def _fiber_eval(top: np.ndarray, low: np.ndarray, norms: np.ndarray, lam: np.nda
         # lambda w with the fiber index inside the columns: one GEMM per base
         lw = (lam[:, None, None] * w).transpose(0, 2, 1, 3).reshape(nb, p, nl * e)
         prod = (top[..., e:] @ lw).reshape(nb, e, nl, e).transpose(0, 2, 1, 3)
-        phi = np.add(top[:, None, :, :e], prod, order="C")  # so the (k, e, e) reshape is a view
-        fiber_res = w - gamma[:, None] - (delta @ lw).reshape(nb, p, nl, e).transpose(0, 2, 1, 3)
-        sq = np.stack([w, fiber_res])
-        w_norm, fiber_norm = np.sqrt((sq.real**2 + sq.imag**2).sum(axis=(-2, -1)))
+        phi = np.ascontiguousarray(prod)  # so the (k, e, e) reshape is a view
+        phi += top[:, None, :, :e]
+        # the residual in the GEMM's (base, row, fiber, column) layout
+        fiber_res = w.transpose(0, 2, 1, 3) - gamma[:, :, None] - (delta @ lw).reshape(nb, p, nl, e)
+        wv, rv = w.view(float), fiber_res.view(float)
+        w_norm = np.sqrt(np.einsum("bljk,bljk->bl", wv, wv))
+        fiber_norm = np.sqrt(np.einsum("bjlk,bjlk->bl", rv, rv))
         y0_norm, g_norm, r0, r1 = norms[..., None]
         y_bound = y0_norm + (np.abs(lam) * g_norm + 1.0) * w_norm
         res_bound = r0 + np.abs(lam) * r1 * w_norm + fiber_norm

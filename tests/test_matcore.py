@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -645,6 +647,99 @@ def test_max_operator_norm_non_finite(rng):
     for norm in (matcore.max_operator_norm, full_max_norm):
         with pytest.raises(np.linalg.LinAlgError):
             norm(stack)
+
+
+def norm_bound_oracle(a):
+    """L and F of each matrix of a stack from ``np.linalg.norm``: the largest
+    row or column norm and the Frobenius norm."""
+    rows, cols = np.linalg.norm(a, axis=-1), np.linalg.norm(a, axis=-2)
+    lower = np.maximum(rows.max(axis=-1, initial=0.0), cols.max(axis=-1, initial=0.0))
+    return lower, np.linalg.norm(a, axis=(-2, -1))
+
+
+def test_norm_bounds_bracket_the_operator_norm(rng):
+    # the bounds are exact up to rounding on a single row (L = ||A||) and on
+    # rank one (F = ||A||), so both sides get a slack of 1e-14 relative
+    for name, stack in screened_stacks(rng).items():
+        if name in ("tiny", "huge"):
+            continue  # squares underflow or overflow: see the tests below
+        lower, upper = matcore.norm_bounds(stack)
+        norms = matcore.operator_norm(stack)
+        assert lower.shape == upper.shape == stack.shape[:-2], name
+        assert np.all(lower <= norms * (1 + 1e-14)) and np.all(norms <= upper * (1 + 1e-14)), name
+        lower_ref, upper_ref = norm_bound_oracle(stack)
+        np.testing.assert_allclose(lower, lower_ref, rtol=1e-14, atol=0, err_msg=name)
+        np.testing.assert_allclose(upper, upper_ref, rtol=1e-14, atol=0, err_msg=name)
+
+
+def test_norm_bounds_ignore_the_layout(rng):
+    # transposed, strided and Fortran-ordered stacks give the bits of their
+    # contiguous copies
+    stack = random_complex(rng, 6, 5, 7)
+    views = {
+        "transposed": stack.swapaxes(-1, -2),
+        "adjoint": adj(stack),
+        "strided": stack[::2, 1::2, ::3],
+        "fortran": np.asfortranarray(stack),
+        "real_part": stack.real,
+    }
+    for name, view in views.items():
+        assert not view.flags.c_contiguous, name
+        copy = np.ascontiguousarray(view, dtype=complex)
+        for got, want in zip(matcore.norm_bounds(view), matcore.norm_bounds(copy)):
+            assert same_float(got, want), name
+
+
+@pytest.mark.parametrize("shape", [(0, 4, 4), (3, 0, 4), (3, 4, 0), (0, 0, 0), (2, 3, 0, 5)])
+def test_norm_bounds_of_empty_stacks(shape):
+    lower, upper = matcore.norm_bounds(np.zeros(shape, dtype=complex))
+    assert lower.shape == upper.shape == shape[:-2]
+    assert not lower.any() and not upper.any()
+
+
+def test_norm_bounds_where_squares_overflow(rng):
+    # [0] each square is finite and re^2 + im^2 overflows; [1] a single
+    # square overflows; [2] a column whose real and imaginary sums are each
+    # finite while their pair overflows, with no row sum overflowing; [3] finite
+    stack = np.zeros((4, 2, 2), dtype=complex)
+    stack[0] = 1.2e154 * (1 + 1j)
+    stack[1, 0, 1] = 1e200
+    stack[2, :, 0] = [1.2e154, 1.2e154j]
+    stack[3] = random_complex(rng, 2, 2)
+    assert np.isfinite(1.2e154**2) and np.isinf(2 * 1.2e154**2)
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        lower, upper = matcore.norm_bounds(stack)
+    assert lower[:3].tolist() == [0.0, 0.0, 0.0] and np.isinf(upper[:3]).all()
+    assert same_float(lower[3], matcore.norm_bounds(stack[3])[0])
+    assert same_float(upper[3], matcore.norm_bounds(stack[3])[1])
+    assert np.all(lower <= matcore.operator_norm(stack))
+
+
+def test_norm_bounds_where_squares_underflow(rng):
+    # entries of 1e-170 and below square to 0 or to subnormals: L and F stay
+    # bounds, F short of ||A|| by at most sqrt(p q) 2^-537
+    p, q = 4, 3
+    stack = np.concatenate([s * random_complex(rng, 5, p, q) for s in (1e-170, 1e-160, 1e-155)])
+    stack[0] = 1e-320
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        lower, upper = matcore.norm_bounds(stack)
+    norms = matcore.operator_norm(stack)
+    assert np.all(lower <= norms) and np.all(upper >= norms - np.sqrt(p * q) * 2.0**-537)
+    assert upper[0] == 0.0 and np.all(upper[5:] > 0.0)
+
+
+def test_norm_bounds_with_nan_entries(rng):
+    stack = random_complex(rng, 4, 3, 3)
+    stack[1, 2, 0] = np.nan
+    stack[2, 0, 1] = complex(0.0, np.nan)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lower, upper = matcore.norm_bounds(stack)
+    assert np.isnan(lower[1:3]).all() and np.isnan(upper[1:3]).all()
+    for k in (0, 3):
+        assert same_float([lower[k], upper[k]], matcore.norm_bounds(stack[k]))
 
 
 def inner_deviation_stack():

@@ -794,6 +794,53 @@ def test_grid_bounds_hold_at_every_point(which, axis, inexact, triple22, monkeyp
     assert np.all(bounds >= values - slack)
 
 
+@pytest.mark.parametrize(
+    "which, axis",
+    [
+        ("w1", rz.unit_circle(32)),  # p_m = 3
+        ("w2", rz.unit_circle(32)),  # m = 3, p_m = 2
+        ("w3", rz.unit_circle(32)),  # p_m = 0
+        ("m1", rz.unit_circle(rz.CHUNK + 44)),  # one fiber split over two chunks
+    ],
+)
+def test_fiber_norms_match_point_by_point(which, axis, triple22, monkeypatch):
+    # ||w|| and ||(I - lambda delta) w - gamma|| behind the grid path's bounds
+    # against np.linalg.norm at each point of one chunk of bases.  The fiber
+    # solve is moved by O(1) noise, so the residual stands far above
+    # rounding and a residual read from the wrong fiber or row would show.
+    # With the base norms set to 0, the bounds are those two norms exactly.
+    if which == "m1":
+        r = one_variable(rz.build_generating_unitary(*triple22))
+    else:
+        r = rz.build_generating_unitary(*WORKLOAD_INPUTS[which]())
+    e, p = r.dim_e, r.partition[-1]
+    # C order, so that transfer_eval_grid's (k, e, e) reshape is a view
+    assert all(phi.flags.c_contiguous for _, phi, _ in rz.transfer_eval_grid(r, axis))
+    exact, noise, fibers = matcore.solve_stack, np.random.default_rng(11), []
+
+    def solve(m, b):
+        x, solved = exact(m, b)
+        if m.ndim == 4:  # the fiber solve, indexed (base, fiber, row, column)
+            x = x + random_complex(noise, *x.shape)
+            fibers.append(x)
+        return x, solved
+
+    monkeypatch.setattr(matcore, "solve_stack", solve)
+    bases = rz._block_diagonals(r.partition[:-1], rz.grid_points(axis, len(r.partition) - 1))
+    _, top, low, norms = rz._base_colligation(r, bases[-max(1, rz.CHUNK // len(axis)) :])
+    gamma, delta = low[..., :e], low[..., e:]
+    for l0 in range(0, len(axis), rz.CHUNK):
+        lam = axis[l0 : l0 + rz.CHUNK]
+        phi, _, w_norm, fiber_norm = rz._fiber_eval(top, low, np.zeros_like(norms), lam)
+        assert phi.flags.c_contiguous and w_norm.shape == fiber_norm.shape == (len(top), len(lam))
+        for b, l in np.ndindex(w_norm.shape):
+            w = fibers[-1][b, l]
+            residual = (np.eye(p) - lam[l] * delta[b]) @ w - gamma[b]
+            assert w_norm[b, l] == pytest.approx(np.linalg.norm(w), rel=1e-14, abs=0)
+            assert fiber_norm[b, l] == pytest.approx(np.linalg.norm(residual), rel=1e-14, abs=0)
+    assert len(fibers) == -(-len(axis) // rz.CHUNK)
+
+
 @pytest.mark.parametrize("grid", [8, rz.CHUNK + 8])
 def test_exactly_singular_point_is_skipped_alone(grid):
     # Phi is constantly 1 and I - D* E(z) = 1 - z vanishes exactly at z = 1,
