@@ -36,7 +36,10 @@ package relies on, with explicit tolerance semantics:
   ``operator_norm`` call.  numpy runs the same LAPACK routine on each
   matrix of a stack, so every matrix gets the bits of its own call, which
   the tests check; so the per-chunk eigenvalues and determinants over a
-  transfer-function grid keep their bits on the threads of ``_chunk_map``.
+  transfer-function grid keep their bits on the threads of ``_chunk_map``;
+* ``solve_stack`` solves a stack of systems around its exactly singular
+  matrices and reports the zero pivots it met; which points of a transfer
+  function are regular is decided in ``realization``.
 """
 
 from __future__ import annotations
@@ -59,7 +62,6 @@ from .errors import (
 EIG_TOL = 1e-10
 PSD_CLAMP_TOL = 1e-9
 ROOT_TOL = 1e-7
-RESOLVENT_TOL = 1e-8
 
 
 def as_matrix(a) -> np.ndarray:
@@ -443,45 +445,3 @@ def solve_stack(m: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         eye = np.eye(m.shape[-1], dtype=m.dtype)
         return np.linalg.solve(np.where(solved[..., None, None], m, eye), b), solved
 
-
-def inv_resolvent(d, zeta, rhs, tol: float = RESOLVENT_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Solve (I - D diag(zeta_g)) Y_g = R for every row zeta_g of a (G, n)
-    array and one (n, k) right side R.
-
-    Returns the (G, n, k) stack Y and the (G,) mask of regular points.  With
-    M_g = I - D diag(zeta_g), a point is regular when
-
-    * LU finds no zero pivot in M_g,
-    * ||Y_g||_F <= 1/tol, and
-    * the residual ||M_g Y_g - R|| is at most tol (``operator_norms_within``).
-
-    The bound on Y_g is the conditioning test: a backward-stable solve passes
-    the residual test however close M_g is to singular, but Y_g then grows
-    like ||R|| / sigma_min(M_g).  Blind spot: a point where M_g is nearly
-    singular only in directions that R never reaches keeps a bounded Y_g and
-    counts as regular; if a value built from Y_g is inaccurate there, the
-    check that uses it (for the transfer function, ``inner_deviation``)
-    reports it.  The grid path ``realization.transfer_eval_grid`` builds
-    Y_g from two smaller solves and applies the last two tests through
-    upper bounds on ||Y_g||_F and on the full residual's Frobenius norm; it
-    solves every point that fails them, or whose smaller solves met a zero
-    pivot, again here, so its regular points pass this rule for its own Y_g,
-    with the same blind spot.  Y is zero at every point that is not
-    regular.  A singular system can only arise at boundary evaluation points.
-    """
-    dm = as_matrix(d)
-    r = as_matrix(rhs)
-    z = np.asarray(zeta, dtype=complex)
-    n = dm.shape[0]
-    if z.ndim != 2 or z.shape[1] != n or r.shape[0] != n:
-        raise DimensionMismatch(
-            f"expected (G, {n}) diagonals and {n} right-side rows, got {z.shape} and {r.shape}"
-        )
-    m = np.eye(n, dtype=complex) - dm * z[:, None, :]
-    b = np.broadcast_to(r, (len(z),) + r.shape)  # numpy 1.x reads a 2-d b as vectors
-    y, solved = solve_stack(m, b)
-    bounded = solved & (norm_bounds(y)[1] <= 1.0 / tol)
-    y[~bounded] = 0.0  # keeps the residual product finite
-    regular = bounded & operator_norms_within(m @ y - r, tol)
-    y[~regular] = 0.0
-    return y, regular

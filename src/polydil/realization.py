@@ -8,18 +8,19 @@ isometry.  The rest of the module evaluates that transfer function, checks
 the Schur identity and boundary innerness, splits off the unitary part of
 its constant term, and runs the full intertwining verification suite.
 
-Phi has two evaluation paths.  ``transfer_eval`` and the Schur identity
-solve the full resolvent at each point (``matcore.inv_resolvent``).
-``transfer_eval_grid`` takes a product grid axis^m (the torus grid of
-``inner_check`` and the torus cache, or the interior grid of variety
-sampling): fixing the first m - 1 variables at a base point leaves a
-one-variable colligation on the last block's state, built once per base
-point and solved at each grid point.  It holds every point to the
-regular-point rule of ``inv_resolvent`` through exact upper bounds and
-hands each point that fails them, or that meets a zero pivot, to
-``inv_resolvent``.  A null vector of the base block is harmless: for a
-contractive D* and unimodular E it is reducing, so the full system is
-singular on that whole fiber, and ``inv_resolvent`` says so.
+Phi has two evaluation paths under one regular-point rule, stated in
+Frobenius norms at ``RESOLVENT_TOL``.  ``transfer_eval`` and the Schur
+identity solve the full resolvent at each point (``_transfer_solve``), and
+apply the rule exactly.  ``transfer_eval_grid`` takes a product grid axis^m
+(the torus grid of ``inner_check`` and the torus cache, or the interior
+grid of variety sampling): fixing the first m - 1 variables at a base point
+leaves a one-variable colligation on the last block's state, built once per
+base point and solved at each grid point.  It applies the rule through
+exact upper bounds on the same norms and hands each point that fails them,
+or that meets a zero pivot, to ``_transfer_solve``.  A null vector of the
+base block is harmless: for a contractive D* and unimodular E it is
+reducing, so the full system is singular on that whole fiber, and
+``_transfer_solve`` says so.
 """
 
 from __future__ import annotations
@@ -130,6 +131,8 @@ def generating_residual(
 # Evaluation points per batched solve: bounds the working memory of a grid
 # scan whatever the grid size.
 CHUNK = 256
+# The regular-point rule for Phi: ||Y||_F <= 1/tol and a residual within tol.
+RESOLVENT_TOL = 1e-8
 
 
 def _block_diagonals(partition: Sequence[int], points) -> np.ndarray:
@@ -145,8 +148,24 @@ def _transfer_solve(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Phi, Y = (I - D* E)^{-1} B* and the regular-point mask at the E(z)
     diagonals ``zeta`` (one row per point): one solve per point for the e
-    columns of B*, then Phi = A* + C* E Y."""
-    y, regular = matcore.inv_resolvent(adj(r.d), zeta, adj(r.b))
+    columns of B*, then Phi = A* + C* E Y.
+
+    With M = I - D* E, a point is regular when LU finds no zero pivot in M,
+    ||Y||_F <= 1/RESOLVENT_TOL and ||M Y - B*||_F <= RESOLVENT_TOL.  The
+    bound on Y is the conditioning test: a backward-stable solve passes the
+    residual test however close M is to singular, but Y then grows like
+    ||B*|| / sigma_min(M).  Blind spot: a point where M is nearly singular
+    only in directions that B* never reaches keeps a bounded Y and counts as
+    regular; if Phi is inaccurate there, ``inner_deviation`` reports it.  Y
+    is zero at every other point, so Phi is A* there.
+    """
+    b_adj = adj(r.b)
+    m = np.eye(r.dim_f) - adj(r.d) * zeta[:, None, :]
+    y, solved = matcore.solve_stack(m, np.broadcast_to(b_adj, (len(zeta),) + b_adj.shape))
+    bounded = solved & (matcore.norm_bounds(y)[1] <= 1.0 / RESOLVENT_TOL)
+    y[~bounded] = 0.0  # keeps the residual product finite
+    regular = bounded & (matcore.norm_bounds(m @ y - b_adj)[1] <= RESOLVENT_TOL)
+    y[~regular] = 0.0
     phi = adj(r.a) + (adj(r.c) * zeta[:, None, :]) @ y
     return phi, y, regular
 
@@ -271,14 +290,13 @@ def transfer_eval_grid(
     holds whole fibers, at most CHUNK points, or CHUNK points of one longer
     fiber.  No per-point array is f rows tall.
 
-    A point is regular by the rule of ``matcore.inv_resolvent`` for the full
-    system at its default tolerance, through the bounds of ``_fiber_eval``:
-    ||Y||_F <= 1/tol and the residual within tol.  A point that fails a
-    bound, or whose base or fiber solve meets a zero pivot, is solved again
-    by ``inv_resolvent`` and takes its verdict.
+    A point is regular by the rule of ``_transfer_solve``, through the
+    bounds of ``_fiber_eval``: ||Y||_F <= 1/tol and the residual within tol.
+    A point that fails a bound, or whose base or fiber solve meets a zero
+    pivot, is solved again by ``_transfer_solve`` and takes its verdict.
     """
     axis = np.asarray(axis, dtype=complex)
-    k, tol = len(axis), matcore.RESOLVENT_TOL
+    k, tol = len(axis), RESOLVENT_TOL
     if k == 0:
         return
     bases = _block_diagonals(r.partition[:-1], grid_points(axis, len(r.partition) - 1))
@@ -305,21 +323,12 @@ def inner_check(r: TransferRealization, grid: int) -> InnerReport:
     eye = np.eye(r.dim_e)
     max_dev = 0.0
     singular = 0
-    total = grid ** len(r.partition)
-    # buffers for conj(Phi) and Phi* Phi - I: fresh chunk-sized arrays make
-    # glibc trim and regrow its heap, one page fault per page, every chunk
-    conj = np.empty((min(CHUNK, total), r.dim_e, r.dim_e), dtype=complex)
-    gram = np.empty_like(conj)
     for _, phi, regular in transfer_eval_grid(r, unit_circle(grid)):
         if not regular.all():
             singular += int(np.count_nonzero(~regular))
             phi = phi[regular]
-        k = len(phi)
-        np.conjugate(phi, out=conj[:k])
-        np.matmul(conj[:k].swapaxes(-1, -2), phi, out=gram[:k])
-        gram[:k] -= eye
-        max_dev = max(max_dev, matcore.max_operator_norm(gram[:k], max_dev))
-    return InnerReport(max_dev, singular, total)
+        max_dev = max(max_dev, matcore.max_operator_norm(adj(phi) @ phi - eye, max_dev))
+    return InnerReport(max_dev, singular, grid ** len(r.partition))
 
 
 # ---------------------------------------------------------------------------
@@ -405,8 +414,9 @@ def _lifting_residuals(
     # T_a(p), the coordinate that drives column p, and in row-major vec
     # L(Y)[i, p] = sum_{j, q} T_a(p)[i, j] Y[j, q] D*[q, p]
     col_ops = np.stack(t.ops)[np.repeat(np.arange(len(r.partition)), r.partition)]
-    lifted = np.einsum("pij,qp->ipjq", col_ops, d_adj).reshape(dim * f, dim * f)
-    system = np.eye(dim * f) - lifted
+    # I - L built in place: (-a) b and 1 + (-x) round as -(a b) and 1 - x do
+    system = np.einsum("pij,qp->ipjq", col_ops, -d_adj).reshape(dim * f, dim * f)
+    system.flat[:: dim * f + 1] += 1.0
     rhs = np.einsum("pij,jp->ip", col_ops, mc)
     y, solved = matcore.solve_stack(system, rhs.reshape(dim * f, 1))
     if not solved:

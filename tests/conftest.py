@@ -90,11 +90,28 @@ def direct_sum_constant(r, u):
     )
 
 
+def resolvent_solve(d, zeta, rhs):
+    """Y and the regular-point mask of (I - d diag(zeta_g)) Y_g = rhs for
+    the rows zeta_g of a (G, n) array, from ``rz._transfer_solve`` on the
+    realization with A = 0, C = 0, D* = d and B* = rhs."""
+    d_adj, b_adj = np.asarray(d, dtype=complex), np.asarray(rhs, dtype=complex)
+    f, e = b_adj.shape
+    r = rz.TransferRealization(
+        a=np.zeros((e, e), dtype=complex),
+        b=adj(b_adj),
+        c=np.zeros((f, e), dtype=complex),
+        d=adj(d_adj),
+        partition=(f,),
+    )
+    _, y, regular = rz._transfer_solve(r, np.asarray(zeta, dtype=complex))
+    return y, regular
+
+
 def transfer_eval_many(r, points):
     """Phi(z) = A* + C* E(z) (I - D* E(z))^{-1} B* over the rows of a (G, m)
     point array, CHUNK rows at a time, each point by its own full resolvent
-    solve (``matcore.inv_resolvent``): the direct-path oracle for
-    ``rz.transfer_eval_grid``.
+    solve (``rz._transfer_solve``, which applies the regular-point rule
+    exactly): the direct-path oracle for ``rz.transfer_eval_grid``.
 
     Yields ``(rows, phi, regular)``: the slice of ``points`` covered, Phi
     there as a (k, e, e) stack, and the mask of the points whose resolvent is

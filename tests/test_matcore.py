@@ -19,6 +19,7 @@ from conftest import (
     poly_roots,
     random_complex,
     random_unitary,
+    resolvent_solve,
     w2_tensor_jordan,
     w3_nonnormal,
 )
@@ -480,18 +481,20 @@ def test_char_poly_roots_match_diag():
 
 
 # ---------------------------------------------------------------------------
-# inv_resolvent: one row of diagonals per point, one shared right side
+# the regular-point rule of the scattered Phi solve, rz._transfer_solve, on
+# the realization with A = 0, C = 0, D* = d and B* = rhs (resolvent_solve):
+# one row of diagonals per point, one shared right side
 
 
 def test_inv_resolvent_zero(rng):
     rhs = random_complex(rng, 2, 3)
-    y, regular = matcore.inv_resolvent(np.zeros((2, 2)), np.ones((3, 2)), rhs)
+    y, regular = resolvent_solve(np.zeros((2, 2)), np.ones((3, 2)), rhs)
     assert y.shape == (3, 2, 3) and regular.all()
     assert np.allclose(y, rhs)
 
 
 def test_inv_resolvent_scalar_geometric():
-    y, regular = matcore.inv_resolvent(np.array([[0.5]]), np.array([[0.5], [-1.0]]), [[1.0, 2j]])
+    y, regular = resolvent_solve([[0.5]], [[0.5], [-1.0]], [[1.0, 2j]])
     assert regular.all()
     assert np.allclose(y[:, 0], [[4.0 / 3.0, 8j / 3.0], [2.0 / 3.0, 4j / 3.0]])
 
@@ -502,7 +505,7 @@ def test_inv_resolvent_random_contractions(rng):
     rhs = random_complex(rng, 4, 3)
     zeta = np.exp(2j * np.pi * rng.uniform(size=(6, 4)))
     zeta[:3] *= 0.9
-    y, regular = matcore.inv_resolvent(d, zeta, rhs)
+    y, regular = resolvent_solve(d, zeta, rhs)
     assert y.shape == (6, 4, 3) and regular.all()
     for g in range(6):
         m = np.eye(4) - d @ np.diag(zeta[g])
@@ -514,25 +517,21 @@ def test_inv_resolvent_singular():
     # the exactly singular point does not stop the others from being solved
     zeta = np.array([[0.5, 0.5], [1.0, 1.0], [0.0, 0.0]])
     rhs = np.array([[1.0], [2j]])
-    y, regular = matcore.inv_resolvent(np.eye(2), zeta, rhs)
+    y, regular = resolvent_solve(np.eye(2), zeta, rhs)
     assert regular.tolist() == [True, False, True]
     assert np.allclose(y[0], 2.0 * rhs)
     assert np.allclose(y[2], rhs)
     assert not y[1].any()
 
 
-def test_inv_resolvent_rejects_mismatched_right_side():
-    with pytest.raises(DimensionMismatch):
-        matcore.inv_resolvent(np.eye(2), np.ones((1, 2)), np.ones((3, 1)))
-
-
 @pytest.mark.parametrize("tol", [1e-8, 1e-4])
-def test_inv_resolvent_solution_bound_at_threshold(tol):
+def test_inv_resolvent_solution_bound_at_threshold(tol, monkeypatch):
     # ||Y||_F = (1/tol)(1 -+ 1e-6) with an exact solve: only the bound decides
+    monkeypatch.setattr(rz, "RESOLVENT_TOL", tol)
     for d, zeta in (([[0.0]], [[1.0]]), ([[0.5]], [[1.0]]), ([[0.5]], [[-1j]])):
         m = 1.0 - d[0][0] * zeta[0][0]
         for scale, expected in ((1 - 1e-6, True), (1 + 1e-6, False)):
-            y, regular = matcore.inv_resolvent(d, zeta, [[m * scale / tol]], tol)
+            y, regular = resolvent_solve(d, zeta, [[m * scale / tol]])
             assert regular.tolist() == [expected], (d, zeta, scale)
             if expected:
                 assert abs(y[0, 0, 0]) == pytest.approx(scale / tol, rel=1e-12)
@@ -541,17 +540,33 @@ def test_inv_resolvent_solution_bound_at_threshold(tol):
 
 
 @pytest.mark.parametrize("rhs", [1.0, 2.0**26])
-def test_inv_resolvent_residual_at_threshold(rhs):
+def test_inv_resolvent_residual_at_threshold(rhs, monkeypatch):
     # 1 - (-48) * 1 = 49 exactly, and 49 * fl(1/49) != 1: the narrow residual
     # is one rounding of the right side; 2^26 puts it at 7.5e-9, near the
     # default tol
     d, zeta = [[-48.0]], [[1.0]]
-    y, regular = matcore.inv_resolvent(d, zeta, [[rhs]], tol=1e-7)
+    monkeypatch.setattr(rz, "RESOLVENT_TOL", 1e-7)
+    y, regular = resolvent_solve(d, zeta, [[rhs]])
     res = abs(49.0 * y[0, 0, 0] - rhs)
     assert regular.all() and res > 0.0
     for scale, expected in ((1 + 1e-6, True), (1 - 1e-6, False)):
-        _, regular = matcore.inv_resolvent(d, zeta, [[rhs]], tol=res * scale)
+        monkeypatch.setattr(rz, "RESOLVENT_TOL", res * scale)
+        _, regular = resolvent_solve(d, zeta, [[rhs]])
         assert regular.tolist() == [expected], scale
+
+
+def test_inv_resolvent_residual_norm_is_frobenius(monkeypatch):
+    # two copies of the residual case above: the residual diag(res, res) has
+    # operator norm res and Frobenius norm sqrt(2) res, and the rule reads
+    # the Frobenius norm
+    d, zeta, rhs = np.diag([-48.0, -48.0]), [[1.0, 1.0]], np.diag([2.0**26, 2.0**26])
+    monkeypatch.setattr(rz, "RESOLVENT_TOL", 1e-7)
+    y, regular = resolvent_solve(d, zeta, rhs)
+    res = abs(49.0 * y[0, 0, 0] - 2.0**26)
+    assert regular.all() and res > 0.0 and not y[0, 0, 1] and not y[0, 1, 0]
+    for tol, expected in ((1.001 * res, False), (1.001 * np.sqrt(2.0) * res, True)):
+        monkeypatch.setattr(rz, "RESOLVENT_TOL", tol)
+        assert resolvent_solve(d, zeta, rhs)[1].tolist() == [expected], tol
 
 
 def test_inv_resolvent_ill_conditioned_point_is_singular():
@@ -561,9 +576,9 @@ def test_inv_resolvent_ill_conditioned_point_is_singular():
     zeta = np.full((1, 2), 2.0 + 1e-15)
     m = np.eye(2) - d * zeta
     x = np.linalg.solve(m, np.eye(2))
-    assert matcore.operator_norm(m @ x - np.eye(2)) <= 1e-8 < 1e34 < np.linalg.norm(x)
+    assert np.linalg.norm(m @ x - np.eye(2)) <= 1e-8 < 1e34 < np.linalg.norm(x)
     for rhs in (np.eye(2), np.eye(2)[:, :1], np.eye(2)[:, 1:]):
-        y, regular = matcore.inv_resolvent(d, zeta, rhs)
+        y, regular = resolvent_solve(d, zeta, rhs)
         assert not regular[0] and not y.any()
 
 
@@ -572,10 +587,37 @@ def test_inv_resolvent_blind_spot():
     # along e1, which the right side e2 never reaches, so Y stays bounded
     d = np.diag([0.5, 0.0])
     zeta = np.full((1, 2), 2.0 + 1e-15)
-    y, regular = matcore.inv_resolvent(d, zeta, [[0.0], [1.0]])
+    y, regular = resolvent_solve(d, zeta, [[0.0], [1.0]])
     assert regular[0] and np.array_equal(y[0], [[0.0], [1.0]])
-    _, regular = matcore.inv_resolvent(d, zeta, [[1.0], [0.0]])
+    _, regular = resolvent_solve(d, zeta, [[1.0], [0.0]])
     assert not regular[0]
+
+
+def test_inv_resolvent_mask_matches_plain_numpy(monkeypatch):
+    # I - c D is exactly singular at c = 2; next to it ||Y||_F runs from 4e6
+    # to 4e20 and the residual from 6e-12 to 9e-5.  At tol = 1e-8 the bound
+    # on Y decides (points pass the residual test and fail the bound), at
+    # tol = 1e-10 the residual test does (bounded points fail it)
+    d = 0.5 * np.array([[1.0, 1e4], [0.0, 1.0]])
+    steps = np.logspace(-1, -8, 57)
+    c = 2.0 + np.concatenate([-steps, [0.0], steps[::-1]])
+    zeta = np.repeat(c[:, None], 2, axis=1)
+    rhs = np.eye(2)
+    m = np.eye(2) - d * zeta[:, None, :]
+    solved = np.linalg.det(m) != 0
+    m_solvable = np.where(solved[:, None, None], m, np.eye(2))
+    y_ref = np.linalg.solve(m_solvable, np.broadcast_to(rhs, m.shape))
+    frob = np.linalg.norm(y_ref, axis=(1, 2))
+    res = np.linalg.norm(m @ y_ref - rhs, axis=(1, 2))
+    for tol in (1e-8, 1e-10):
+        monkeypatch.setattr(rz, "RESOLVENT_TOL", tol)
+        y, regular = resolvent_solve(d, zeta, rhs)
+        assert np.array_equal(regular, solved & (frob <= 1.0 / tol) & (res <= tol))
+        assert np.array_equal(y[regular], y_ref[regular]) and not y[~regular].any()
+        assert not regular[57]
+        assert 1 < np.count_nonzero(regular[:57]) and 1 < np.count_nonzero(regular[58:])
+    assert np.count_nonzero(solved & (res <= 1e-8) & ~(frob <= 1e8)) > 10
+    assert np.count_nonzero(solved & (frob <= 1e10) & ~(res <= 1e-10)) > 10
 
 
 # ---------------------------------------------------------------------------
@@ -801,33 +843,3 @@ def test_operator_norms_within_non_finite(rng):
     for within in (matcore.operator_norms_within, full_within):
         with pytest.raises(np.linalg.LinAlgError):
             within(stack, 1.0)
-
-
-def test_inv_resolvent_mask_matches_full_svd(monkeypatch):
-    # I - c D is exactly singular at c = 2; next to it ||Y||_F runs from 4e6
-    # to 4e20 and the narrow residual from 6e-12 to 9e-5.  At tol = 1e-8 the
-    # bound on Y decides (36 points pass the residual test and fail the
-    # bound), at tol = 1e-10 the residual test does (18 bounded points fail it)
-    d = 0.5 * np.array([[1.0, 1e4], [0.0, 1.0]])
-    steps = np.logspace(-1, -8, 57)
-    c = 2.0 + np.concatenate([-steps, [0.0], steps[::-1]])
-    zeta = np.repeat(c[:, None], 2, axis=1)
-    rhs = np.eye(2)
-    m = np.eye(2) - d * zeta[:, None, :]
-    solved = np.linalg.det(m) != 0
-    m_solvable = np.where(solved[:, None, None], m, np.eye(2))
-    y_ref = np.linalg.solve(m_solvable, np.broadcast_to(rhs, m.shape))
-    frob = np.linalg.norm(y_ref, axis=(1, 2))
-    res = matcore.operator_norm(m @ y_ref - rhs)
-    screened = {tol: matcore.inv_resolvent(d, zeta, rhs, tol) for tol in (1e-8, 1e-10)}
-    monkeypatch.setattr(matcore, "operator_norms_within", full_within)
-    for tol, (y, regular) in screened.items():
-        y_full, regular_full = matcore.inv_resolvent(d, zeta, rhs, tol)
-        assert np.array_equal(regular, regular_full)
-        assert np.array_equal(y, y_full)
-        bounded = solved & (frob <= 1.0 / tol)
-        assert np.array_equal(regular, bounded & (res <= tol))
-        assert not regular[57]
-        assert 1 < np.count_nonzero(regular[:57]) and 1 < np.count_nonzero(regular[58:])
-    assert np.count_nonzero(solved & (res <= 1e-8) & ~(frob <= 1e8)) > 10
-    assert np.count_nonzero(solved & (frob <= 1e10) & ~(res <= 1e-10)) > 10

@@ -669,7 +669,7 @@ def with_reducing_unimodular_coordinate(r):
 def test_grid_fallback_takes_the_direct_verdict(which, grid, triple22):
     # every torus point over the base z_1 = 1 has an exact zero pivot in
     # M_RR and in the full system: the grid path must hand those points to
-    # inv_resolvent and report them, with Phi = A* there, as the direct path does
+    # _transfer_solve and report them, with Phi = A* there, as the direct path does
     base = rz.build_generating_unitary(*(triple22 if which == "triple22" else w2_tensor_jordan()))
     r = with_reducing_unimodular_coordinate(base)
     assert rz.unitarity_residual(r) < 1e-12
@@ -685,14 +685,15 @@ def test_grid_fallback_takes_the_direct_verdict(which, grid, triple22):
     assert len(cache.points) == grid**m - grid ** (m - 1) and np.all(cache.points[:, 0] != 1.0)
 
 
-def non_contractive_singular_base():
-    """D* = [[1, 1], [1, 0]] is not a contraction: M_RR = 1 - z_1 vanishes at
-    z_1 = 1, while the full system there, of determinant -z_2, is regular."""
+def non_contractive_singular_base(d11=1.0):
+    """D* = [[d11, 1], [1, 0]] is not a contraction: for d11 = 1,
+    M_RR = 1 - z_1 vanishes at z_1 = 1, while the full system there, of
+    determinant -z_2, is regular."""
     return rz.TransferRealization(
         a=np.array([[0.5]], dtype=complex),
         b=np.array([[1.0, 0.5]], dtype=complex),
         c=np.array([[1.0], [0.25]], dtype=complex),
-        d=np.array([[1.0, 1.0], [1.0, 0.0]], dtype=complex),
+        d=np.array([[d11, 1.0], [1.0, 0.0]], dtype=complex),
         partition=(1, 1),
     )
 
@@ -703,12 +704,37 @@ def test_grid_fallback_solves_regular_points_over_a_singular_base():
     assert rz.inner_check(r, 8).singular_points == 0
 
 
+def test_grid_fallback_on_failed_bounds_alone(monkeypatch):
+    # D*_11 = 1 + 1e-9: M_RR = 1 - D*_11 z_1 meets no zero pivot, but over
+    # z_1 = 1 it is -1e-9, so ||Y0|| is about 1e9 > 1/tol and the bounds fail
+    # on that whole fiber; the full system, of determinant about -z_2, is
+    # regular there, and the direct solve says so
+    r = non_contractive_singular_base(1.0 + 1e-9)
+    axis = rz.unit_circle(8)
+    solve, fallback = rz._transfer_solve, []
+
+    def recording(r, zeta):
+        fallback.append(zeta)
+        return solve(r, zeta)
+
+    base_solved, _, _, norms = rz._base_colligation(r, axis[:, None])
+    assert base_solved.all() and norms[0, 0] > 1.0 / rz.RESOLVENT_TOL > norms[0, 1:].max()
+    with monkeypatch.context() as patch:
+        patch.setattr(rz, "_transfer_solve", recording)
+        chunks = list(rz.transfer_eval_grid(r, axis))
+    zeta = np.concatenate(fallback)
+    assert len(zeta) == 8 and np.all(zeta[:, 0] == 1.0)
+    assert all(regular.all() for _, _, regular in chunks)
+    assert assert_grid_matches_direct(r, axis, 1).all()
+
+
 def assembled_against_bounds(r, axis, monkeypatch):
     """At every point of ``grid_points(axis, m)``: the grid path's bounds on
     ||Y||_F and on the full residual, and the values they bound, from
     Y = (Y0 + lambda G w, w) assembled out of its base and fiber solves, as
     ``matcore.solve_stack`` returned them, and the residual
-    (I - D* E) Y - B* taken explicitly, its norm by an SVD."""
+    (I - D* E) Y - B* taken explicitly, both in the Frobenius norm of the
+    regular-point rule."""
     e, p = r.dim_e, r.partition[-1]
     bases = rz._block_diagonals(r.partition[:-1], rz.grid_points(axis, len(r.partition) - 1))
     solve, solutions = matcore.solve_stack, []
@@ -731,9 +757,7 @@ def assembled_against_bounds(r, axis, monkeypatch):
         zeta[..., : r.dim_f - p], zeta[..., r.dim_f - p :] = zr[:, None], axis[:, None]
         resid = y - (adj(r.d) * zeta[..., None, :]) @ y - adj(r.b)
         bounds.append(np.stack([y_bound, res_bound]).reshape(2, -1))
-        values.append(
-            np.stack([np.linalg.norm(y, axis=(-2, -1)), matcore.operator_norm(resid)]).reshape(2, -1)
-        )
+        values.append(np.linalg.norm(np.stack([y, resid]), axis=(-2, -1)).reshape(2, -1))
     return np.concatenate(bounds, axis=1), np.concatenate(values, axis=1)
 
 
