@@ -129,8 +129,11 @@ def generating_residual(
 
 
 # Evaluation points per batched solve: bounds the working memory of a grid
-# scan whatever the grid size.
+# scan whatever the grid size.  The serial ``inner_check`` reads INNER_CHUNK.
+# The chunk map's consumers read CHUNK: with its workers' chunks in flight,
+# 512 points there raised peak RSS by about 1 MB and saved no time.
 CHUNK = 256
+INNER_CHUNK = 512
 # The regular-point rule for Phi: ||Y||_F <= 1/tol and a residual within tol.
 RESOLVENT_TOL = 1e-8
 
@@ -219,27 +222,36 @@ def grid_points(axis: np.ndarray, m: int) -> np.ndarray:
     return np.stack(axes, axis=-1).reshape(-1, m)
 
 
-def _base_colligation(r: TransferRealization, zr: np.ndarray):
-    """The one-variable colligations left by fixing the first m - 1
-    variables at base points, the rows of ``zr`` being their E_R diagonals.
+def _grid_blocks(r: TransferRealization) -> tuple[np.ndarray, ...]:
+    """The constant blocks of the grid path, formed once per grid: D*_RR,
+    [B*_R | D*_RL], [A* | C*_L], C*_R, [B*_L | D*_LL] and D*_LR, R being the
+    state of blocks 1..m-1 and L that of the last (size p)."""
+    fr = r.dim_f - r.partition[-1]
+    a_adj, b_adj, c_adj, d_adj = adj(r.a), adj(r.b), adj(r.c), adj(r.d)
+    base_rhs = np.hstack([b_adj[:fr], d_adj[:fr, fr:]])
+    top, low = np.hstack([a_adj, c_adj[:, fr:]]), np.hstack([b_adj[fr:], d_adj[fr:, fr:]])
+    return d_adj[:fr, :fr], base_rhs, top, c_adj[:, :fr], low, d_adj[fr:, :fr]
 
-    R is the state of blocks 1..m-1, L that of the last block (size p).  One
-    solve of M_RR = I - D*_RR E_R against [B*_R | D*_RL] gives H = [Y0 | G],
-    and [alpha | beta] = [A* | C*_L] + C*_R E_R H,
+
+def _base_colligation(blocks: tuple[np.ndarray, ...], zr: np.ndarray):
+    """The one-variable colligations left by fixing the first m - 1
+    variables at base points, the rows of ``zr`` being their E_R diagonals,
+    from the ``_grid_blocks`` of the realization.
+
+    One solve of M_RR = I - D*_RR E_R against [B*_R | D*_RL] gives
+    H = [Y0 | G], and [alpha | beta] = [A* | C*_L] + C*_R E_R H,
     [gamma | delta] = [B*_L | D*_LL] + D*_LR E_R H.  Returns the mask of
     LUs without a zero pivot, the two rows, and the Frobenius norms of Y0,
     G, r0 = M_RR Y0 - B*_R and r1 = M_RR G - D*_RL as a (4, bases) array.
     """
-    e, fr = r.dim_e, r.dim_f - r.partition[-1]
-    a_adj, b_adj, c_adj, d_adj = adj(r.a), adj(r.b), adj(r.c), adj(r.d)
-    base_rhs = np.hstack([b_adj[:fr], d_adj[:fr, fr:]])
-    m_rr = np.eye(fr) - d_adj[:fr, :fr] * zr[:, None, :]
+    d_rr, base_rhs, top0, c_r, low0, d_lr = blocks
+    e = len(top0)
+    m_rr = np.eye(len(d_rr)) - d_rr * zr[:, None, :]
     h, solved = matcore.solve_stack(m_rr, np.broadcast_to(base_rhs, (len(zr),) + base_rhs.shape))
     # overflow leaves non-finite norms, which fail the bounds
     with np.errstate(over="ignore", invalid="ignore"):
         eh = zr[:, :, None] * h
-        top = np.hstack([a_adj, c_adj[:, fr:]]) + c_adj[:, :fr] @ eh
-        low = np.hstack([b_adj[fr:], d_adj[fr:, fr:]]) + d_adj[fr:, :fr] @ eh
+        top, low = top0 + c_r @ eh, low0 + d_lr @ eh
         # the float views of the Y0 and G column blocks of h and of its residual
         halves = [v for x in (h, m_rr @ h - base_rhs) for v in np.split(x.view(float), [2 * e], -1)]
         sq = [np.einsum("bij,bij->b", v, v) for v in halves]
@@ -282,13 +294,16 @@ def _fiber_eval(top: np.ndarray, low: np.ndarray, norms: np.ndarray, lam: np.nda
 
 
 def transfer_eval_grid(
-    r: TransferRealization, axis: np.ndarray
+    r: TransferRealization, axis: np.ndarray, chunk: int = CHUNK
 ) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
     """Phi over the product grid ``grid_points(axis, m)`` as ``(rows, phi,
     regular)``: the grid rows covered, Phi there as a (k, e, e) stack, and
     the regular-point mask; at the other points ``phi`` holds A*.  A chunk
-    holds whole fibers, at most CHUNK points, or CHUNK points of one longer
-    fiber.  No per-point array is f rows tall.
+    holds whole fibers, at most ``chunk`` points, or ``chunk`` points of one
+    longer fiber.  No per-point array is f rows tall, and the realization's
+    constant blocks (``_grid_blocks``) are formed once per call.  While
+    fibers fit in a chunk, the chunk size moves no bit of Phi or the mask:
+    every LU and every per-base product keeps its shape.
 
     A point is regular by the rule of ``_transfer_solve``, through the
     bounds of ``_fiber_eval``: ||Y||_F <= 1/tol and the residual within tol.
@@ -300,12 +315,13 @@ def transfer_eval_grid(
     if k == 0:
         return
     bases = _block_diagonals(r.partition[:-1], grid_points(axis, len(r.partition) - 1))
-    per = max(1, CHUNK // k)
+    blocks = _grid_blocks(r)
+    per = max(1, chunk // k)
     for b0 in range(0, len(bases), per):
         zr = bases[b0 : b0 + per]  # the diagonals of E_R(z')
-        base_solved, top, low, norms = _base_colligation(r, zr)
-        for l0 in range(0, k, CHUNK):
-            lam = axis[l0 : l0 + CHUNK]
+        base_solved, top, low, norms = _base_colligation(blocks, zr)
+        for l0 in range(0, k, chunk):
+            lam = axis[l0 : l0 + chunk]
             phi, solved, y_bound, res_bound = _fiber_eval(top, low, norms, lam)
             ok = base_solved[:, None] & solved & (y_bound <= 1.0 / tol) & (res_bound <= tol)
             ok, phi = ok.ravel(), phi.reshape(ok.size, r.dim_e, r.dim_e)
@@ -319,11 +335,14 @@ def transfer_eval_grid(
 
 def inner_check(r: TransferRealization, grid: int) -> InnerReport:
     """Max over the torus grid of ||Phi(w)* Phi(w) - I||, skipping (and
-    counting) points with a singular resolvent."""
+    counting) points with a singular resolvent.  It runs its chunks serially,
+    so it reads INNER_CHUNK points at a time (fewer, wider base solves); the
+    floor of ``max_operator_norm`` keeps the maximum independent of the
+    chunking."""
     eye = np.eye(r.dim_e)
     max_dev = 0.0
     singular = 0
-    for _, phi, regular in transfer_eval_grid(r, unit_circle(grid)):
+    for _, phi, regular in transfer_eval_grid(r, unit_circle(grid), INNER_CHUNK):
         if not regular.all():
             singular += int(np.count_nonzero(~regular))
             phi = phi[regular]

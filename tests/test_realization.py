@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -221,6 +222,21 @@ def test_inner_check_matches_full_svd_oracle(monkeypatch):
     points = rz.grid_points(axis, len(r.partition))
     direct_regular = np.concatenate([regular for _, _, regular in transfer_eval_many(r, points)])
     assert np.array_equal(grid_regular, direct_regular) and grid_regular.all()
+
+
+def test_inner_check_peak_memory_on_w2():
+    # one W2 inner_check at grid 32 reads 64 chunks of 512 points and peaks
+    # at 2.64 MB traced (1.42 MB at 256 points); a larger chunk or another
+    # Phi-sized temporary per chunk goes over 3 MB
+    r = rz.build_generating_unitary(*w2_tensor_jordan())
+    tracemalloc.start()
+    try:
+        report = rz.inner_check(r, 32)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.grid_points == 32**3 and report.singular_points == 0
+    assert peak < 3.0e6
 
 
 # ---------------------------------------------------------------------------

@@ -717,7 +717,7 @@ def test_grid_fallback_on_failed_bounds_alone(monkeypatch):
         fallback.append(zeta)
         return solve(r, zeta)
 
-    base_solved, _, _, norms = rz._base_colligation(r, axis[:, None])
+    base_solved, _, _, norms = rz._base_colligation(rz._grid_blocks(r), axis[:, None])
     assert base_solved.all() and norms[0, 0] > 1.0 / rz.RESOLVENT_TOL > norms[0, 1:].max()
     with monkeypatch.context() as patch:
         patch.setattr(rz, "_transfer_solve", recording)
@@ -726,6 +726,47 @@ def test_grid_fallback_on_failed_bounds_alone(monkeypatch):
     assert len(zeta) == 8 and np.all(zeta[:, 0] == 1.0)
     assert all(regular.all() for _, _, regular in chunks)
     assert assert_grid_matches_direct(r, axis, 1).all()
+
+
+def grid_at_chunk(r, axis, chunk):
+    """``rz.transfer_eval_grid(r, axis, chunk)`` as one Phi stack and one
+    mask, its chunks checked to cover the grid rows in order, each at most
+    ``chunk`` points."""
+    covered, phis, masks = 0, [], []
+    for rows, phi, regular in rz.transfer_eval_grid(r, axis, chunk):
+        assert rows.start == covered and len(phi) == len(regular) == rows.stop - rows.start <= chunk
+        covered = rows.stop
+        phis.append(phi)
+        masks.append(regular)
+    assert covered == len(axis) ** len(r.partition)
+    return np.concatenate(phis), np.concatenate(masks)
+
+
+@pytest.mark.parametrize(
+    "which, grid",
+    [("w1", 32), ("w2", 32), ("w3", 32), ("non_contractive", 32), ("m1", rz.CHUNK + 44)],
+)
+def test_chunk_size_moves_no_bit(which, grid, triple22, monkeypatch):
+    # the chunk map's CHUNK, inner_check's INNER_CHUNK and an odd size give
+    # the same Phi bits, masks and inner reports: with whole fibers per
+    # chunk, with singular bases re-solved by _transfer_solve
+    # (non_contractive) and with one fiber split over several chunks (m1)
+    if which == "m1":
+        r = one_variable(rz.build_generating_unitary(*triple22))
+    elif which == "non_contractive":
+        r = non_contractive_singular_base()
+    else:
+        r = rz.build_generating_unitary(*WORKLOAD_INPUTS[which]())
+    axis = rz.unit_circle(grid)
+    runs = []
+    for chunk in (rz.CHUNK, rz.INNER_CHUNK, 37):
+        phi, regular = grid_at_chunk(r, axis, chunk)
+        monkeypatch.setattr(rz, "INNER_CHUNK", chunk)
+        runs.append((phi.tobytes(), regular, rz.inner_check(r, grid)))
+    assert runs[0][1].all() and runs[0][2].grid_points == len(runs[0][1])
+    for phi_bytes, regular, inner in runs[1:]:
+        assert phi_bytes == runs[0][0]
+        assert np.array_equal(regular, runs[0][1]) and inner == runs[0][2]
 
 
 def assembled_against_bounds(r, axis, monkeypatch):
@@ -746,8 +787,9 @@ def assembled_against_bounds(r, axis, monkeypatch):
 
     monkeypatch.setattr(matcore, "solve_stack", recording)
     bounds, values = [], []
+    blocks = rz._grid_blocks(r)
     for zr in np.array_split(bases, -(-len(bases) // 32)):
-        _, top, low, norms = rz._base_colligation(r, zr)
+        _, top, low, norms = rz._base_colligation(blocks, zr)
         _, _, y_bound, res_bound = rz._fiber_eval(top, low, norms, axis)
         h, w = solutions[-2:]
         y = np.concatenate(
@@ -851,7 +893,8 @@ def test_fiber_norms_match_point_by_point(which, axis, triple22, monkeypatch):
 
     monkeypatch.setattr(matcore, "solve_stack", solve)
     bases = rz._block_diagonals(r.partition[:-1], rz.grid_points(axis, len(r.partition) - 1))
-    _, top, low, norms = rz._base_colligation(r, bases[-max(1, rz.CHUNK // len(axis)) :])
+    blocks = rz._grid_blocks(r)
+    _, top, low, norms = rz._base_colligation(blocks, bases[-max(1, rz.CHUNK // len(axis)) :])
     gamma, delta = low[..., :e], low[..., e:]
     for l0 in range(0, len(axis), rz.CHUNK):
         lam = axis[l0 : l0 + rz.CHUNK]
