@@ -8,16 +8,18 @@ isometry.  The rest of the module evaluates that transfer function, checks
 the Schur identity and boundary innerness, splits off the unitary part of
 its constant term, and runs the full intertwining verification suite.
 
-Phi has two evaluation paths under one regular-point rule, stated in
-Frobenius norms at ``RESOLVENT_TOL``.  ``transfer_eval`` and the Schur
-identity solve the full resolvent at each point (``_transfer_solve``), and
-apply the rule exactly.  ``transfer_eval_grid`` takes a product grid axis^m
-(the torus grid of ``inner_check`` and the torus cache, or the interior
-grid of variety sampling): fixing the first m - 1 variables at a base point
-leaves a one-variable colligation on the last block's state, built once per
-base point and solved at each grid point.  It applies the rule through
-exact upper bounds on the same norms and hands each point that fails them,
-or that meets a zero pivot, to ``_transfer_solve``.  A null vector of the
+Phi is evaluated by one elimination step under one regular-point rule,
+stated in Frobenius norms at ``RESOLVENT_TOL``: ``_eliminate`` removes a
+state block R from the colligation of U* that keeps the rest
+(``_colligation``).  At scattered points (``transfer_eval``, the Schur
+identity) R is the whole state, and ``_transfer_solve`` applies the rule
+exactly.  On a product grid axis^m (``transfer_eval_grid``: the torus grid
+of ``inner_check`` and the torus cache, or the interior grid of variety
+sampling) R is the state of the first m - 1 blocks, eliminated once per
+base point; that leaves a one-variable colligation on the last block's
+state, solved at each grid point.  The grid applies the rule through exact
+upper bounds on the same norms and hands each point that fails them, or
+that meets a zero pivot, to ``_transfer_solve``.  A null vector of the
 base block is harmless: for a contractive D* and unimodular E it is
 reducing, so the full system is singular on that whole fiber, and
 ``_transfer_solve`` says so.
@@ -146,6 +148,34 @@ def _block_diagonals(partition: Sequence[int], points) -> np.ndarray:
     return np.repeat(pts, partition, axis=1)
 
 
+def _colligation(r: TransferRealization, p: int) -> tuple[np.ndarray, ...]:
+    """U* permuted into the colligation [[X, Y], [Z, K]] that keeps E + L,
+    L the last p state coordinates, and eliminates the rest, R:
+    X = [[A*, C*_L], [B*_L, D*_LL]], Y = [C*_R; D*_LR], Z = [B*_R | D*_RL]
+    and K = D*_RR.  For p = 0 these are A*, C*, B* and D*."""
+    fr = r.dim_f - p
+    a_adj, b_adj, c_adj, d_adj = adj(r.a), adj(r.b), adj(r.c), adj(r.d)
+    x = np.block([[a_adj, c_adj[:, fr:]], [b_adj[fr:], d_adj[fr:, fr:]]])
+    y = np.vstack([c_adj[:, :fr], d_adj[fr:, :fr]])
+    return x, y, np.hstack([b_adj[:fr], d_adj[:fr, fr:]]), d_adj[:fr, :fr]
+
+
+def _eliminate(blocks: tuple[np.ndarray, ...], zeta: np.ndarray, e: int):
+    """One solve of (I - K E_R) H = Z for the ``_colligation`` ``blocks`` at
+    the E_R diagonals ``zeta`` (one row per point).  Returns the mask of LUs
+    without a zero pivot, H and the Frobenius norms of H and of its residual,
+    each split at column e, as a (4, points) array."""
+    _, _, z, k = blocks
+    m = np.eye(len(k)) - k * zeta[:, None, :]
+    h, solved = matcore.solve_stack(m, np.broadcast_to(z, (len(zeta),) + z.shape))
+    # overflow leaves non-finite norms, which fail every bound
+    with np.errstate(over="ignore", invalid="ignore"):
+        # the float views of the first e columns of h and its residual, and the rest
+        halves = [v for x in (h, m @ h - z) for v in np.split(x.view(float), [2 * e], -1)]
+        sq = [np.einsum("bij,bij->b", v, v) for v in halves]
+    return solved, h, np.sqrt(sq)
+
+
 def _transfer_solve(
     r: TransferRealization, zeta: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -162,14 +192,11 @@ def _transfer_solve(
     regular; if Phi is inaccurate there, ``inner_deviation`` reports it.  Y
     is zero at every other point, so Phi is A* there.
     """
-    b_adj = adj(r.b)
-    m = np.eye(r.dim_f) - adj(r.d) * zeta[:, None, :]
-    y, solved = matcore.solve_stack(m, np.broadcast_to(b_adj, (len(zeta),) + b_adj.shape))
-    bounded = solved & (matcore.norm_bounds(y)[1] <= 1.0 / RESOLVENT_TOL)
-    y[~bounded] = 0.0  # keeps the residual product finite
-    regular = bounded & (matcore.norm_bounds(m @ y - b_adj)[1] <= RESOLVENT_TOL)
+    blocks = _colligation(r, 0)
+    solved, y, (y_norm, _, res_norm, _) = _eliminate(blocks, zeta, r.dim_e)
+    regular = solved & (y_norm <= 1.0 / RESOLVENT_TOL) & (res_norm <= RESOLVENT_TOL)
     y[~regular] = 0.0
-    phi = adj(r.a) + (adj(r.c) * zeta[:, None, :]) @ y
+    phi = blocks[0] + (blocks[1] * zeta[:, None, :]) @ y
     return phi, y, regular
 
 
@@ -222,66 +249,33 @@ def grid_points(axis: np.ndarray, m: int) -> np.ndarray:
     return np.stack(axes, axis=-1).reshape(-1, m)
 
 
-def _grid_blocks(r: TransferRealization) -> tuple[np.ndarray, ...]:
-    """The constant blocks of the grid path, formed once per grid: D*_RR,
-    [B*_R | D*_RL], [A* | C*_L], C*_R, [B*_L | D*_LL] and D*_LR, R being the
-    state of blocks 1..m-1 and L that of the last (size p)."""
-    fr = r.dim_f - r.partition[-1]
-    a_adj, b_adj, c_adj, d_adj = adj(r.a), adj(r.b), adj(r.c), adj(r.d)
-    base_rhs = np.hstack([b_adj[:fr], d_adj[:fr, fr:]])
-    top, low = np.hstack([a_adj, c_adj[:, fr:]]), np.hstack([b_adj[fr:], d_adj[fr:, fr:]])
-    return d_adj[:fr, :fr], base_rhs, top, c_adj[:, :fr], low, d_adj[fr:, :fr]
-
-
-def _base_colligation(blocks: tuple[np.ndarray, ...], zr: np.ndarray):
-    """The one-variable colligations left by fixing the first m - 1
-    variables at base points, the rows of ``zr`` being their E_R diagonals,
-    from the ``_grid_blocks`` of the realization.
-
-    One solve of M_RR = I - D*_RR E_R against [B*_R | D*_RL] gives
-    H = [Y0 | G], and [alpha | beta] = [A* | C*_L] + C*_R E_R H,
-    [gamma | delta] = [B*_L | D*_LL] + D*_LR E_R H.  Returns the mask of
-    LUs without a zero pivot, the two rows, and the Frobenius norms of Y0,
-    G, r0 = M_RR Y0 - B*_R and r1 = M_RR G - D*_RL as a (4, bases) array.
-    """
-    d_rr, base_rhs, top0, c_r, low0, d_lr = blocks
-    e = len(top0)
-    m_rr = np.eye(len(d_rr)) - d_rr * zr[:, None, :]
-    h, solved = matcore.solve_stack(m_rr, np.broadcast_to(base_rhs, (len(zr),) + base_rhs.shape))
-    # overflow leaves non-finite norms, which fail the bounds
-    with np.errstate(over="ignore", invalid="ignore"):
-        eh = zr[:, :, None] * h
-        top, low = top0 + c_r @ eh, low0 + d_lr @ eh
-        # the float views of the Y0 and G column blocks of h and of its residual
-        halves = [v for x in (h, m_rr @ h - base_rhs) for v in np.split(x.view(float), [2 * e], -1)]
-        sq = [np.einsum("bij,bij->b", v, v) for v in halves]
-    return solved, top, low, np.sqrt(sq)
-
-
-def _fiber_eval(top: np.ndarray, low: np.ndarray, norms: np.ndarray, lam: np.ndarray):
-    """Phi at the fiber points ``lam`` over each base of ``_base_colligation``,
-    with bounds on the full system, arrays indexed (base, fiber) first.
+def _fiber_eval(base: np.ndarray, e: int, norms: np.ndarray, lam: np.ndarray):
+    """Phi at the fiber points ``lam`` over each base point, with bounds on
+    the full system, arrays indexed (base, fiber) first.  ``base`` holds the
+    one-variable colligations [[alpha, beta], [gamma, delta]] = X + Y E_R H
+    left by the ``_eliminate`` step H = [Y0 | G], ``norms`` its norms.
 
     (I - lambda delta) w = gamma gives Phi = alpha + lambda beta w and the
     full narrow resolvent Y = (Y0 + lambda G w, w), whose residual is, in
     exact arithmetic, (r0 + lambda r1 w, (I - lambda delta) w - gamma) for
-    any Y0, G and w.  Returns Phi, the mask of LUs without a zero pivot,
-    and the bounds ||Y0|| + |lambda| ||G|| ||w|| + ||w|| on ||Y||_F and
+    any Y0, G and w, r0 and r1 being the residuals of Y0 and G.  Returns
+    Phi, the mask of LUs without a zero pivot, and the bounds
+    ||Y0|| + |lambda| ||G|| ||w|| + ||w|| on ||Y||_F and
     ||r0|| + |lambda| ||r1|| ||w|| + ||(I - lambda delta) w - gamma|| on the
     residual, all Frobenius norms.
     """
-    e, p = top.shape[-2], low.shape[-2]
-    nb, nl = len(top), len(lam)
-    gamma, delta = low[..., :e], low[..., e:]
+    p = base.shape[-1] - e
+    nb, nl = len(base), len(lam)
+    alpha, beta, gamma, delta = base[:, :e, :e], base[:, :e, e:], base[:, e:, :e], base[:, e:, e:]
     # overflow leaves a non-finite w, which fails the bounds
     with np.errstate(over="ignore", invalid="ignore"):
         n = np.eye(p) - lam[:, None, None] * delta[:, None]
         w, solved = matcore.solve_stack(n, np.broadcast_to(gamma[:, None], (nb, nl, p, e)))
         # lambda w with the fiber index inside the columns: one GEMM per base
         lw = (lam[:, None, None] * w).transpose(0, 2, 1, 3).reshape(nb, p, nl * e)
-        prod = (top[..., e:] @ lw).reshape(nb, e, nl, e).transpose(0, 2, 1, 3)
+        prod = (beta @ lw).reshape(nb, e, nl, e).transpose(0, 2, 1, 3)
         phi = np.ascontiguousarray(prod)  # so the (k, e, e) reshape is a view
-        phi += top[:, None, :, :e]
+        phi += alpha[:, None]
         # the residual in the GEMM's (base, row, fiber, column) layout
         fiber_res = w.transpose(0, 2, 1, 3) - gamma[:, :, None] - (delta @ lw).reshape(nb, p, nl, e)
         wv, rv = w.view(float), fiber_res.view(float)
@@ -300,10 +294,10 @@ def transfer_eval_grid(
     regular)``: the grid rows covered, Phi there as a (k, e, e) stack, and
     the regular-point mask; at the other points ``phi`` holds A*.  A chunk
     holds whole fibers, at most ``chunk`` points, or ``chunk`` points of one
-    longer fiber.  No per-point array is f rows tall, and the realization's
-    constant blocks (``_grid_blocks``) are formed once per call.  While
-    fibers fit in a chunk, the chunk size moves no bit of Phi or the mask:
-    every LU and every per-base product keeps its shape.
+    longer fiber.  No per-point array is f rows tall, and ``_colligation``
+    is formed once per call.  While fibers fit in a chunk, the chunk size
+    moves no bit of Phi or the mask: every LU and every per-base product
+    keeps its shape.
 
     A point is regular by the rule of ``_transfer_solve``, through the
     bounds of ``_fiber_eval``: ||Y||_F <= 1/tol and the residual within tol.
@@ -315,14 +309,17 @@ def transfer_eval_grid(
     if k == 0:
         return
     bases = _block_diagonals(r.partition[:-1], grid_points(axis, len(r.partition) - 1))
-    blocks = _grid_blocks(r)
+    blocks = _colligation(r, r.partition[-1])
     per = max(1, chunk // k)
     for b0 in range(0, len(bases), per):
         zr = bases[b0 : b0 + per]  # the diagonals of E_R(z')
-        base_solved, top, low, norms = _base_colligation(blocks, zr)
+        base_solved, h, norms = _eliminate(blocks, zr, r.dim_e)
+        # overflow leaves a non-finite colligation, which fails the bounds
+        with np.errstate(over="ignore", invalid="ignore"):
+            base = blocks[0] + blocks[1] @ (zr[:, :, None] * h)
         for l0 in range(0, k, chunk):
             lam = axis[l0 : l0 + chunk]
-            phi, solved, y_bound, res_bound = _fiber_eval(top, low, norms, lam)
+            phi, solved, y_bound, res_bound = _fiber_eval(base, r.dim_e, norms, lam)
             ok = base_solved[:, None] & solved & (y_bound <= 1.0 / tol) & (res_bound <= tol)
             ok, phi = ok.ravel(), phi.reshape(ok.size, r.dim_e, r.dim_e)
             if not ok.all():
@@ -429,20 +426,20 @@ def _lifting_residuals(
     dim, f = t.dim, r.dim_f
     m, _, col_shift = _frame_maps(cert, t)
     m_adj = adj(m)
-    d_adj, b_adj, mc = adj(r.d), adj(r.b), m_adj @ adj(r.c)
+    a_adj, c_adj, b_adj, d_adj = _colligation(r, 0)
     # T_a(p), the coordinate that drives column p, and in row-major vec
     # L(Y)[i, p] = sum_{j, q} T_a(p)[i, j] Y[j, q] D*[q, p]
     col_ops = np.stack(t.ops)[np.repeat(np.arange(len(r.partition)), r.partition)]
     # I - L built in place: (-a) b and 1 + (-x) round as -(a b) and 1 - x do
     system = np.einsum("pij,qp->ipjq", col_ops, -d_adj).reshape(dim * f, dim * f)
     system.flat[:: dim * f + 1] += 1.0
-    rhs = np.einsum("pij,jp->ip", col_ops, mc)
+    rhs = np.einsum("pij,jp->ip", col_ops, m_adj @ c_adj)
     y, solved = matcore.solve_stack(system, rhs.reshape(dim * f, 1))
     if not solved:
         return float("inf"), float("inf")
     y = y.reshape(dim, f)
     strict = (adj(col_shift) - y) @ b_adj
-    lifting = t.op(t.n) @ m_adj - m_adj @ adj(r.a) - y @ b_adj
+    lifting = t.op(t.n) @ m_adj - m_adj @ a_adj - y @ b_adj
     return float(np.max(np.linalg.norm(strict, axis=0), initial=0.0)), operator_norm(lifting)
 
 

@@ -156,6 +156,20 @@ def test_psd_sqrt_rejects_negative():
         matcore.psd_sqrt(np.diag([1.0, -1.0]))
 
 
+@pytest.mark.parametrize("tol", [1e-10, 1e-8])
+@pytest.mark.parametrize("side", [-1.0, 1.0])
+def test_psd_clamp_flips_at_its_threshold(tol, side):
+    # an eigenvalue at -tol (1 - 1e-6) is clamped to 0, one at -tol (1 + 1e-6)
+    # is refused with its value
+    low = -tol * (1.0 + side * 1e-6)
+    if side > 0:
+        with pytest.raises(NotPsd) as refused:
+            matcore.psd_sqrt(np.diag([1.0, low]), tol)
+        assert refused.value.min_eig == low
+    else:
+        assert np.array_equal(matcore.psd_sqrt(np.diag([1.0, low]), tol), np.diag([1.0, 0.0]))
+
+
 def test_psd_sqrt_idempotent_eigenvalues(rng):
     a = random_complex(rng, 4, 4)
     r0 = matcore.psd_sqrt(a @ adj(a))
@@ -219,6 +233,19 @@ def test_kernel_basis_annihilates(rng):
     assert k.shape[1] >= 2
     for col in k.T:
         assert np.linalg.norm(a @ col) < 1e-9 * max(1, matcore.operator_norm(a))
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-8])
+@pytest.mark.parametrize("sigma0", [0.25, 1.0, 4.0])
+@pytest.mark.parametrize("side", [-1.0, 1.0])
+def test_rank_cut_flips_at_its_threshold(tol, sigma0, side):
+    # a singular value just above tol * max(1, sigma_0) is in the range, one
+    # just below it in the kernel; sigma_0 = 0.25 pins the floor at 1
+    sigma = tol * max(1.0, sigma0) * (1.0 + side * 1e-6)
+    a = np.diag([sigma0, sigma, 0.0])
+    rank = 1 + (side > 0)
+    assert matcore.range_onbs(a[None], tol)[0].shape == (3, rank)
+    assert matcore.kernel_basis(a, tol).shape == (3, 3 - rank)
 
 
 def test_range_onb_duplicate_collapse():

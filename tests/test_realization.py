@@ -27,6 +27,7 @@ from conftest import (
     w3_nonnormal,
     zero_triple,
 )
+from mpref import forward_error, mp_transfer
 
 
 # ---------------------------------------------------------------------------
@@ -149,6 +150,34 @@ def test_transfer_contractive_interior(triple32, rng):
     for _ in range(1000):
         z = tuple(0.999 * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform()) for _ in range(2))
         assert matcore.operator_norm(rz.transfer_eval(r, z)) <= 1.0 + 1e-9
+
+
+# The forward error allowed to either evaluation path of Phi, in the matrix
+# 1-norm: about a hundred times the largest measured on W1, W2 and W3
+# (1.0e-15, at a torus point of W1).  Phi is a contraction on the closed
+# polydisc, so the bound is relative as well.
+PHI_REFERENCE_BOUND = 1e-13
+
+
+@pytest.mark.parametrize("workload", [w1_product_triple, w2_tensor_jordan, w3_nonnormal])
+def test_phi_against_a_40_digit_reference(workload):
+    # seeded interior points through transfer_eval, and five rows of a torus
+    # and an interior product grid through both transfer_eval_grid and
+    # transfer_eval, against mpmath, which shares no code with either path
+    r = rz.build_generating_unitary(*workload())
+    m = len(r.partition)
+    draws = np.random.default_rng(16).uniform(size=(2, 3, m))
+    for z in 0.9 * np.sqrt(draws[0]) * np.exp(2j * np.pi * draws[1]):
+        assert forward_error(rz.transfer_eval(r, z), mp_transfer(r, z)) <= PHI_REFERENCE_BOUND
+    for axis in (rz.unit_circle(8), 0.6 * rz.unit_circle(5)):
+        chunks = list(rz.transfer_eval_grid(r, axis))
+        phi = np.concatenate([phi for _, phi, _ in chunks])
+        assert all(regular.all() for _, _, regular in chunks)
+        points = rz.grid_points(axis, m)
+        for row in np.linspace(0, len(points) - 1, 5).astype(int):
+            reference = mp_transfer(r, points[row])
+            assert forward_error(phi[row], reference) <= PHI_REFERENCE_BOUND
+            assert forward_error(rz.transfer_eval(r, points[row]), reference) <= PHI_REFERENCE_BOUND
 
 
 # ---------------------------------------------------------------------------

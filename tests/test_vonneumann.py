@@ -704,6 +704,15 @@ def test_grid_fallback_solves_regular_points_over_a_singular_base():
     assert rz.inner_check(r, 8).singular_points == 0
 
 
+def base_colligation(r, zr):
+    """The grid path's base step at the E_R diagonals ``zr``: the mask of
+    LUs without a zero pivot, the one-variable colligations X + Y E_R H of
+    ``rz._fiber_eval`` and the norms of H and its residual."""
+    blocks = rz._colligation(r, r.partition[-1])
+    solved, h, norms = rz._eliminate(blocks, zr, r.dim_e)
+    return solved, blocks[0] + blocks[1] @ (zr[:, :, None] * h), norms
+
+
 def test_grid_fallback_on_failed_bounds_alone(monkeypatch):
     # D*_11 = 1 + 1e-9: M_RR = 1 - D*_11 z_1 meets no zero pivot, but over
     # z_1 = 1 it is -1e-9, so ||Y0|| is about 1e9 > 1/tol and the bounds fail
@@ -717,7 +726,7 @@ def test_grid_fallback_on_failed_bounds_alone(monkeypatch):
         fallback.append(zeta)
         return solve(r, zeta)
 
-    base_solved, _, _, norms = rz._base_colligation(rz._grid_blocks(r), axis[:, None])
+    base_solved, _, norms = base_colligation(r, axis[:, None])
     assert base_solved.all() and norms[0, 0] > 1.0 / rz.RESOLVENT_TOL > norms[0, 1:].max()
     with monkeypatch.context() as patch:
         patch.setattr(rz, "_transfer_solve", recording)
@@ -787,10 +796,9 @@ def assembled_against_bounds(r, axis, monkeypatch):
 
     monkeypatch.setattr(matcore, "solve_stack", recording)
     bounds, values = [], []
-    blocks = rz._grid_blocks(r)
     for zr in np.array_split(bases, -(-len(bases) // 32)):
-        _, top, low, norms = rz._base_colligation(blocks, zr)
-        _, _, y_bound, res_bound = rz._fiber_eval(top, low, norms, axis)
+        _, base, norms = base_colligation(r, zr)
+        _, _, y_bound, res_bound = rz._fiber_eval(base, e, norms, axis)
         h, w = solutions[-2:]
         y = np.concatenate(
             [h[:, None, :, :e] + axis[:, None, None] * (h[:, None, :, e:] @ w), w], axis=-2
@@ -893,13 +901,12 @@ def test_fiber_norms_match_point_by_point(which, axis, triple22, monkeypatch):
 
     monkeypatch.setattr(matcore, "solve_stack", solve)
     bases = rz._block_diagonals(r.partition[:-1], rz.grid_points(axis, len(r.partition) - 1))
-    blocks = rz._grid_blocks(r)
-    _, top, low, norms = rz._base_colligation(blocks, bases[-max(1, rz.CHUNK // len(axis)) :])
-    gamma, delta = low[..., :e], low[..., e:]
+    _, base, norms = base_colligation(r, bases[-max(1, rz.CHUNK // len(axis)) :])
+    gamma, delta = base[:, e:, :e], base[:, e:, e:]
     for l0 in range(0, len(axis), rz.CHUNK):
         lam = axis[l0 : l0 + rz.CHUNK]
-        phi, _, w_norm, fiber_norm = rz._fiber_eval(top, low, np.zeros_like(norms), lam)
-        assert phi.flags.c_contiguous and w_norm.shape == fiber_norm.shape == (len(top), len(lam))
+        phi, _, w_norm, fiber_norm = rz._fiber_eval(base, e, np.zeros_like(norms), lam)
+        assert phi.flags.c_contiguous and w_norm.shape == fiber_norm.shape == (len(base), len(lam))
         for b, l in np.ndindex(w_norm.shape):
             w = fibers[-1][b, l]
             residual = (np.eye(p) - lam[l] * delta[b]) @ w - gamma[b]
