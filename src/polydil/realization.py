@@ -114,11 +114,7 @@ def build_generating_unitary(
     domain, image, e, f = _domain_image_frames(t, cert)
     u = matcore.unitary_completion(domain, image, e + f, tol, completion_order)
     return TransferRealization(
-        a=u[:e, :e],
-        b=u[:e, e:],
-        c=u[e:, :e],
-        d=u[e:, e:],
-        partition=cert.ranks,
+        a=u[:e, :e], b=u[:e, e:], c=u[e:, :e], d=u[e:, e:], partition=cert.ranks
     )
 
 
@@ -160,12 +156,11 @@ def _colligation(r: TransferRealization, p: int) -> tuple[np.ndarray, ...]:
     return x, y, np.hstack([b_adj[:fr], d_adj[:fr, fr:]]), d_adj[:fr, :fr]
 
 
-def _eliminate(blocks: tuple[np.ndarray, ...], zeta: np.ndarray, e: int):
-    """One solve of (I - K E_R) H = Z for the ``_colligation`` ``blocks`` at
+def _eliminate(z: np.ndarray, k: np.ndarray, zeta: np.ndarray, e: int):
+    """One solve of (I - K E_R) H = Z for the ``_colligation`` blocks Z, K at
     the E_R diagonals ``zeta`` (one row per point).  Returns the mask of LUs
     without a zero pivot, H and the Frobenius norms of H and of its residual,
     each split at column e, as a (4, points) array."""
-    _, _, z, k = blocks
     m = np.eye(len(k)) - k * zeta[:, None, :]
     h, solved = matcore.solve_stack(m, np.broadcast_to(z, (len(zeta),) + z.shape))
     # overflow leaves non-finite norms, which fail every bound
@@ -192,11 +187,11 @@ def _transfer_solve(
     regular; if Phi is inaccurate there, ``inner_deviation`` reports it.  Y
     is zero at every other point, so Phi is A* there.
     """
-    blocks = _colligation(r, 0)
-    solved, y, (y_norm, _, res_norm, _) = _eliminate(blocks, zeta, r.dim_e)
+    a_adj, c_adj, b_adj, d_adj = _colligation(r, 0)
+    solved, y, (y_norm, _, res_norm, _) = _eliminate(b_adj, d_adj, zeta, r.dim_e)
     regular = solved & (y_norm <= 1.0 / RESOLVENT_TOL) & (res_norm <= RESOLVENT_TOL)
     y[~regular] = 0.0
-    phi = blocks[0] + (blocks[1] * zeta[:, None, :]) @ y
+    phi = a_adj + (c_adj * zeta[:, None, :]) @ y
     return phi, y, regular
 
 
@@ -249,11 +244,21 @@ def grid_points(axis: np.ndarray, m: int) -> np.ndarray:
     return np.stack(axes, axis=-1).reshape(-1, m)
 
 
+def _grid_base(colligation: tuple[np.ndarray, ...], zr: np.ndarray, e: int):
+    """The grid's base step at the E_R diagonals ``zr`` on the ``_colligation``
+    [[X, Y], [Z, K]]: ``_eliminate``'s mask and norms, and X + Y E_R H."""
+    x, y, z, k = colligation
+    solved, h, norms = _eliminate(z, k, zr, e)
+    # overflow leaves a non-finite colligation, which fails the bounds
+    with np.errstate(over="ignore", invalid="ignore"):
+        return solved, x + y @ (zr[:, :, None] * h), norms
+
+
 def _fiber_eval(base: np.ndarray, e: int, norms: np.ndarray, lam: np.ndarray):
     """Phi at the fiber points ``lam`` over each base point, with bounds on
     the full system, arrays indexed (base, fiber) first.  ``base`` holds the
-    one-variable colligations [[alpha, beta], [gamma, delta]] = X + Y E_R H
-    left by the ``_eliminate`` step H = [Y0 | G], ``norms`` its norms.
+    one-variable colligations [[alpha, beta], [gamma, delta]] of
+    ``_grid_base``, with H = [Y0 | G], ``norms`` its norms.
 
     (I - lambda delta) w = gamma gives Phi = alpha + lambda beta w and the
     full narrow resolvent Y = (Y0 + lambda G w, w), whose residual is, in
@@ -309,14 +314,11 @@ def transfer_eval_grid(
     if k == 0:
         return
     bases = _block_diagonals(r.partition[:-1], grid_points(axis, len(r.partition) - 1))
-    blocks = _colligation(r, r.partition[-1])
+    colligation = _colligation(r, r.partition[-1])
     per = max(1, chunk // k)
     for b0 in range(0, len(bases), per):
         zr = bases[b0 : b0 + per]  # the diagonals of E_R(z')
-        base_solved, h, norms = _eliminate(blocks, zr, r.dim_e)
-        # overflow leaves a non-finite colligation, which fails the bounds
-        with np.errstate(over="ignore", invalid="ignore"):
-            base = blocks[0] + blocks[1] @ (zr[:, :, None] * h)
+        base_solved, base, norms = _grid_base(colligation, zr, r.dim_e)
         for l0 in range(0, k, chunk):
             lam = axis[l0 : l0 + chunk]
             phi, solved, y_bound, res_bound = _fiber_eval(base, r.dim_e, norms, lam)

@@ -27,7 +27,6 @@ from conftest import (
     w3_nonnormal,
     zero_triple,
 )
-from mpref import forward_error, mp_transfer
 
 
 # ---------------------------------------------------------------------------
@@ -164,6 +163,9 @@ def test_phi_against_a_40_digit_reference(workload):
     # seeded interior points through transfer_eval, and five rows of a torus
     # and an interior product grid through both transfer_eval_grid and
     # transfer_eval, against mpmath, which shares no code with either path
+    pytest.importorskip("mpmath")
+    from mpref import forward_error, mp_transfer
+
     r = rz.build_generating_unitary(*workload())
     m = len(r.partition)
     draws = np.random.default_rng(16).uniform(size=(2, 3, m))

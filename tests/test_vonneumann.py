@@ -704,13 +704,10 @@ def test_grid_fallback_solves_regular_points_over_a_singular_base():
     assert rz.inner_check(r, 8).singular_points == 0
 
 
-def base_colligation(r, zr):
-    """The grid path's base step at the E_R diagonals ``zr``: the mask of
-    LUs without a zero pivot, the one-variable colligations X + Y E_R H of
-    ``rz._fiber_eval`` and the norms of H and its residual."""
-    blocks = rz._colligation(r, r.partition[-1])
-    solved, h, norms = rz._eliminate(blocks, zr, r.dim_e)
-    return solved, blocks[0] + blocks[1] @ (zr[:, :, None] * h), norms
+def grid_base(r, zr):
+    """The base step of ``transfer_eval_grid`` at the E_R diagonals ``zr``,
+    on the colligation that it forms."""
+    return rz._grid_base(rz._colligation(r, r.partition[-1]), zr, r.dim_e)
 
 
 def test_grid_fallback_on_failed_bounds_alone(monkeypatch):
@@ -726,7 +723,7 @@ def test_grid_fallback_on_failed_bounds_alone(monkeypatch):
         fallback.append(zeta)
         return solve(r, zeta)
 
-    base_solved, _, norms = base_colligation(r, axis[:, None])
+    base_solved, _, norms = grid_base(r, axis[:, None])
     assert base_solved.all() and norms[0, 0] > 1.0 / rz.RESOLVENT_TOL > norms[0, 1:].max()
     with monkeypatch.context() as patch:
         patch.setattr(rz, "_transfer_solve", recording)
@@ -797,7 +794,7 @@ def assembled_against_bounds(r, axis, monkeypatch):
     monkeypatch.setattr(matcore, "solve_stack", recording)
     bounds, values = [], []
     for zr in np.array_split(bases, -(-len(bases) // 32)):
-        _, base, norms = base_colligation(r, zr)
+        _, base, norms = grid_base(r, zr)
         _, _, y_bound, res_bound = rz._fiber_eval(base, e, norms, axis)
         h, w = solutions[-2:]
         y = np.concatenate(
@@ -901,7 +898,7 @@ def test_fiber_norms_match_point_by_point(which, axis, triple22, monkeypatch):
 
     monkeypatch.setattr(matcore, "solve_stack", solve)
     bases = rz._block_diagonals(r.partition[:-1], rz.grid_points(axis, len(r.partition) - 1))
-    _, base, norms = base_colligation(r, bases[-max(1, rz.CHUNK // len(axis)) :])
+    _, base, norms = grid_base(r, bases[-max(1, rz.CHUNK // len(axis)) :])
     gamma, delta = base[:, e:, :e], base[:, e:, e:]
     for l0 in range(0, len(axis), rz.CHUNK):
         lam = axis[l0 : l0 + rz.CHUNK]
